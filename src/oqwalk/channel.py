@@ -3,17 +3,20 @@
 A walk on a graph is specified by one internal-space operator B[i, j] per
 directed edge i -> j; absent edges mean the zero operator.  Trace preservation
 requires, for every source node i, sum_j B[i,j]^dagger B[i,j] = identity.
-After a single application any graph coherences vanish, so states are stored
-block-diagonally: one positive internal operator per occupied node, traces
-summing to one.
+Graph coherences vanish after one application, so states are block-diagonal.
 
-Channels and states are immutable after construction and `step` is a pure
-function, so independent trajectories can safely run concurrently.
+A channel holds its E edges as arrays `src`, `dst` (E,) and `ops` (E, d, d);
+a state holds `rho` (N, d, d), traces summing to one.  Checks run once, at
+construction (completeness; Hermiticity, positivity, trace), and `step` only
+reads the stored report, since a complete CP map keeps a valid state valid.
+All arrays are read-only, so both objects are immutable and `step` is pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -50,43 +53,17 @@ def _as_operator(m, dim: int | None = None) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ChannelStructureError(f"operator must be square, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
-        raise ChannelStructureError(
-            f"operator has dimension {a.shape[0]}, expected {dim}"
-        )
+        raise ChannelStructureError(f"operator has dimension {a.shape[0]}, expected {dim}")
     return a
 
 
-@dataclass(frozen=True)
-class OqwChannel:
-    """Sparse family of per-edge operators {(source, target): B} on a graph.
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
 
-    Absent (source, target) pairs are zero operators.  Instances are treated
-    as immutable; do not mutate `transitions` after construction.
-    """
 
-    node_count: int
-    internal_dim: int
-    transitions: dict[tuple[int, int], np.ndarray]
-
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ChannelStructureError(f"node_count must be >= 1, got {self.node_count}")
-        if self.internal_dim < 1:
-            raise ChannelStructureError(f"internal_dim must be >= 1, got {self.internal_dim}")
-        ops = {}
-        for key, op in self.transitions.items():
-            i, j = key
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise ChannelStructureError(f"transition {key} outside node range")
-            ops[(int(i), int(j))] = _as_operator(op, self.internal_dim)
-        object.__setattr__(self, "transitions", ops)
-
-    def operator(self, source: int, target: int) -> np.ndarray:
-        """B[source, target], or the zero operator if the edge is absent."""
-        op = self.transitions.get((source, target))
-        if op is None:
-            return np.zeros((self.internal_dim, self.internal_dim), dtype=complex)
-        return op
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -100,113 +77,135 @@ class ValidationReport:
         return {i: d for i, d in self.defects.items() if d > STRUCTURAL_TOL}
 
 
-def validate_channel(channel: OqwChannel) -> ValidationReport:
-    """Check per-node completeness sum_j B[i,j]^dagger B[i,j] = identity.
+@dataclass(frozen=True)
+class OqwChannel:
+    """Sparse family of per-edge operators {(source, target): B} on a graph.
 
-    Returns a report with the max-norm defect for every node; ok iff all
-    defects are within STRUCTURAL_TOL.  Structural problems (wrong operator
-    dimensions) raise ChannelStructureError instead of being reported.
+    Absent pairs are zero operators; `transitions` is a read-only view of `ops`.
     """
-    dim = channel.internal_dim
-    eye = np.eye(dim)
-    acc = {i: np.zeros((dim, dim), dtype=complex) for i in range(channel.node_count)}
-    for (i, _j), op in channel.transitions.items():
-        _as_operator(op, dim)
-        acc[i] += op.conj().T @ op
-    defects = {i: float(np.abs(acc[i] - eye).max()) for i in range(channel.node_count)}
-    return ValidationReport(ok=max(defects.values()) <= STRUCTURAL_TOL, defects=defects)
+
+    node_count: int
+    internal_dim: int
+    transitions: Mapping[tuple[int, int], np.ndarray]
+    src: np.ndarray = field(init=False, repr=False, compare=False)
+    dst: np.ndarray = field(init=False, repr=False, compare=False)
+    ops: np.ndarray = field(init=False, repr=False, compare=False)
+    report: ValidationReport = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n, d = self.node_count, self.internal_dim
+        for name, value in [("node_count", n), ("internal_dim", d)]:
+            if value < 1:
+                raise ChannelStructureError(f"{name} must be >= 1, got {value}")
+        edges = []
+        for key in self.transitions:
+            i, j = key
+            if not (0 <= i < n and 0 <= j < n):
+                raise ChannelStructureError(f"transition {key} outside node range")
+            edges.append((int(i), int(j)))
+        ops = [_as_operator(op, d) for op in self.transitions.values()]
+        ops = _frozen(np.array(ops, dtype=complex).reshape(-1, d, d))
+        src, dst = _frozen(np.array(edges, dtype=np.intp).reshape(-1, 2)).T
+        acc = np.zeros((n, d, d), dtype=complex)
+        np.add.at(acc, src, _dagger(ops) @ ops)
+        defects = np.abs(acc - np.eye(d)).max(axis=(1, 2))
+        report = ValidationReport(ok=bool(defects.max() <= STRUCTURAL_TOL),
+                                  defects=dict(enumerate(defects.tolist())))
+        for name, value in [("transitions", MappingProxyType(dict(zip(edges, ops)))),
+                            ("src", src), ("dst", dst), ("ops", ops), ("report", report)]:
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # unpickle through the checks, which re-freeze the arrays
+        return OqwChannel, (self.node_count, self.internal_dim, dict(self.transitions))
 
 
-def _check_block(b: np.ndarray, dim: int) -> np.ndarray:
-    b = _as_operator(b, dim)
-    if np.abs(b - b.conj().T).max() > _HERMITIAN_TOL:
-        raise ValueError("state block is not Hermitian")
-    if np.linalg.eigvalsh(b).min() < -STRUCTURAL_TOL:
-        raise ValueError("state block is not positive semidefinite")
-    return b
+def validate_channel(channel: OqwChannel) -> ValidationReport:
+    """Per-node completeness sum_j B[i,j]^dagger B[i,j] = identity, as checked at construction.
+
+    The report holds the max-norm defect of every node; ok iff all are within
+    STRUCTURAL_TOL.  Structural problems raised ChannelStructureError instead.
+    """
+    return channel.report
 
 
 @dataclass(frozen=True)
 class BlockState:
-    """Block-diagonal walk state: one PSD internal operator per occupied node."""
+    """Block-diagonal walk state: read-only `rho` (N, d, d); `blocks` maps nonzero nodes."""
 
     node_count: int
-    blocks: dict[int, np.ndarray]
+    blocks: Mapping[int, np.ndarray]
+    rho: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("state needs at least one block")
-        dim = next(iter(self.blocks.values())).shape[0]
-        checked = {}
-        for node, b in self.blocks.items():
+        for node in self.blocks:
             if not 0 <= node < self.node_count:
                 raise ValueError(f"block node {node} outside 0..{self.node_count - 1}")
-            checked[int(node)] = _check_block(b, dim)
-        total = sum(float(np.trace(b).real) for b in checked.values())
+        dim = _as_operator(next(iter(self.blocks.values()))).shape[0]
+        b = np.array([_as_operator(m, dim) for m in self.blocks.values()])
+        if np.abs(b - _dagger(b)).max() > _HERMITIAN_TOL:
+            raise ValueError("state block is not Hermitian")
+        if np.linalg.eigvalsh(b).min() < -STRUCTURAL_TOL:
+            raise ValueError("state block is not positive semidefinite")
+        total = float(np.trace(b, axis1=1, axis2=2).real.sum())
         if abs(total - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"block traces sum to {total}, not 1")
-        object.__setattr__(self, "blocks", checked)
+        rho = np.zeros((self.node_count, dim, dim), dtype=complex)
+        rho[[int(node) for node in self.blocks]] = b
+        self._store(rho)
+
+    def _store(self, rho: np.ndarray) -> None:
+        object.__setattr__(self, "node_count", rho.shape[0])
+        object.__setattr__(self, "rho", _frozen(rho))
+        occupied = np.flatnonzero(rho.any(axis=(1, 2)))
+        object.__setattr__(self, "blocks", MappingProxyType({int(i): rho[i] for i in occupied}))
+
+    @classmethod
+    def _trusted(cls, rho: np.ndarray) -> "BlockState":
+        """Wrap an (N, d, d) array known to be a valid state, without re-checking."""
+        state = object.__new__(cls)
+        state._store(rho)
+        return state
+
+    def __reduce__(self):  # unpickle through the checks, which re-freeze the arrays
+        return BlockState, (self.node_count, dict(self.blocks))
 
     @property
     def internal_dim(self) -> int:
-        return next(iter(self.blocks.values())).shape[0]
+        return self.rho.shape[1]
 
     @classmethod
     def localized(cls, node_count: int, node: int, psi: np.ndarray | None = None) -> "BlockState":
         """Pure state |psi><psi| sitting at a single node (psi defaults to dim 1)."""
-        if psi is None:
-            block = np.ones((1, 1), dtype=complex)
-        else:
-            v = np.asarray(psi, dtype=complex).reshape(-1)
-            block = np.outer(v, v.conj())
-        return cls(node_count=node_count, blocks={node: block})
+        v = np.ones(1) if psi is None else np.asarray(psi, dtype=complex).reshape(-1)
+        return cls(node_count=node_count, blocks={node: np.outer(v, v.conj())})
 
     def total_trace(self) -> float:
-        return sum(float(np.trace(b).real) for b in self.blocks.values())
+        return float(np.trace(self.rho, axis1=1, axis2=2).real.sum())
 
 
 def step(channel: OqwChannel, state: BlockState) -> BlockState:
     """One application of the walk: rho'[j] = sum_i B[i,j] rho[i] B[i,j]^dagger.
 
-    Refuses channels that fail validation (completeness defect beyond
-    tolerance), since those do not preserve trace.  Returns a fresh state;
-    inputs are never mutated.
+    Refuses channels whose stored report failed, as they do not preserve trace.
     """
-    report = validate_channel(channel)
+    report = channel.report
     if not report.ok:
         bad = report.offending_nodes()
         raise ChannelCompletenessError(
             f"channel fails completeness at nodes {sorted(bad)}: "
             + ", ".join(f"{i}: defect {d:.3e}" for i, d in sorted(bad.items()))
         )
-    if state.node_count != channel.node_count:
-        raise ValueError(
-            f"state on {state.node_count} nodes fed to channel with {channel.node_count}"
-        )
-    if state.internal_dim != channel.internal_dim:
-        raise ValueError(
-            f"state internal dim {state.internal_dim} != channel dim {channel.internal_dim}"
-        )
-
-    new_blocks: dict[int, np.ndarray] = {}
-    for (i, j), op in channel.transitions.items():
-        rho = state.blocks.get(i)
-        if rho is None:
-            continue
-        contrib = op @ rho @ op.conj().T
-        if j in new_blocks:
-            new_blocks[j] += contrib
-        else:
-            new_blocks[j] = contrib
+    if state.rho.shape[:2] != (channel.node_count, channel.internal_dim):
+        raise ValueError(f"state of shape {state.rho.shape} fed to channel on "
+                         f"{channel.node_count} nodes with internal dim {channel.internal_dim}")
+    rho = np.zeros_like(state.rho)
+    np.add.at(rho, channel.dst, channel.ops @ state.rho[channel.src] @ _dagger(channel.ops))
     # Kill roundoff asymmetry so the PSD/Hermitian invariants stay exact.
-    for j, b in new_blocks.items():
-        new_blocks[j] = 0.5 * (b + b.conj().T)
-    return BlockState(node_count=state.node_count, blocks=new_blocks)
+    return BlockState._trusted(0.5 * (rho + _dagger(rho)))
 
 
 def position_marginal(state: BlockState) -> np.ndarray:
     """Node-occupation probabilities p_i = trace(rho[i]); sums to 1."""
-    p = np.zeros(state.node_count)
-    for node, b in state.blocks.items():
-        p[node] = float(np.trace(b).real)
-    return p
+    return np.trace(state.rho, axis1=1, axis2=2).real

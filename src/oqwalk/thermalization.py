@@ -24,7 +24,7 @@ from scipy.special import erfc, xlogy
 
 from . import equilibrium
 from .equilibrium import EnsemblePoint
-from .linear import LinearWalkSpec, markov_step, steady_state
+from .linear import LinearWalkSpec, _check_distribution, markov_step, steady_state
 
 __all__ = [
     "GaussianProfile",
@@ -377,11 +377,7 @@ def simulate_trajectory(
         p = np.zeros(n)
         p[0] = 1.0
     else:
-        p = np.asarray(p0, dtype=float).copy()
-        if p.shape != (n,):
-            raise ValueError(f"p0 has shape {p.shape}, expected ({n},)")
-        if p.min() < 0 or abs(p.sum() - 1.0) > 1e-12:
-            raise ValueError("p0 is not a probability distribution")
+        p = _check_distribution(p0, n).copy()
 
     sites = np.arange(n)
     ent = np.empty(steps + 1)

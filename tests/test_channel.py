@@ -1,6 +1,7 @@
 """Generic channel engine: validation, stepping, marginals, coherence erasure."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from oqwalk.linear import LinearWalkSpec
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+SHIFT3 = np.roll(np.eye(3, dtype=complex), 1, axis=0)
+DFT3 = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / math.sqrt(3)
 
 
 def linear_channel(n=3, omega=2 / 3, unitaries=None):
@@ -132,6 +135,29 @@ def test_purity_preserved_for_localized_pure_start():
         assert purity == pytest.approx(1.0, abs=1e-10)
 
 
+def test_engine_arrays_are_read_only():
+    # read-only storage is what keeps the construction-time checks valid
+    chan = linear_channel(4, 0.8, unitaries=(H, X, H))
+    state = ch.step(chan, BlockState.localized(4, 0, np.array([0.8, 0.6])))
+    with pytest.raises(ValueError, match="read-only"):
+        chan.ops[0] = 0.0
+    with pytest.raises(TypeError):
+        chan.transitions[(0, 0)] = np.eye(2)
+    with pytest.raises(ValueError, match="read-only"):
+        chan.transitions[(0, 0)][0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.rho[0] = 0.0
+    with pytest.raises(TypeError):
+        state.blocks[3] = np.eye(2)
+    with pytest.raises(ValueError, match="read-only"):
+        state.blocks[1][0, 0] = 1.0
+    # a pickled copy is rebuilt through the same checks, so it is read-only too
+    clone = pickle.loads(pickle.dumps(state))
+    np.testing.assert_array_equal(clone.rho, state.rho)
+    assert not clone.rho.flags.writeable
+    assert not pickle.loads(pickle.dumps(chan)).ops.flags.writeable
+
+
 # ---------------------------------------------------------------- marginals
 
 def test_position_marginal_sums_to_one():
@@ -150,12 +176,13 @@ def test_position_marginal_sums_to_one():
     (10, 200, (X, H) * 4 + (H,)),
     (20, 200, None),
     (50, 1000, None),
+    (200, 200, (SHIFT3, DFT3) * 99 + (DFT3 @ SHIFT3,)),
 ])
 def test_marginal_equals_classical_chain(n, steps, unitaries):
     # unitary-weighted Kraus families induce exactly the classical chain
     spec = LinearWalkSpec(n, 0.64, unitaries=unitaries)
     chan = lin.build_channel(spec)
-    psi = None if spec.internal_dim == 1 else np.array([0.6, 0.8j])
+    psi = {1: None, 2: np.array([0.6, 0.8j]), 3: np.array([0.6, 0.48j, 0.64])}[spec.internal_dim]
     state = BlockState.localized(n, 0, psi)
     p_classical = np.zeros(n)
     p_classical[0] = 1.0
