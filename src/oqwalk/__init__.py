@@ -23,6 +23,7 @@ from .thermalization import (
     approx_entropy,
     dqc_step_estimates,
     error_metrics,
+    iter_distributions,
     simulate_trajectory,
     thermalization_window,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "approx_entropy",
     "dqc_step_estimates",
     "error_metrics",
+    "iter_distributions",
     "simulate_trajectory",
     "thermalization_window",
 ]

@@ -68,10 +68,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of validate_channel: ok iff every node's defect is within tolerance."""
+    """Outcome of validate_channel: ok iff every node's defect is within tolerance.
+
+    `defects` is a read-only mapping, since one report is shared by every caller.
+    """
 
     ok: bool
-    defects: dict[int, float] = field(default_factory=dict)
+    defects: Mapping[int, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "defects", MappingProxyType(dict(self.defects)))
+
+    def __reduce__(self):  # a mapping proxy does not pickle
+        return ValidationReport, (self.ok, dict(self.defects))
 
     def offending_nodes(self) -> dict[int, float]:
         return {i: d for i, d in self.defects.items() if d > STRUCTURAL_TOL}

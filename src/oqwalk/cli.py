@@ -15,6 +15,11 @@ files.  Floats are serialized with 17 significant digits; divergences are
 written as inf/-inf (CSV) or the strings "inf"/"-inf" (JSON).  Exit codes:
 0 success, 2 invalid parameters, 3 I/O failure.
 
+Output is streamed: results are computed first (so a failing computation
+writes nothing), then written in blocks of rows, each row formatted by one
+printf-style template.  --dump-distributions replays the chain one step at a
+time after the series is written, so its memory is O(N), not O(steps * N).
+
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag; explicit command-line flags win.
 """
@@ -22,10 +27,10 @@ flag; explicit command-line flags win.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -50,42 +55,64 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- serialization
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+# Rows formatted per `%` call, which bounds the text held in memory at once.
+_BLOCK_ROWS = 4096
 
 
-def _json_value(value):
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    value = float(value)
-    if math.isfinite(value):
-        return value
-    return _fmt(value)  # "inf" / "-inf" / "nan": strict JSON has no literals
+def _row_template(fields: list[str], columns: list[np.ndarray], csv: bool) -> str:
+    ints = [c.dtype.kind in "iu" for c in columns]
+    if csv:
+        return ",".join("%d" if i else "%.17g" for i in ints) + "\n"
+    members = ",\n".join(f"    {json.dumps(f)}: {'%d' if i else '%s'}"
+                         for f, i in zip(fields, ints))
+    return "  {\n" + members + "\n  }"
 
 
-def _render(fields: list[str], rows: list[list], fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(fields) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
-        return buf.getvalue()
-    records = [{f: _json_value(v) for f, v in zip(fields, row)} for row in rows]
-    return json.dumps(records, indent=2) + "\n"
+def _values(column: np.ndarray, csv: bool) -> list:
+    # Python scalars: repr(np.float64) is not the float's repr under numpy 2
+    values = column.tolist()
+    if not csv and column.dtype.kind == "f" and not np.isfinite(column).all():
+        # strict JSON has no inf/nan literals: write the strings "inf"/"-inf"/"nan"
+        values = [v if math.isfinite(v) else f'"{v:.17g}"' for v in values]
+    return values
 
 
-def _emit(args, fields: list[str], rows: list[list]) -> None:
-    text = _render(fields, rows, args.format)
-    if args.out is None:
-        sys.stdout.write(text)
+def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
+    """Write a table to the text stream `fh`, one chunk of rows at a time.
+
+    Each chunk is a tuple of equal-length columns, one per field.  Rows are
+    formatted by one printf-style template: integer columns with %d, float
+    columns with %.17g in CSV (the same text as format(v, ".17g"), inf, nan
+    and -0 included) and as repr(float) in JSON.  The output equals
+    ",".join(format(v, ".17g")) per CSV row and json.dumps(records, indent=2)
+    plus a newline for JSON, with non-finite floats as "inf"/"-inf"/"nan".
+    """
+    csv = fmt == "csv"
+    if csv:
+        fh.write(",".join(fields) + "\n")
+    lead, sep = ("", "") if csv else ("[\n", ",\n")
+    for chunk in chunks:
+        columns = [np.asarray(c) for c in chunk]
+        row = _row_template(fields, columns, csv)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [_values(c[start:start + _BLOCK_ROWS], csv) for c in columns]
+            values = tuple(chain.from_iterable(zip(*block)))
+            fh.write(lead + sep.join([row] * len(block[0])) % values)
+            lead = sep
+    if not csv:
+        fh.write("\n]\n" if lead == sep else "[]\n")
+
+
+def _emit(path: str | None, fields: list[str], chunks, fmt: str) -> None:
+    """Stream a table to `path`, or to stdout when there is none."""
+    if path is None:
+        _write_table(sys.stdout, fields, chunks, fmt)
         return
     try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        with open(path, "w", newline="") as fh:
+            _write_table(fh, fields, chunks, fmt)
     except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {args.out}: {exc}") from exc
+        raise CliError(EXIT_IO, f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- parameter handling
@@ -174,21 +201,14 @@ def _merge_config(args) -> None:
 def cmd_steady_state(args) -> int:
     _require(args, "n-nodes", "omega")
     omegas = _parse_omegas(args.omega)
-    multi = len(omegas) > 1
-    fields = ["omega", "m", "pi"] if multi else ["m", "pi"]
-    rows = []
-    for omega in omegas:
-        pi = lin.steady_state(_spec(args, omega))
-        for m, p in enumerate(pi):
-            rows.append([omega, m, p] if multi else [m, p])
-    _emit(args, fields, rows)
+    pis = [lin.steady_state(_spec(args, omega)) for omega in omegas]
+    m = np.arange(args.n_nodes)
+    if len(omegas) > 1:
+        chunks = [(np.full(len(pi), omega), m, pi) for omega, pi in zip(omegas, pis)]
+        _emit(args.out, ["omega", "m", "pi"], chunks, args.format)
+    else:
+        _emit(args.out, ["m", "pi"], [(m, pis[0])], args.format)
     return EXIT_OK
-
-
-def _equilibrium_row(n_nodes: int, epsilon: float, omega: float) -> list:
-    point = EnsemblePoint.from_omega(n_nodes, omega, epsilon)
-    tp = eq.thermo_point(point)
-    return [omega, point.beta, tp.T, tp.Z, tp.mean_E, tp.var_E, tp.S, tp.F, tp.C_V]
 
 
 def cmd_equilibrium(args) -> int:
@@ -197,8 +217,13 @@ def cmd_equilibrium(args) -> int:
     for omega in omegas:
         if not 0.0 < omega < 1.0:
             raise CliError(EXIT_VALIDATION, f"omega {omega} outside (0, 1)")
-    rows = [_equilibrium_row(args.n_nodes, args.epsilon, omega) for omega in omegas]
-    _emit(args, ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], rows)
+    points = [EnsemblePoint.from_omega(args.n_nodes, omega, args.epsilon) for omega in omegas]
+    tps = [eq.thermo_point(point) for point in points]
+    columns = (omegas, [point.beta for point in points], [tp.T for tp in tps],
+               [tp.Z for tp in tps], [tp.mean_E for tp in tps], [tp.var_E for tp in tps],
+               [tp.S for tp in tps], [tp.F for tp in tps], [tp.C_V for tp in tps])
+    _emit(args.out, ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], [columns],
+          args.format)
     return EXIT_OK
 
 
@@ -210,37 +235,28 @@ def cmd_trajectory(args) -> int:
     spec = _spec(args, omegas[0])
     if args.steps < 0:
         raise CliError(EXIT_VALIDATION, f"steps must be nonnegative, got {args.steps}")
-    traj = th.simulate_trajectory(
-        spec, args.steps, keep_distributions=args.dump_distributions is not None)
-    rows = [
-        [n, traj.entropy[n], traj.energy[n],
-         traj.temperature_estimate[n], traj.entropy_generated[n]]
-        for n in range(args.steps + 1)
-    ]
-    _emit(args, ["n", "S", "E", "T_est", "S_gen"], rows)
+    traj = th.simulate_trajectory(spec, args.steps)
+    series = (np.arange(args.steps + 1), traj.entropy, traj.energy,
+              traj.temperature_estimate, traj.entropy_generated)
+    _emit(args.out, ["n", "S", "E", "T_est", "S_gen"], [series], args.format)
     if args.dump_distributions is not None:
-        dump_rows = [
-            [n, m, traj.distributions[n, m]]
-            for n in range(args.steps + 1)
-            for m in range(spec.n_nodes)
-        ]
-        text = _render(["n", "m", "p"], dump_rows, args.format)
-        try:
-            with open(args.dump_distributions, "w", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot write {args.dump_distributions}: {exc}") from exc
+        # Replay the deterministic chain step by step (bit-identical to the
+        # series run) so the dump holds one distribution at a time: O(N) memory.
+        m = np.arange(spec.n_nodes)
+        chunks = ((np.full(spec.n_nodes, n), m, p)
+                  for n, p in enumerate(th.iter_distributions(spec, args.steps)))
+        _emit(args.dump_distributions, ["n", "m", "p"], chunks, args.format)
     return EXIT_OK
 
 
 def cmd_window(args) -> int:
     _require(args, "n-nodes", "omega")
     omegas = _parse_omegas(args.omega)
-    rows = []
-    for omega in omegas:
-        w = th.thermalization_window(args.n_nodes, omega)
-        rows.append([args.n_nodes, omega, w.t_start, w.t_end, w.t_therm])
-    _emit(args, ["n_nodes", "omega", "t_start", "t_end", "t_therm"], rows)
+    windows = [th.thermalization_window(args.n_nodes, omega) for omega in omegas]
+    columns = ([args.n_nodes] * len(omegas), omegas, [w.t_start for w in windows],
+               [w.t_end for w in windows], [w.t_therm for w in windows])
+    _emit(args.out, ["n_nodes", "omega", "t_start", "t_end", "t_therm"], [columns],
+          args.format)
     return EXIT_OK
 
 
@@ -254,12 +270,18 @@ def cmd_approx_entropy(args) -> int:
     params = th.approx_entropy_params(spec.n_nodes, spec.omega)
     window = th.thermalization_window(spec.n_nodes, spec.omega)
     horizon = args.steps if args.steps is not None else math.ceil(1.2 * window.t_end)
-    rows = []
-    for t in range(1, horizon + 1):
-        parts = th.approx_entropy_components(spec, t, params=params, boltzmann=boltzmann)
-        rows.append([t, parts.total, parts.gaussian, parts.boltzmann, parts.weight])
-    _emit(args, ["t", "S_a", "S_G", "S_B", "w"], rows)
+    ts = range(1, horizon + 1)
+    parts = [th.approx_entropy_components(spec, t, params=params, boltzmann=boltzmann)
+             for t in ts]
+    columns = (ts, [c.total for c in parts], [c.gaussian for c in parts],
+               [c.boltzmann for c in parts], [c.weight for c in parts])
+    _emit(args.out, ["t", "S_a", "S_G", "S_B", "w"], [columns], args.format)
     return EXIT_OK
+
+
+def _one_row(values: list) -> list[tuple]:
+    """A single-row table as the one chunk `_emit` takes."""
+    return [tuple([v] for v in values)]
 
 
 def cmd_table(args) -> int:
@@ -273,7 +295,7 @@ def cmd_table(args) -> int:
     steps = args.steps if args.steps is not None else math.floor(window.t_end)
     traj = th.simulate_trajectory(spec, steps)
     report = th.error_metrics(spec, traj, boltzmann=boltzmann)
-    print(f"error metrics for N={spec.n_nodes}, omega={_fmt(spec.omega)} "
+    print(f"error metrics for N={spec.n_nodes}, omega={spec.omega:.17g} "
           f"over steps [{math.ceil(window.t_start)}, {math.floor(window.t_end)}]:")
     for label, value in [
         ("delta_max", report.delta_max),
@@ -286,9 +308,10 @@ def cmd_table(args) -> int:
     if args.out is not None:
         fields = ["n_nodes", "omega", "t_start", "t_end", "delta_max",
                   "delta_rel_max", "mean_rel", "delta_logn_max", "mean_logn"]
-        _emit(args, fields, [[report.n_nodes, report.omega, report.t_start,
-                              report.t_end, report.delta_max, report.delta_rel_max,
-                              report.mean_rel, report.delta_logn_max, report.mean_logn]])
+        _emit(args.out, fields, _one_row([
+            report.n_nodes, report.omega, report.t_start, report.t_end, report.delta_max,
+            report.delta_rel_max, report.mean_rel, report.delta_logn_max, report.mean_logn,
+        ]), args.format)
     return EXIT_OK
 
 
@@ -309,8 +332,8 @@ def cmd_dqc(args) -> int:
     print(f"d<E>/domega at omega    = {de_domega:.6f}")
     if args.out is not None:
         fields = ["n_nodes", "omega", "n_start", "n_steps", "n_end", "E_eq", "dE_domega"]
-        _emit(args, fields, [[args.n_nodes, omega, est.n_start, est.n_steps,
-                              est.n_end, e_eq, de_domega]])
+        _emit(args.out, fields, _one_row([args.n_nodes, omega, est.n_start, est.n_steps,
+                                          est.n_end, e_eq, de_domega]), args.format)
     return EXIT_OK
 
 

@@ -124,6 +124,8 @@ def _check_distribution(p: np.ndarray, n: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (n,):
         raise ValueError(f"distribution has shape {p.shape}, expected ({n},)")
+    if not np.isfinite(p).all():  # NaN passes both checks below
+        raise ValueError("distribution has non-finite entries")
     if p.min() < 0.0:
         raise ValueError("distribution has negative entries")
     if abs(p.sum() - 1.0) > 1e-12:

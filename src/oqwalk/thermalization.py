@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.special import erfc, xlogy
@@ -42,6 +42,7 @@ __all__ = [
     "approx_probability",
     "approx_entropy",
     "approx_entropy_components",
+    "iter_distributions",
     "simulate_trajectory",
     "shannon_entropy",
     "error_metrics",
@@ -342,17 +343,43 @@ class TrajectoryRecord:
 
 def _temperature_estimate(energy: np.ndarray, ent: np.ndarray, half_width: int) -> np.ndarray:
     n = len(ent)
-    out = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - half_width)
-        hi = min(n - 1, i + half_width)
-        d_e = energy[hi] - energy[lo]
-        d_s = ent[hi] - ent[lo]
-        if abs(d_s) < _FLAT_ENTROPY_TOL:
-            out[i] = math.nan if abs(d_e) < _FLAT_ENTROPY_TOL else math.copysign(math.inf, d_e)
-        else:
-            out[i] = d_e / d_s
+    i = np.arange(n)
+    lo = np.maximum(i - half_width, 0)
+    hi = np.minimum(i + half_width, n - 1)
+    d_e = energy[hi] - energy[lo]
+    d_s = ent[hi] - ent[lo]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = d_e / d_s
+    flat = np.abs(d_s) < _FLAT_ENTROPY_TOL
+    out[flat] = np.where(np.abs(d_e[flat]) < _FLAT_ENTROPY_TOL,
+                         math.nan, np.copysign(math.inf, d_e[flat]))
     return out
+
+
+def iter_distributions(
+    spec: LinearWalkSpec, steps: int, p0: np.ndarray | None = None
+) -> Iterator[np.ndarray]:
+    """Yield the exact distributions p_0, ..., p_steps of the chain, one at a time.
+
+    p0 defaults to the walker localized at node 0.  Only the current step is
+    held, so memory is O(N) however long the run; every yielded array is new
+    and never written again.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if p0 is None:
+        p = np.zeros(spec.n_nodes)
+        p[0] = 1.0
+    else:
+        p = _check_distribution(p0, spec.n_nodes).copy()
+    return _evolve(p, spec.omega, steps)
+
+
+def _evolve(p: np.ndarray, omega: float, steps: int) -> Iterator[np.ndarray]:
+    yield p
+    for _ in range(steps):
+        p = markov_step(p, omega)
+        yield p
 
 
 def simulate_trajectory(
@@ -368,28 +395,21 @@ def simulate_trajectory(
     S_gen(n) = S(n) - E(n)/T_eq; at omega = 1/2 (infinite T_eq) the heat term
     drops and S_gen = S.  The temperature estimate uses centered differences
     over +-t_est_half_width steps: the raw pointwise dE/dS is too noisy near
-    the entropy maximum where dS crosses zero.
+    the entropy maximum where dS crosses zero.  keep_distributions stores every
+    p_n, a (steps+1) x N array; iter_distributions yields the same arrays in
+    O(N) memory.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
     n = spec.n_nodes
-    if p0 is None:
-        p = np.zeros(n)
-        p[0] = 1.0
-    else:
-        p = _check_distribution(p0, n).copy()
-
+    distributions = iter_distributions(spec, steps, p0)
     sites = np.arange(n)
     ent = np.empty(steps + 1)
     energy = np.empty(steps + 1)
     dists = np.empty((steps + 1, n)) if keep_distributions else None
-    for i in range(steps + 1):
+    for i, p in enumerate(distributions):
         ent[i] = shannon_entropy(p)
         energy[i] = spec.epsilon * float(p @ sites)
         if dists is not None:
             dists[i] = p
-        if i < steps:
-            p = markov_step(p, spec.omega)
 
     t_eq = equilibrium.equilibrium_temperature(spec.omega, spec.epsilon)
     s_gen = ent.copy() if math.isinf(t_eq) else ent - energy / t_eq

@@ -151,6 +151,12 @@ def test_engine_arrays_are_read_only():
         state.blocks[3] = np.eye(2)
     with pytest.raises(ValueError, match="read-only"):
         state.blocks[1][0, 0] = 1.0
+    # the stored completeness report is shared by every caller
+    report = ch.validate_channel(chan)
+    with pytest.raises(TypeError):
+        report.defects[0] = 5.0
+    assert ch.validate_channel(chan).offending_nodes() == {}
+    assert pickle.loads(pickle.dumps(report)) == report
     # a pickled copy is rebuilt through the same checks, so it is read-only too
     clone = pickle.loads(pickle.dumps(state))
     np.testing.assert_array_equal(clone.rho, state.rho)

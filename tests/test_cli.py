@@ -1,15 +1,20 @@
 """CLI harness: output formats, determinism, exit codes, config precedence."""
 
 import csv
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oqwalk import equilibrium as eq
 from oqwalk import linear as lin
 from oqwalk import thermalization as th
+from oqwalk import cli
 from oqwalk.cli import main
 from oqwalk.equilibrium import EnsemblePoint
 from oqwalk.linear import LinearWalkSpec
@@ -306,3 +311,198 @@ def test_stdout_output(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "m,pi"
     assert len(lines) == 4
+
+
+# ---------------------------------------------------------------- writer contract
+
+def render_reference(fields, rows, fmt):
+    """The output contract, written the slow obvious way: one value at a time."""
+    def text(v):
+        return str(v) if isinstance(v, int) else format(v, ".17g")
+
+    if fmt == "csv":
+        lines = [",".join(fields)] + [",".join(map(text, row)) for row in rows]
+        return "".join(line + "\n" for line in lines)
+    records = [{f: v if isinstance(v, int) or math.isfinite(v) else text(v)
+                for f, v in zip(fields, row)} for row in rows]
+    return json.dumps(records, indent=2) + "\n"
+
+
+def as_rows(*columns):
+    return [[v.item() if isinstance(v, np.generic) else v for v in row]
+            for row in zip(*columns)]
+
+
+def _steady_state_multi():
+    omegas = [0.1 + k * 0.2 for k in range(5)]          # the CLI's start + k*step
+    rows = [[omega, m, float(p)] for omega in omegas
+            for m, p in enumerate(lin.steady_state(LinearWalkSpec(7, omega)))]
+    return ["omega", "m", "pi"], rows
+
+
+def _equilibrium(n_nodes, omegas):
+    rows = []
+    for omega in omegas:
+        point = EnsemblePoint.from_omega(n_nodes, omega)
+        tp = eq.thermo_point(point)
+        rows.append([omega, point.beta, tp.T, tp.Z, tp.mean_E, tp.var_E, tp.S, tp.F, tp.C_V])
+    return ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], rows
+
+
+def _trajectory(n_nodes, omega, steps):
+    traj = th.simulate_trajectory(LinearWalkSpec(n_nodes, omega), steps)
+    return ["n", "S", "E", "T_est", "S_gen"], as_rows(
+        range(steps + 1), traj.entropy, traj.energy,
+        traj.temperature_estimate, traj.entropy_generated)
+
+
+def _window(n_nodes, omegas):
+    rows = []
+    for omega in omegas:
+        w = th.thermalization_window(n_nodes, omega)
+        rows.append([n_nodes, omega, w.t_start, w.t_end, w.t_therm])
+    return ["n_nodes", "omega", "t_start", "t_end", "t_therm"], rows
+
+
+def _approx_entropy(n_nodes, omega, steps):
+    spec = LinearWalkSpec(n_nodes, omega)
+    params = th.approx_entropy_params(n_nodes, omega)
+    parts = [th.approx_entropy_components(spec, t, params=params) for t in range(1, steps + 1)]
+    return ["t", "S_a", "S_G", "S_B", "w"], [
+        [t, c.total, c.gaussian, c.boltzmann, c.weight] for t, c in enumerate(parts, 1)]
+
+
+def _table(n_nodes, omega):
+    spec = LinearWalkSpec(n_nodes, omega)
+    r = th.error_metrics(spec, th.simulate_trajectory(spec, math.floor(
+        th.thermalization_window(n_nodes, omega).t_end)))
+    return (["n_nodes", "omega", "t_start", "t_end", "delta_max", "delta_rel_max",
+             "mean_rel", "delta_logn_max", "mean_logn"],
+            [[r.n_nodes, r.omega, r.t_start, r.t_end, r.delta_max, r.delta_rel_max,
+              r.mean_rel, r.delta_logn_max, r.mean_logn]])
+
+
+def _dqc(n_nodes, omega):
+    est = th.dqc_step_estimates(n_nodes, omega)
+    point = EnsemblePoint.from_omega(n_nodes, omega)
+    return (["n_nodes", "omega", "n_start", "n_steps", "n_end", "E_eq", "dE_domega"],
+            [[n_nodes, omega, est.n_start, est.n_steps, est.n_end,
+              eq.mean_energy(point), eq.energy_cost_domega(point)]])
+
+
+OMEGA = 0.6666666666666666
+WRITER_CASES = {
+    "steady-state": (["steady-state", "--n-nodes", "30", "--omega", "0.7"],
+                     lambda: (["m", "pi"], as_rows(
+                         range(30), lin.steady_state(LinearWalkSpec(30, 0.7))))),
+    "steady-state-range": (["steady-state", "--n-nodes", "7", "--omega", "0.1:0.9:0.2"],
+                           _steady_state_multi),
+    # omega = 0.5 gives beta = -0, T = inf and F = -inf
+    "equilibrium-half": (["equilibrium", "--n-nodes", "10", "--omega", "0.5"],
+                         lambda: _equilibrium(10, [0.5])),
+    # 9999 rows: spans several formatting blocks
+    "equilibrium-sweep": (["equilibrium", "--n-nodes", "500", "--omega", "0.0001:0.9999:0.0001"],
+                          lambda: _equilibrium(500, [0.0001 + k * 0.0001 for k in range(9999)])),
+    "trajectory": (["trajectory", "--n-nodes", "50", "--omega", "0.8", "--steps", "300"],
+                   lambda: _trajectory(50, 0.8, 300)),
+    "trajectory-inf": (["trajectory", "--n-nodes", "4", "--omega", "0.5", "--steps", "60"],
+                       lambda: _trajectory(4, 0.5, 60)),
+    "trajectory-nan": (["trajectory", "--n-nodes", "2", "--omega", "0.7", "--steps", "12"],
+                       lambda: _trajectory(2, 0.7, 12)),
+    "window": (["window", "--n-nodes", "100", "--omega", "0.55:0.95:0.1"],
+               lambda: _window(100, [0.55 + k * 0.1 for k in range(5)])),
+    "approx-entropy": (["approx-entropy", "--n-nodes", "100", "--omega", str(OMEGA),
+                        "--steps", "200"], lambda: _approx_entropy(100, OMEGA, 200)),
+    "table": (["table", "--n-nodes", "100", "--omega", str(OMEGA)],
+              lambda: _table(100, OMEGA)),
+    "dqc": (["dqc", "--n-nodes", "100", "--omega", str(OMEGA)], lambda: _dqc(100, OMEGA)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_writer_bytes_match_reference(case, fmt, tmp_path, capsys):
+    argv, build = WRITER_CASES[case]
+    fields, rows = build()
+    expected = render_reference(fields, rows, fmt)
+    out = tmp_path / f"out.{fmt}"
+    assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+    if case not in ("table", "dqc"):        # these print a summary, not the table
+        capsys.readouterr()
+        assert main(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_writer_reference_covers_the_sentinels():
+    fields, rows = WRITER_CASES["equilibrium-half"][1]()
+    assert "-0,inf" in render_reference(fields, rows, "csv")
+    assert '"T": "inf"' in render_reference(fields, rows, "json")
+    assert math.inf in column(WRITER_CASES["trajectory-inf"][1]()[1], 3)
+    assert any(math.isnan(v) for v in column(WRITER_CASES["trajectory-nan"][1]()[1], 3))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_distribution_dump_is_bit_identical_to_trajectory(fmt, tmp_path):
+    spec = LinearWalkSpec(40, 0.83)
+    steps = 150
+    dump = tmp_path / f"dump.{fmt}"
+    assert main(["trajectory", "--n-nodes", "40", "--omega", "0.83", "--steps", str(steps),
+                 "--format", fmt, "--out", str(tmp_path / "series"),
+                 "--dump-distributions", str(dump)]) == 0
+    if fmt == "csv":
+        _, rows = read_csv(dump)
+    else:
+        rows = [[r["n"], r["m"], r["p"]] for r in json.loads(dump.read_text())]
+    p = np.array(column(rows, 2)).reshape(steps + 1, 40)
+    expected = th.simulate_trajectory(spec, steps, keep_distributions=True).distributions
+    assert column(rows, 0) == np.repeat(np.arange(steps + 1), 40).tolist()
+    assert column(rows, 1) == np.tile(np.arange(40), steps + 1).tolist()
+    np.testing.assert_array_equal(p, expected)       # 17 digits round-trip exactly
+
+
+def test_dump_written_after_series_and_io_failure_exit(tmp_path, capsys):
+    series = tmp_path / "series.csv"
+    assert main(["trajectory", "--n-nodes", "20", "--omega", "0.7", "--steps", "10",
+                 "--out", str(series),
+                 "--dump-distributions", str(tmp_path / "no" / "dump.csv")]) == 3
+    assert "cannot write" in capsys.readouterr().err
+    _, rows = read_csv(series)
+    assert len(rows) == 11
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072e-308,
+           1.7976931348623157e308, 0.1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(-2 ** 62, 2 ** 62), finite_or_not, finite_or_not),
+                     max_size=40),
+       split=st.integers(0, 40))
+@example(rows=[(k, v, -v) for k, v in enumerate(SPECIAL)], split=3)
+@example(rows=[], split=0)
+def test_row_formatter_matches_reference(rows, split):
+    fields = ["k", "x", "y"]
+    expected_rows = [list(r) for r in rows]
+    columns = [np.array(c, dtype=dt) for c, dt in
+               zip(zip(*rows) if rows else ([], [], []), (np.int64, float, float))]
+    chunks = [tuple(c[:split] for c in columns), tuple(c[split:] for c in columns)]
+    for fmt in ("csv", "json"):
+        buf = io.StringIO()
+        cli._write_table(buf, fields, chunks, fmt)
+        assert buf.getvalue() == render_reference(fields, expected_rows, fmt)
+
+
+def test_dump_memory_is_independent_of_steps(tmp_path):
+    # 5001 steps x 100 nodes = 500k rows; a (steps+1) x N array alone would be 4 MB
+    tracemalloc.start()
+    try:
+        assert main(["trajectory", "--n-nodes", "100", "--omega", "0.7", "--steps", "5000",
+                     "--out", str(tmp_path / "series.csv"),
+                     "--dump-distributions", str(tmp_path / "dump.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert (tmp_path / "dump.csv").read_text().count("\n") == 1 + 5001 * 100

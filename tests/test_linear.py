@@ -7,6 +7,7 @@ import pytest
 
 from oqwalk import channel as ch
 from oqwalk import linear as lin
+from oqwalk import thermalization as th
 from oqwalk.linear import LinearWalkSpec
 from oqwalk.thermalization import thermalization_window
 
@@ -149,6 +150,19 @@ def test_markov_evolve_input_checks():
         lin.markov_evolve(spec, np.ones(4), 1)
     with pytest.raises(ValueError):
         lin.markov_evolve(spec, e0(4), -1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distribution_check_rejects_non_finite(bad):
+    # NaN passes both `min() < 0` and the sum check, so it is refused explicitly
+    spec = LinearWalkSpec(4, 0.6)
+    p0 = np.array([bad, 0.5, 0.25, 0.25])
+    with pytest.raises(ValueError, match="non-finite"):
+        lin.markov_evolve(spec, p0, 3)
+    with pytest.raises(ValueError, match="non-finite"):
+        th.simulate_trajectory(spec, 3, p0=p0)
+    with pytest.raises(ValueError, match="non-finite"):
+        th.iter_distributions(spec, 3, p0=p0)
 
 
 def test_mirror_consistency_of_evolution():

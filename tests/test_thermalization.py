@@ -314,6 +314,21 @@ def test_trajectory_distributions_record():
     np.testing.assert_array_equal(traj.distributions[-1], traj.final_distribution)
 
 
+def test_iter_distributions_replays_the_trajectory():
+    spec = LinearWalkSpec(30, 0.8)
+    traj = th.simulate_trajectory(spec, 12, keep_distributions=True)
+    replay = list(th.iter_distributions(spec, 12))
+    assert len(replay) == 13
+    for n, p in enumerate(replay):
+        np.testing.assert_array_equal(p, traj.distributions[n])  # bit for bit
+    p0 = lin.steady_state(spec)
+    custom = list(th.iter_distributions(spec, 0, p0=p0))
+    assert len(custom) == 1 and custom[0] is not p0
+    np.testing.assert_array_equal(custom[0], p0)
+    with pytest.raises(ValueError):  # raised at the call, not at the first next()
+        th.iter_distributions(spec, -1)
+
+
 def test_trajectory_shannon_equals_von_neumann():
     # blocks stay pure from a localized pure start, so the position marginal
     # carries all the mixedness of the full quantum state
@@ -363,6 +378,43 @@ def test_temperature_estimate_sentinels_when_flat():
     # deep in equilibrium the running trajectory hits the same sentinel
     long = th.simulate_trajectory(LinearWalkSpec(100, 2 / 3), 2000)
     assert not np.isfinite(long.temperature_estimate[1500:]).any()
+
+
+def _temperature_estimate_loop(energy, ent, half_width):
+    # the scalar definition the vectorized estimate must reproduce bit for bit
+    n = len(ent)
+    out = np.empty(n)
+    for i in range(n):
+        lo, hi = max(0, i - half_width), min(n - 1, i + half_width)
+        d_e, d_s = energy[hi] - energy[lo], ent[hi] - ent[lo]
+        if abs(d_s) < th._FLAT_ENTROPY_TOL:
+            out[i] = math.nan if abs(d_e) < th._FLAT_ENTROPY_TOL else math.copysign(math.inf, d_e)
+        else:
+            out[i] = d_e / d_s
+    return out
+
+
+@pytest.mark.parametrize("n,omega,steps,half_width", [
+    (100, 2 / 3, 2000, 5),    # peak spike, finite values, nan deep in equilibrium
+    (4, 0.5, 60, 5),          # flat entropy with moving energy: +inf
+    (2, 0.7, 12, 5),          # both flat after one step: nan
+    (30, 0.2, 0, 5),          # a single point
+    (30, 0.8, 40, 0),         # zero half-width: every difference vanishes
+    (30, 0.8, 40, 100),       # window wider than the series
+])
+def test_temperature_estimate_matches_loop_definition(n, omega, steps, half_width):
+    traj = th.simulate_trajectory(LinearWalkSpec(n, omega), steps, t_est_half_width=half_width)
+    expected = _temperature_estimate_loop(traj.energy, traj.entropy, half_width)
+    np.testing.assert_array_equal(traj.temperature_estimate, expected)
+    assert np.signbit(traj.temperature_estimate).tolist() == np.signbit(expected).tolist()
+
+
+def test_temperature_estimate_signed_infinities():
+    ent = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    energy = np.array([0.0, 1.0, -1.0, 2.0, 3.0, 3.0])
+    got = th._temperature_estimate(energy, ent, 1)
+    np.testing.assert_array_equal(got, _temperature_estimate_loop(energy, ent, 1))
+    assert got[1] == -math.inf and got[4] == math.inf and math.isnan(got[5])
 
 
 def test_temperature_estimate_spikes_at_entropy_peak():
