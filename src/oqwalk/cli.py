@@ -128,7 +128,9 @@ def _parse_omegas(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise CliError(EXIT_VALIDATION, f"cannot parse omega {text!r}") from None
-    if step <= 0 or stop < start:
+    # nan compares false and inf + k*step never exceeds inf: either would
+    # make the expansion below run forever
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise CliError(EXIT_VALIDATION, f"bad omega range {text!r}")
     values = []
     k = 0

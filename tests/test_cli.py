@@ -265,6 +265,15 @@ def test_exit_code_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "steady-state"])
+@pytest.mark.parametrize("omega", ["0.1:0.9:nan", "0.1:0.9:inf", "nan:0.9:0.1",
+                                   "0.1:nan:0.1", "-inf:0.9:0.1", "0.1:inf:0.1"])
+def test_non_finite_omega_range_is_rejected(command, omega, capsys):
+    # each of these used to expand forever instead of failing
+    assert main([command, "--n-nodes", "5", f"--omega={omega}"]) == 2
+    assert f"bad omega range {omega!r}" in capsys.readouterr().err
+
+
 def test_exit_code_unknown_flag(capsys):
     assert main(["steady-state", "--no-such-flag", "1"]) == 2
     capsys.readouterr()

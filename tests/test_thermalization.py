@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import xlogy
 
 from oqwalk import channel as ch
 from oqwalk import equilibrium as eq
@@ -343,6 +346,136 @@ def test_trajectory_shannon_equals_von_neumann():
             eigs = eigs[eigs > 1e-300]
             s_vn = float(-(eigs * np.log(eigs)).sum())
             assert s_vn == pytest.approx(traj.entropy[n], abs=1e-10)
+
+
+def _block_rows(n):
+    return max(1, th._BLOCK_BYTES // (8 * n))
+
+
+def _steps_at(n, where):
+    """Step count that puts the end of the run at a given place relative to the blocks."""
+    rows = _block_rows(n)
+    return {"inside": rows // 2, "one block": rows, "multiple": 3 * rows,
+            "past": 2 * rows + rows // 3, "single rows": 7}[where] - 1
+
+
+@pytest.mark.parametrize("n,where,custom_start,keep", [
+    (64, "inside", False, False),           # steps + 1 < rows
+    (64, "one block", False, False),        # steps + 1 == rows
+    (64, "multiple", False, False),         # an exact multiple of rows
+    (64, "past", False, False),             # a partial last block
+    (40_000, "single rows", False, False),  # N so large that rows == 1
+    (64, "past", True, False),              # a custom p0
+    (64, "past", False, True),              # kept distributions across blocks
+    (5, "past", True, True),               # both, at a small N
+])
+def test_trajectory_block_reductions_match_per_step(n, where, custom_start, keep, monkeypatch):
+    steps = _steps_at(n, where)
+    rows = _block_rows(n)
+    assert (rows == 1) == (where == "single rows")
+    spec = LinearWalkSpec(n, 0.6)
+    p0 = None
+    if custom_start:
+        p0 = np.random.default_rng(n).random(n)
+        p0[::3] = 0.0
+        p0 /= p0.sum()
+    calls = []
+    reduce = th.shannon_entropy
+
+    def counted(block):
+        calls.append(block.shape)
+        return reduce(block)
+
+    monkeypatch.setattr(th, "shannon_entropy", counted)
+    traj = th.simulate_trajectory(spec, steps, p0=p0, keep_distributions=keep)
+    monkeypatch.undo()
+
+    assert len(calls) == math.ceil((steps + 1) / rows)
+    if keep:
+        assert traj.distributions.shape == (steps + 1, n)
+    else:
+        assert traj.distributions is None
+    sites = np.arange(n)
+    for k, p in enumerate(th.iter_distributions(spec, steps, p0)):
+        assert traj.entropy[k] == th.shannon_entropy(p)  # bit for bit
+        assert abs(traj.entropy[k] - float(-xlogy(p, p).sum())) <= 1e-14
+        assert traj.energy[k] == pytest.approx(float(p @ sites), rel=1e-15, abs=0.0)
+        if keep:
+            np.testing.assert_array_equal(traj.distributions[k], p)
+    np.testing.assert_array_equal(traj.final_distribution, p)
+
+
+def test_trajectory_invariant_residuals():
+    traj = th.simulate_trajectory(LinearWalkSpec(100, 2 / 3), 3000)
+    assert 0.0 <= traj.mass_drift <= 1e-12
+    assert traj.min_entropy_production_step >= -1e-12
+    assert traj.min_entropy_production_step == np.diff(traj.entropy_generated).min()
+    steady = lin.steady_state(LinearWalkSpec(100, 2 / 3))
+    assert traj.final_l1_to_steady == np.abs(traj.final_distribution - steady).sum()
+
+
+def test_trajectory_distance_to_steady_state_vanishes():
+    spec = LinearWalkSpec(50, 0.7)
+    l1 = [th.simulate_trajectory(spec, steps).final_l1_to_steady
+          for steps in (100, 200, 400, 800, 1600)]
+    assert l1[0] > 1.0
+    assert all(b < a for a, b in zip(l1, l1[1:4]))
+    # down to the rounding floor of the stencil's fixed point, where it stays
+    assert l1[-1] <= l1[-2] <= 1e-14
+
+
+@pytest.mark.parametrize("n,omega", [(30, 0.5), (100, 2 / 3)])  # pi sums to 1 - 1.1e-16 at N=100
+def test_trajectory_residuals_vanish_at_the_steady_state(n, omega):
+    spec = LinearWalkSpec(n, omega)
+    traj = th.simulate_trajectory(spec, 0, p0=lin.steady_state(spec))
+    assert traj.mass_drift == 0.0
+    assert traj.min_entropy_production_step == 0.0
+    assert traj.final_l1_to_steady == 0.0
+
+
+# ---------------------------------------------------------------- shannon entropy
+
+_SUBNORMAL = st.floats(min_value=5e-324, max_value=2.2e-308)
+_ENTRY = st.one_of(st.just(0.0), _SUBNORMAL, st.floats(min_value=1e-300, max_value=1.0))
+
+
+def _distribution(entries):
+    p = np.array(entries)
+    normal = p >= 1e-300
+    if normal.any():
+        p[normal] /= p[normal].sum()
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=st.lists(_ENTRY, min_size=1, max_size=300))
+def test_shannon_entropy_matches_xlogy(entries):
+    p = _distribution(entries)
+    s = th.shannon_entropy(p)
+    assert type(s) is float
+    reference = float(-xlogy(p, p).sum())
+    assert abs(s - reference) <= 1e-15 * (1.0 + abs(reference))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 6), data=st.data())
+def test_shannon_entropy_rows_equal_the_1d_results(rows, data):
+    n = data.draw(st.integers(1, 200))
+    block = np.array([_distribution(data.draw(st.lists(_ENTRY, min_size=n, max_size=n)))
+                      for _ in range(rows)])
+    got = th.shannon_entropy(block)
+    assert got.shape == (rows,)
+    for k in range(rows):
+        assert got[k] == th.shannon_entropy(block[k])  # bit for bit
+
+
+def test_shannon_entropy_empty_and_zero_rows():
+    assert th.shannon_entropy(np.empty(0)) == 0.0
+    assert th.shannon_entropy(np.zeros(7)) == 0.0
+    np.testing.assert_array_equal(th.shannon_entropy(np.empty((3, 0))), np.zeros(3))
+    block = np.zeros((3, 4))
+    block[1] = 0.25
+    np.testing.assert_array_equal(th.shannon_entropy(block), [0.0, math.log(4), 0.0])
 
 
 # ---------------------------------------------------------------- temperature
