@@ -47,6 +47,10 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 
+# Longest omega range a command accepts.
+_MAX_OMEGAS = 1_000_000
+
+
 class CliError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
@@ -118,7 +122,12 @@ def _emit(path: str | None, fields: list[str], chunks, fmt: str) -> None:
 # ---------------------------------------------------------------- parameter handling
 
 def _parse_omegas(text: str) -> list[float]:
-    """Scalar `0.3` or inclusive range `start:stop:step`."""
+    """Scalar `0.3` or inclusive range `start:stop:step`.
+
+    The range holds start + k*step for k = 0, 1, ... while the value stays
+    within stop + 1e-9*step.  Its length is computed before any value is
+    built, and ranges longer than _MAX_OMEGAS are refused.
+    """
     try:
         if ":" not in text:
             return [float(text)]
@@ -129,18 +138,25 @@ def _parse_omegas(text: str) -> list[float]:
     except ValueError:
         raise CliError(EXIT_VALIDATION, f"cannot parse omega {text!r}") from None
     # nan compares false and inf + k*step never exceeds inf: either would
-    # make the expansion below run forever
+    # leave the range without an end
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise CliError(EXIT_VALIDATION, f"bad omega range {text!r}")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-9 * step:
-            break
-        values.append(v)
-        k += 1
-    return values
+    limit = stop + 1e-9 * step
+    estimate = (limit - start) / step + 1.0
+    if not estimate <= _MAX_OMEGAS + 2:
+        raise CliError(EXIT_VALIDATION, f"omega range {text!r} has about {estimate:.3g} "
+                                        f"values, more than {_MAX_OMEGAS}")
+    # start + k*step is nondecreasing in k, so the values within the limit are
+    # a prefix; move the estimate to its exact end.
+    count = int(estimate)
+    while count > 1 and start + (count - 1) * step > limit:
+        count -= 1
+    while start + count * step <= limit:
+        count += 1
+    if count > _MAX_OMEGAS:
+        raise CliError(EXIT_VALIDATION, f"omega range {text!r} has {count} values, "
+                                        f"more than {_MAX_OMEGAS}")
+    return (start + np.arange(count) * step).tolist()
 
 
 def _require(args, *names) -> None:

@@ -133,13 +133,29 @@ def _check_distribution(p: np.ndarray, n: int) -> np.ndarray:
     return p
 
 
-def markov_step(p: np.ndarray, omega: float) -> np.ndarray:
-    """One matrix-free application of the three-band chain stencil, O(N)."""
+def markov_step(
+    p: np.ndarray, omega: float, out: np.ndarray | None = None, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """One matrix-free application of the three-band chain stencil, O(N).
+
+    The two-argument form returns a new array.  With `out`, which must not
+    share memory with `p`, the sites lo..hi-1 (default: all N) are written
+    into out[lo:hi] and the rest of `out` is left as it is.  Every computed
+    entry is bit-identical to the two-argument form's.
+    """
+    n = len(p)
+    hi = n if hi is None else hi
+    q = np.empty_like(p) if out is None else out
     lam = 1.0 - omega
-    q = np.empty_like(p)
-    q[0] = lam * (p[0] + p[1])
-    q[1:-1] = omega * p[:-2] + lam * p[2:]
-    q[-1] = omega * (p[-2] + p[-1])
+    if lo == 0:
+        q[0] = lam * (p[0] + p[1])
+    a, b = max(lo, 1), min(hi, n - 1)
+    if a < b:
+        inner = q[a:b]
+        np.multiply(p[a - 1:b - 1], omega, out=inner)
+        inner += lam * p[a + 1:b + 1]
+    if hi == n:
+        q[-1] = omega * (p[-2] + p[-1])
     return q
 
 

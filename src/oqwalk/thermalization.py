@@ -59,6 +59,10 @@ _FLAT_ENTROPY_TOL = 1e-12
 # many steps, few enough that the block and its temporaries stay in cache.
 _BLOCK_BYTES = 256 * 1024
 
+# DBL_MIN, the smallest normal double: the band of simulate_trajectory's chain
+# runs from the first to the last entry at or above it.
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class GaussianProfile:
@@ -337,6 +341,10 @@ class TrajectoryRecord:
     Arrays are indexed by step 0..steps.  temperature_estimate holds the
     smoothed finite-difference dE/dS, with +-inf where the entropy is flat
     (divergence sentinel) and nan where both increments vanish.
+    final_distribution is p_steps of simulate_trajectory's band chain: exact
+    0.0 where the exact chain holds subnormal tail entries, within
+    (N + 2 steps) DBL_MIN of it in L1.  distributions, when kept, are the
+    exact chain's.
 
     Invariant residuals of the run: mass_drift is max_n |sum p_n - sum p_0|
     (sum p_0 is 1 up to the 1e-12 the start is checked to, so this is the
@@ -387,14 +395,17 @@ def iter_distributions(
     held, so memory is O(N) however long the run; every yielded array is new
     and never written again.
     """
+    return _evolve(_start(spec, steps, p0), spec.omega, steps)
+
+
+def _start(spec: LinearWalkSpec, steps: int, p0: np.ndarray | None) -> np.ndarray:
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if p0 is None:
         p = np.zeros(spec.n_nodes)
         p[0] = 1.0
-    else:
-        p = _check_distribution(p0, spec.n_nodes).copy()
-    return _evolve(p, spec.omega, steps)
+        return p
+    return _check_distribution(p0, spec.n_nodes).copy()
 
 
 def _evolve(p: np.ndarray, omega: float, steps: int) -> Iterator[np.ndarray]:
@@ -404,6 +415,13 @@ def _evolve(p: np.ndarray, omega: float, steps: int) -> Iterator[np.ndarray]:
         yield p
 
 
+def _generated_entropy(entropy: np.ndarray, energy: np.ndarray, t_eq: float) -> np.ndarray:
+    """S_gen = S - E/T_eq; at infinite T_eq (omega = 1/2) the heat term drops."""
+    if math.isinf(t_eq):
+        return entropy.copy()
+    return entropy - energy / t_eq
+
+
 def simulate_trajectory(
     spec: LinearWalkSpec,
     steps: int,
@@ -411,41 +429,86 @@ def simulate_trajectory(
     t_est_half_width: int = 5,
     keep_distributions: bool = False,
 ) -> TrajectoryRecord:
-    """Run the exact chain and record S(n), E(n), T_est(n), S_gen(n).
+    """Run the chain and record S(n), E(n), T_est(n), S_gen(n).
 
     p0 defaults to the walker localized at node 0, for which S(0) = E(0) = 0.
     S_gen(n) = S(n) - E(n)/T_eq; at omega = 1/2 (infinite T_eq) the heat term
     drops and S_gen = S.  The temperature estimate uses centered differences
     over +-t_est_half_width steps: the raw pointwise dE/dS is too noisy near
-    the entropy maximum where dS crosses zero.  keep_distributions stores every
-    p_n, a (steps+1) x N array; iter_distributions yields the same arrays in
-    O(N) memory.
+    the entropy maximum where dS crosses zero.
+
+    The series come from a band chain.  It keeps a band [lo, hi] whose edge
+    entries are normal doubles (>= DBL_MIN) and holds exact 0.0 outside it.
+    Each step runs the stencil only on [lo-1, hi+1], written in place into
+    the next row of a reused block, and then moves each edge inward past the
+    entries below DBL_MIN, setting them to 0.0.  The reductions (entropy,
+    energy, mass) run over full rows, once per block of steps, so a flushed
+    entry changes them only through terms far below the rounding of the row
+    sums: S, E, T_est and S_gen equal the reductions of the exact chain
+    (iter_distributions) bit for bit on every case the tests check.
+    final_distribution is the band chain's p_steps, within (N + 2 steps)
+    DBL_MIN in L1 of the exact one.
+
+    keep_distributions stores every exact p_n, a (steps+1) x N array, by
+    replaying iter_distributions, which yields the same arrays in O(N) memory.
     """
     n = spec.n_nodes
-    distributions = iter_distributions(spec, steps, p0)
+    omega = spec.omega
+    p = _start(spec, steps, p0)
     sites = np.arange(n, dtype=float)
     ent = np.empty(steps + 1)
     energy = np.empty(steps + 1)
     mass = np.empty(steps + 1)
-    dists = np.empty((steps + 1, n)) if keep_distributions else None
-    # The chain advances one step at a time; the reductions run once per block
-    # of rows, so their per-call cost is paid ~(steps+1)/rows times.
+    # Step k is written in place into slot k % slots of the reused block
+    # buffer, from slot (k-1) % slots (index slot - 1, which wraps at 0); with
+    # two slots at least, a step never writes the row it reads.
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    buffer = np.empty((min(rows, steps + 1), n))
+    slots = min(max(rows, 2), steps + 1)
+    buffer = np.zeros((slots, n))
+    buffer[0] = p
+    extent = [(0, n - 1)] + [(n, -1)] * (slots - 1)  # nonzero span of each slot
+    normal = np.flatnonzero(p >= _TINY)
+    lo, hi = int(normal[0]), int(normal[-1])
+    slot_rows = list(buffer)
     for start in range(0, steps + 1, rows):
         stop = min(start + rows, steps + 1)
-        block = buffer[:stop - start]
-        for row, p in zip(block, distributions):
-            row[...] = p
+        for k in range(max(start, 1), stop):
+            slot = k % slots
+            row = slot_rows[slot]
+            a = lo - 1 if lo else 0
+            b = hi + 1 if hi < n - 1 else hi
+            old_lo, old_hi = extent[slot]
+            if old_lo < a:
+                row[old_lo:a] = 0.0
+            if old_hi > b:
+                row[b + 1:old_hi + 1] = 0.0
+            markov_step(slot_rows[slot - 1], omega, row, a, b + 1)
+            while row[a] < _TINY:
+                row[a] = 0.0
+                a += 1
+            while row[b] < _TINY:
+                row[b] = 0.0
+                b -= 1
+            lo, hi = a, b
+            extent[slot] = (a, b)
+        # The reductions run once per block of rows, so their per-call cost is
+        # paid ~(steps+1)/rows times.
+        offset = start % slots
+        block = buffer[offset:offset + stop - start]
         ent[start:stop] = shannon_entropy(block)
         energy[start:stop] = block @ sites
         mass[start:stop] = block.sum(axis=-1)
-        if dists is not None:
-            dists[start:stop] = block
     energy *= spec.epsilon
+    p = buffer[steps % slots].copy()
+
+    dists = None
+    if keep_distributions:
+        dists = np.empty((steps + 1, n))
+        for k, q in enumerate(iter_distributions(spec, steps, p0)):
+            dists[k] = q
 
     t_eq = equilibrium.equilibrium_temperature(spec.omega, spec.epsilon)
-    s_gen = ent.copy() if math.isinf(t_eq) else ent - energy / t_eq
+    s_gen = _generated_entropy(ent, energy, t_eq)
     return TrajectoryRecord(
         spec=spec,
         entropy=ent,
@@ -544,9 +607,7 @@ def entropy_production(trajectory: TrajectoryRecord, t_eq: float | None = None) 
     """
     if t_eq is None:
         t_eq = trajectory.equilibrium_temperature
-    if math.isinf(t_eq):
-        return trajectory.entropy.copy()
-    return trajectory.entropy - trajectory.energy / t_eq
+    return _generated_entropy(trajectory.entropy, trajectory.energy, t_eq)
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,64 @@ def test_non_finite_omega_range_is_rejected(command, omega, capsys):
     assert f"bad omega range {omega!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega,count", [("0.1:0.9:1e-15", "about 8e+14"),
+                                         ("0.1:0.9:5e-324", "about inf"),
+                                         ("0.1:0.9:0.0000008", "1000001")])
+def test_long_omega_range_is_refused(omega, count, capsys):
+    # the first of these used to grow memory until it was killed
+    assert main(["steady-state", "--n-nodes", "5", f"--omega={omega}"]) == 2
+    err = capsys.readouterr().err
+    assert f"omega range {omega!r} has {count} values, more than {cli._MAX_OMEGAS}" in err
+
+
+def _omega_loop(start, stop, step):
+    """The range expansion as a plain loop: the reference for _parse_omegas."""
+    values = []
+    k = 0
+    while True:
+        v = start + k * step
+        if v > stop + 1e-9 * step:
+            break
+        values.append(v)
+        k += 1
+    return values
+
+
+@settings(max_examples=500, deadline=None)
+@given(start=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0),
+       step=st.floats(1e-5, 1.0), nudge=st.integers(-3, 3))
+@example(start=0.0001, width=0.9998, step=0.00005, nudge=0)  # eq-sweep's 19997 points
+@example(start=0.1, width=0.8, step=0.1, nudge=0)
+def test_omega_range_matches_loop(start, width, step, nudge):
+    # nudge != 0 puts stop a few ulp either side of the point where the last
+    # value start + k*step meets stop + 1e-9*step, so rounding decides whether
+    # that value is kept and the count estimated from the quotient can be off
+    stop = start + width
+    if nudge:
+        stop = start + round(width / step) * step - 1e-9 * step
+        for _ in range(abs(nudge)):
+            stop = math.nextafter(stop, math.copysign(math.inf, nudge))
+        if stop < start:
+            return
+    text = f"{start!r}:{stop!r}:{step!r}"
+    expected = _omega_loop(start, stop, step)
+    got = cli._parse_omegas(text)
+    assert len(got) == len(expected)
+    assert got == expected  # bit for bit
+    assert all(type(v) is float for v in got)
+
+
+@pytest.mark.parametrize("text,count", [
+    ("0.6996:0.749369999999685:0.000315", 159),  # the quotient gives one value too few
+    ("0.981:4.209119999923139:0.07686", 42),     # and here one too many
+])
+def test_omega_range_count_is_corrected_at_the_limit(text, count):
+    start, stop, step = map(float, text.split(":"))
+    assert int((stop + 1e-9 * step - start) / step + 1.0) != count
+    assert cli._parse_omegas(text) == _omega_loop(start, stop, step)
+    assert len(_omega_loop(start, stop, step)) == count
+
+
 def test_exit_code_unknown_flag(capsys):
     assert main(["steady-state", "--no-such-flag", "1"]) == 2
     capsys.readouterr()

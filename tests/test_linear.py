@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqwalk import channel as ch
 from oqwalk import linear as lin
@@ -287,6 +289,32 @@ def test_internal_state_matches_engine_blocks():
             continue
         predicted = lin.internal_state_at_node(spec, psi, node)
         np.testing.assert_allclose(block / tr, predicted, atol=1e-10)
+
+
+# ---------------------------------------------------------------- stencil
+
+def _markov_step_loop(p, omega):
+    """The stencil site by site: the reference for markov_step."""
+    lam = 1.0 - omega
+    n = len(p)
+    q = [lam * (p[0] + p[1])]
+    q += [omega * p[i - 1] + lam * p[i + 1] for i in range(1, n - 1)]
+    q.append(omega * (p[n - 2] + p[n - 1]))
+    return np.array(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 60), omega=st.floats(0.01, 0.99), data=st.data())
+def test_markov_step_range_matches_the_full_step(n, omega, data):
+    p = np.random.default_rng(n).random(n)
+    full = lin.markov_step(p, omega)
+    np.testing.assert_array_equal(full, _markov_step_loop(p, omega))  # bit for bit
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    out = np.full(n, -7.0)
+    assert lin.markov_step(p, omega, out, lo, hi) is out
+    np.testing.assert_array_equal(out[lo:hi], full[lo:hi])
+    assert (out[:lo] == -7.0).all() and (out[hi:] == -7.0).all()
 
 
 # ---------------------------------------------------------------- convergence

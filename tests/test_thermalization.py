@@ -405,6 +405,132 @@ def test_trajectory_block_reductions_match_per_step(n, where, custom_start, keep
     np.testing.assert_array_equal(traj.final_distribution, p)
 
 
+def _exact_chain_series(spec, steps, p0=None):
+    """S, E, T_est and S_gen reduced from the exact chain's rows in the same block shapes."""
+    n = spec.n_nodes
+    rows = _block_rows(n)
+    sites = np.arange(n, dtype=float)
+    chain = th.iter_distributions(spec, steps, p0)
+    ent, energy = [], []
+    for start in range(0, steps + 1, rows):
+        block = np.array([next(chain) for _ in range(min(rows, steps + 1 - start))])
+        ent.append(th.shannon_entropy(block))
+        energy.append(block @ sites)
+    ent = np.concatenate(ent)
+    energy = np.concatenate(energy) * spec.epsilon
+    t_eq = eq.equilibrium_temperature(spec.omega, spec.epsilon)
+    s_gen = ent.copy() if math.isinf(t_eq) else ent - energy / t_eq
+    return ent, energy, th._temperature_estimate(energy, ent, 5), s_gen
+
+
+def _localized(n, node):
+    p0 = np.zeros(n)
+    p0[node] = 1.0
+    return p0
+
+
+def _subnormal_start(n):
+    """A start with interior zeros and subnormal entries at both ends and inside."""
+    p0 = np.random.default_rng(n).random(n)
+    p0[::3] = 0.0
+    p0 /= p0.sum()
+    p0[:4] = [3e-310, 0.0, 5e-320, 1e-308]
+    p0[n // 2] = 7e-315
+    p0[-3:] = [2e-311, 0.0, 4e-323]
+    normal = p0 >= np.finfo(float).tiny
+    p0[normal] /= p0[normal].sum()
+    assert p0.min() == 0.0 and 0.0 < p0[p0 > 0].min() < np.finfo(float).tiny
+    return p0
+
+
+_STARTS = {"subnormal": _subnormal_start, "last": lambda n: _localized(n, n - 1),
+           "uniform": lambda n: np.full(n, 1.0 / n)}
+
+
+@pytest.mark.parametrize("n,omega,steps,start", [
+    *[(2500, w, 5000, None) for w in (0.5625, 0.5875, 0.6125, 0.6375)],  # traj-long strata
+    (200, 0.83, 1250, None),                 # traj-dump's size
+    (1000, 0.9, 4000, None),                 # the left edge flushes
+    (1000, 0.3, 4000, None),                 # drift toward node 0: the right edge flushes
+    (300, 0.5, 2000, None),                  # no drift
+    (500, 0.7, 1500, "subnormal"),           # interior zeros and subnormal entries
+    (400, 0.2, 2000, "last"),                # the left edge moves from the first step
+    (1000, 0.1, 1500, "uniform"),            # the right edge recedes ~0.8 sites a step
+    (40_000, 0.6, 1600, None),               # rows == 1
+    pytest.param(10_000, 0.6, 20_000, None, marks=pytest.mark.slow),
+    pytest.param(100_000, 2 / 3, 3000, None, marks=pytest.mark.slow),
+])
+def test_band_chain_series_are_bit_identical_to_the_exact_chain(n, omega, steps, start):
+    spec = LinearWalkSpec(n, omega)
+    p0 = None if start is None else _STARTS[start](n)
+    traj = th.simulate_trajectory(spec, steps, p0=p0)
+    ent, energy, t_est, s_gen = _exact_chain_series(spec, steps, p0)
+    np.testing.assert_array_equal(traj.entropy, ent)  # bit for bit
+    np.testing.assert_array_equal(traj.energy, energy)
+    np.testing.assert_array_equal(traj.temperature_estimate, t_est)
+    np.testing.assert_array_equal(traj.entropy_generated, s_gen)
+    # Each step adds at most two sites to the band, each flushed entry is
+    # below DBL_MIN, and the stencil does not grow L1 differences.
+    exact = lin.markov_evolve(spec, _localized(n, 0) if p0 is None else p0, steps)
+    l1 = np.abs(traj.final_distribution - exact).sum()
+    assert l1 <= (n + 2 * steps) * np.finfo(float).tiny
+
+
+def test_band_chain_rows_are_zero_outside_their_band(monkeypatch):
+    # every row handed to the reductions is zero outside its band and normal at its edges
+    spec = LinearWalkSpec(400, 0.9)
+    tiny = np.finfo(float).tiny
+    seen = []
+    reduce = th.shannon_entropy
+
+    def checked(block):
+        for row in block:
+            band = np.flatnonzero(row)
+            seen.append((band[0], band[-1]))
+            assert row[band[0]] >= tiny and row[band[-1]] >= tiny
+        return reduce(block)
+
+    monkeypatch.setattr(th, "shannon_entropy", checked)
+    traj = th.simulate_trajectory(spec, 3000)
+    monkeypatch.undo()
+    assert len(seen) == 3001
+    assert seen[0] == (0, 0) and seen[-1][1] == 399
+    lo = seen[-1][0]
+    assert lo > 0  # the left edge has moved in, flushing entries the exact chain keeps
+    assert (lin.markov_evolve(spec, _localized(400, 0), 3000)[:lo] > 0).any()
+    assert traj.final_distribution[:lo].tolist() == [0.0] * lo
+
+
+_WALKS = dict(n=st.integers(2, 400), omega=st.floats(0.05, 0.95), steps=st.integers(0, 1500))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_WALKS)
+def test_trajectory_conserves_mass(n, omega, steps):
+    assert th.simulate_trajectory(LinearWalkSpec(n, omega), steps).mass_drift <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_WALKS)
+def test_trajectory_second_law(n, omega, steps):
+    s_gen = th.simulate_trajectory(LinearWalkSpec(n, omega), steps).entropy_generated
+    # the benchmark oracle's rule: S_gen never falls by more than its rounding
+    assert (np.diff(s_gen) >= -1e-12 * np.maximum(1.0, np.abs(s_gen[1:]))).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_WALKS)
+def test_trajectory_mirror_symmetry(n, omega, steps):
+    # node m with omega is node N-1-m with 1-omega: S is unchanged and E -> (N-1) eps - E
+    traj = th.simulate_trajectory(LinearWalkSpec(n, omega), steps)
+    mirror = th.simulate_trajectory(LinearWalkSpec(n, 1.0 - omega), steps, p0=_localized(n, n - 1))
+    np.testing.assert_allclose(mirror.entropy, traj.entropy, rtol=1e-13, atol=0.0)
+    # E is compared at the scale of its range, (N-1) eps: early on E is near 0
+    # and (N-1) eps - E there carries the rounding of (N-1) eps
+    scale = (n - 1) * traj.spec.epsilon
+    assert np.abs((scale - mirror.energy) - traj.energy).max() <= 1e-13 * scale
+
+
 def test_trajectory_invariant_residuals():
     traj = th.simulate_trajectory(LinearWalkSpec(100, 2 / 3), 3000)
     assert 0.0 <= traj.mass_drift <= 1e-12
