@@ -437,8 +437,9 @@ def simulate_trajectory(
     over +-t_est_half_width steps: the raw pointwise dE/dS is too noisy near
     the entropy maximum where dS crosses zero.
 
-    The series come from a band chain.  It keeps a band [lo, hi] whose edge
-    entries are normal doubles (>= DBL_MIN) and holds exact 0.0 outside it.
+    The series come from a band chain.  From p_1 on, it keeps a band
+    [lo, hi] whose edge entries are normal doubles (>= DBL_MIN) and holds
+    exact 0.0 outside it; p_0 is used as given.
     Each step runs the stencil only on [lo-1, hi+1], written in place into
     the next row of a reused block, and then moves each edge inward past the
     entries below DBL_MIN, setting them to 0.0.  The reductions (entropy,
