@@ -11,7 +11,7 @@ population-inverted, negative-temperature states.  All textbook quantities
 import math
 
 from oqwalk import equilibrium as eq
-from oqwalk.equilibrium import EnsemblePoint, thermo_point
+from oqwalk.equilibrium import EnsemblePoint, thermo_point, thermo_points
 
 print("temperature vs hop weight (epsilon = 1):")
 for omega in (0.1, 0.3, 0.45, 0.499, 0.5, 0.501, 0.55, 0.7, 0.9):
@@ -49,5 +49,14 @@ for omega in (0.2, 0.4, 0.5, 0.6, 0.8):
     print(f"  omega={omega:<4} d<E>/domega = {cost:12.3f}")
 
 print()
-print("bundle for sweeps: thermo_point(EnsemblePoint.from_omega(100, 0.3)) ->")
+print("bundle at one point: thermo_point(EnsemblePoint.from_omega(100, 0.3)) ->")
 print(" ", thermo_point(EnsemblePoint.from_omega(100, 0.3)))
+
+print()
+print("a whole sweep in one call: thermo_points(100, betas) (array fields)")
+omegas = [0.1, 0.3, 0.45, 0.5, 0.55, 0.7, 0.9]
+sweep = thermo_points(100, [eq.beta_from_omega(omega) for omega in omegas])
+print(f"{'omega':>6} {'T':>9} {'<E>':>9} {'S':>9} {'C_V':>9}")
+for omega, t, e, s, cv in zip(omegas, sweep.T, sweep.mean_E, sweep.S, sweep.C_V):
+    print(f"{omega:>6} {t:>+9.4f} {e:9.4f} {s:9.5f} {cv:9.5f}")
+print("  mirror pairs omega <-> 1-omega share S and C_V; <E> sums to the gap 99")

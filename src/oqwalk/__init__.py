@@ -11,7 +11,7 @@ Subpackages:
 
 from . import channel, equilibrium, linear, thermalization
 from .channel import BlockState, OqwChannel, position_marginal, step, validate_channel
-from .equilibrium import EnsemblePoint, ThermoPoint, thermo_point
+from .equilibrium import EnsemblePoint, ThermoPoint, thermo_point, thermo_points
 from .linear import LinearWalkSpec, build_channel, markov_evolve, steady_state, transition_matrix
 from .thermalization import (
     ApproxEntropyParams,
@@ -43,6 +43,7 @@ __all__ = [
     "EnsemblePoint",
     "ThermoPoint",
     "thermo_point",
+    "thermo_points",
     "LinearWalkSpec",
     "build_channel",
     "markov_evolve",

@@ -235,11 +235,9 @@ def cmd_equilibrium(args) -> int:
     for omega in omegas:
         if not 0.0 < omega < 1.0:
             raise CliError(EXIT_VALIDATION, f"omega {omega} outside (0, 1)")
-    points = [EnsemblePoint.from_omega(args.n_nodes, omega, args.epsilon) for omega in omegas]
-    tps = [eq.thermo_point(point) for point in points]
-    columns = (omegas, [point.beta for point in points], [tp.T for tp in tps],
-               [tp.Z for tp in tps], [tp.mean_E for tp in tps], [tp.var_E for tp in tps],
-               [tp.S for tp in tps], [tp.F for tp in tps], [tp.C_V for tp in tps])
+    betas = [eq.beta_from_omega(omega, args.epsilon) for omega in omegas]
+    tp = eq.thermo_points(args.n_nodes, betas, args.epsilon)
+    columns = (omegas, betas, tp.T, tp.Z, tp.mean_E, tp.var_E, tp.S, tp.F, tp.C_V)
     _emit(args.out, ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], [columns],
           args.format)
     return EXIT_OK

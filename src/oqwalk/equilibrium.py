@@ -11,8 +11,11 @@ beta > 0 (ordinary positive temperature) while omega > 1/2 means beta < 0
 (population inversion, negative temperature), and omega = 1/2 is the infinite
 temperature point.
 
-Evaluation near beta = 0 switches to series expansions: the naive closed forms
-have removable 0/0 singularities exactly where the interesting physics lives.
+log Z, <E>, Var(E) and S have one implementation, the array kernel `_forms`:
+the scalar evaluators are its 0-d case, `thermo_points` evaluates a sweep.  It
+cancels the removable 0/0 poles at beta = 0 analytically (Bernoulli series
+where N|beta*eps| < 2, overflow-free closed forms elsewhere) and maps beta < 0
+onto |beta| by the mirror symmetry, so both signs are equally accurate.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "EnsemblePoint",
@@ -46,11 +50,25 @@ __all__ = [
     "energy_cost_domega",
     "energy_gap",
     "thermo_point",
+    "thermo_points",
 ]
 
-# Below this value of |beta*epsilon*N| the closed forms lose digits to
-# cancellation and the series branches are used instead.
-_SERIES_CUTOFF = 1e-2
+# c_j = B_2j/(2j)!, j = 1..18, and the ascending coefficients in u = z^2 of the
+# pole-free remainders, whose 18 terms reach rounding for |z| < 2:
+#   l(z) = log(2 sinh(z/2)/z)               = sum_j c_j z^2j/(2j),
+#   h(z) = 1/(e^z - 1) - 1/z + 1/2         = z * sum_j c_j z^(2j-2),
+#   g(z) = 1/(4 sinh^2(z/2)) - 1/z^2 + 1/12 = -sum_{j>=2} (2j-1) c_j z^(2j-2).
+_C = np.array([
+    0.08333333333333333, -0.001388888888888889, 3.306878306878307e-05,
+    -8.267195767195768e-07, 2.08767569878681e-08, -5.284190138687493e-10,
+    1.3382536530684679e-11, -3.3896802963225827e-13, 8.586062056277845e-15,
+    -2.174868698558062e-16, 5.5090028283602295e-18, -1.3954464685812522e-19,
+    3.534707039629467e-21, -8.953517427037546e-23, 2.267952452337683e-24,
+    -5.744790668872202e-26, 1.455172475614865e-27, -3.6859949406653103e-29,
+])
+_J = np.arange(1, 19)
+_COEF = np.stack([np.r_[0.0, _C / (2 * _J)], np.r_[_C, 0.0],
+                  np.r_[0.0, -(2 * _J[1:] - 1) * _C[1:], 0.0]], axis=1)
 
 # beta/omega consistency required of an EnsemblePoint.
 _CONSISTENCY_TOL = 1e-12
@@ -141,13 +159,6 @@ class EnsemblePoint:
         return self.beta * self.epsilon
 
 
-def _inv_expm1(z: float) -> float:
-    # 1/(e^z - 1) for z != 0, without overflow for large |z|.
-    if z > 700.0:
-        return math.exp(-z)
-    return 1.0 / math.expm1(z)
-
-
 def _exp_over_expm1_sq(z: float) -> float:
     # e^z/(e^z - 1)^2 = 1/(4 sinh^2(z/2)); even in z, no overflow.
     z = abs(z)
@@ -157,29 +168,44 @@ def _exp_over_expm1_sq(z: float) -> float:
     return 0.25 / (s * s)
 
 
+def _forms(n: int, x):
+    """log Z, <E>/eps, Var(E)/eps^2 and S at each x = beta*eps of an array.
+
+    With s = |x|, where N s < 2 the 1/z poles cancel analytically (exact at s = 0):
+      log Z = log N - (N-1)s/2 + l(Ns) - l(s),  <E> = (N-1)/2 + h(s) - N h(Ns),
+      Var = (N^2-1)/12 + g(s) - N^2 g(Ns);  elsewhere the closed forms in e^(-s).
+    S = log Z + s <E> is even in x; log Z and <E> are mirrored for x < 0.
+    """
+    s = np.abs(x)
+    z = np.stack([s, n * s])
+    with np.errstate(all="ignore"):  # each branch is evaluated on the other's points too
+        l, h, g = polyval(z * z, _COEF)
+        ez, em = np.exp(-z), -np.expm1(-z)
+        log_em = np.where(z < math.log(2.0), np.log(em), np.log1p(-ez))
+        q = ez / em
+        series = n * s < 2.0
+        logz = np.where(series, math.log(n) - (n - 1) * s / 2 + (l[1] - l[0]),
+                        log_em[1] - log_em[0])
+        e = np.where(series, (n - 1) / 2 + (h[0] * z[0] - n * (h[1] * z[1])), q[0] - n * q[1])
+        var = np.where(series, (n * n - 1) / 12 + (g[0] - n * n * g[1]),
+                       q[0] / em[0] - n * n * (q[1] / em[1]))
+    neg = x < 0
+    return (np.where(neg, logz + (n - 1) * s, logz), np.where(neg, (n - 1) - e, e), var,
+            logz + s * e)
+
+
 def log_partition_function(point: EnsemblePoint) -> float:
     """log of Z = (a^N - 1)/(a - 1) with a = exp(-beta*epsilon).
 
     Evaluated in the log domain so that it stays finite for any N up to 1e6
     and omega in [1e-6, 1 - 1e-6]; a^N itself overflows doubles long before.
     """
-    n = point.n_nodes
-    x = point.x
-    if abs(n * x) < _SERIES_CUTOFF:
-        return math.log(n) - (n - 1) * x / 2.0 + (n * n - 1) * x * x / 24.0
-    if x > 0:
-        return math.log1p(-math.exp(-n * x)) - math.log1p(-math.exp(-x))
-    return -(n - 1) * x + math.log1p(-math.exp(n * x)) - math.log1p(-math.exp(x))
+    return float(_forms(point.n_nodes, point.x)[0])
 
 
 def partition_function(point: EnsemblePoint) -> float:
-    """Z itself; exactly N at beta = 0.  May overflow to inf for extreme N*|beta|."""
-    if point.beta == 0.0:
-        return float(point.n_nodes)
-    logz = log_partition_function(point)
-    if logz > 709.0:
-        return math.inf
-    return math.exp(logz)
+    """Z itself; exactly N at beta = 0, inf only where Z exceeds the largest double."""
+    return thermo_point(point).Z
 
 
 def mean_energy(point: EnsemblePoint) -> float:
@@ -188,23 +214,12 @@ def mean_energy(point: EnsemblePoint) -> float:
     Limits: (N-1)*epsilon/2 at beta = 0; 0 as beta -> +inf; (N-1)*epsilon as
     beta -> -inf.
     """
-    n = point.n_nodes
-    x = point.x
-    eps = point.epsilon
-    if abs(n * x) < _SERIES_CUTOFF:
-        return eps * ((n - 1) / 2.0 - x * (n * n - 1) / 12.0
-                      + x ** 3 * (float(n) ** 4 - 1) / 720.0)
-    return eps * _inv_expm1(x) - n * eps * _inv_expm1(n * x)
+    return thermo_point(point).mean_E
 
 
 def energy_variance(point: EnsemblePoint) -> float:
     """<dE^2> = eps^2 [e^x/(e^x-1)^2 - N^2 e^(Nx)/(e^(Nx)-1)^2]; (N^2-1)eps^2/12 at beta=0."""
-    n = point.n_nodes
-    x = point.x
-    eps2 = point.epsilon * point.epsilon
-    if abs(n * x) < _SERIES_CUTOFF:
-        return eps2 * ((n * n - 1) / 12.0 - x * x * (float(n) ** 4 - 1) / 240.0)
-    return eps2 * (_exp_over_expm1_sq(x) - n * n * _exp_over_expm1_sq(n * x))
+    return thermo_point(point).var_E
 
 
 def energy_std_large_n(point: EnsemblePoint) -> float:
@@ -224,12 +239,7 @@ def entropy(point: EnsemblePoint) -> float:
     Equals the Shannon entropy of the steady-state distribution.  Maximum
     log N exactly at beta = 0; tends to 0 for beta -> +-inf (third law).
     """
-    n = point.n_nodes
-    x = point.x
-    if abs(n * x) < _SERIES_CUTOFF:
-        # log Z + x <E>/eps collapses to log N - (N^2-1) x^2/24 + O(x^4).
-        return math.log(n) - (n * n - 1) * x * x / 24.0
-    return log_partition_function(point) + point.beta * mean_energy(point)
+    return thermo_point(point).S
 
 
 def entropy_derivative(point: EnsemblePoint) -> float:
@@ -257,9 +267,7 @@ def free_energy(point: EnsemblePoint) -> float:
     Diverges like -log(N)/beta as beta -> 0; at beta = 0 the distinguished
     value -inf (the beta -> 0+ limit) is returned rather than raising.
     """
-    if point.beta == 0.0:
-        return -math.inf
-    return -log_partition_function(point) / point.beta
+    return thermo_point(point).F
 
 
 def free_energy_derivative(point: EnsemblePoint) -> float:
@@ -280,7 +288,7 @@ def free_energy_derivative_high_t(beta: float, epsilon: float = 1.0) -> float:
 
 def heat_capacity(point: EnsemblePoint) -> float:
     """C_V = beta^2 * Var(E); 0 at beta = 0 for finite N, 0 as beta -> inf."""
-    return point.beta * point.beta * energy_variance(point)
+    return thermo_point(point).C_V
 
 
 def heat_capacity_large_n(beta: float, epsilon: float = 1.0) -> float:
@@ -318,7 +326,7 @@ def energy_gap(n_nodes: int, epsilon: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Bundle of equilibrium observables at one parameter point."""
+    """Equilibrium observables: floats at one point, arrays over a sweep."""
 
     Z: float
     mean_E: float
@@ -329,15 +337,28 @@ class ThermoPoint:
     T: float
 
 
+def thermo_points(n_nodes: int, beta, epsilon: float = 1.0) -> ThermoPoint:
+    """All equilibrium observables at each inverse temperature of `beta`, as arrays.
+
+    At beta = 0, Z = N exactly, T = inf and F = -inf (the beta -> 0+ limit).
+    """
+    if n_nodes < 2:
+        raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
+    _check_epsilon(epsilon)
+    beta = np.asarray(beta, dtype=float)
+    x = beta * epsilon
+    if not np.isfinite(x).all():
+        raise ValueError("beta * epsilon must be finite")
+    logz, e, var, s = _forms(n_nodes, x)
+    var = epsilon * epsilon * var
+    zero = beta == 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        return ThermoPoint(Z=np.where(zero, float(n_nodes), np.exp(logz)), mean_E=epsilon * e,
+                           var_E=var, S=s, F=np.where(zero, -np.inf, -logz / beta),
+                           C_V=beta * beta * var, T=np.where(zero, np.inf, 1.0 / beta))
+
+
 def thermo_point(point: EnsemblePoint) -> ThermoPoint:
-    """Evaluate all equilibrium observables at one point (for sweeps)."""
-    T = math.inf if point.beta == 0.0 else 1.0 / point.beta
-    return ThermoPoint(
-        Z=partition_function(point),
-        mean_E=mean_energy(point),
-        var_E=energy_variance(point),
-        S=entropy(point),
-        F=free_energy(point),
-        C_V=heat_capacity(point),
-        T=T,
-    )
+    """All equilibrium observables at one point, as floats: the 0-d thermo_points."""
+    tp = thermo_points(point.n_nodes, point.beta, point.epsilon)
+    return ThermoPoint(**{name: float(v) for name, v in vars(tp).items()})

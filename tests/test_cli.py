@@ -132,6 +132,25 @@ def test_equilibrium_jobs_do_not_change_output(tmp_path):
 
 # ---------------------------------------------------------------- trajectory
 
+def test_equilibrium_z_finite_below_the_largest_double(tmp_path):
+    # log Z = 709.5: above the old 709.0 cut, below log(DBL_MAX) = 709.78
+    out = tmp_path / "eq.csv"
+    assert main(["equilibrium", "--n-nodes", "2000", "--omega", "0.5876653604405353",
+                 "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    z = rows[0][header.index("Z")]
+    assert math.isfinite(z) and z > 1e308
+    assert z == eq.partition_function(EnsemblePoint.from_omega(2000, 0.5876653604405353))
+
+
+def test_equilibrium_rejects_one_node(tmp_path, capsys):
+    out = tmp_path / "eq.csv"
+    assert main(["equilibrium", "--n-nodes", "1", "--omega", "0.3:0.5:0.1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "oqwalk: error: n_nodes must be >= 2, got 1\n")
+    assert not out.exists()
+
+
 def test_trajectory_columns_and_second_law(tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["trajectory", "--n-nodes", "100", "--omega", "0.6666666666666666",

@@ -1,12 +1,17 @@
 """Equilibrium statistical mechanics against brute-force steady-state sums."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oqwalk import equilibrium as eq
 from oqwalk.equilibrium import EnsemblePoint
+from oqwalk.linear import LinearWalkSpec, steady_state
+from oqwalk.thermalization import shannon_entropy
 
 OMEGA_GRID = [round(0.05 * k, 2) for k in range(1, 20) if k != 10]
 N_GRID = [2, 3, 10, 100]
@@ -347,3 +352,133 @@ def test_series_branch_against_mpmath():
             assert eq.log_partition_function(p) == pytest.approx(lz, rel=1e-12)
             assert eq.mean_energy(p) == pytest.approx(e, rel=1e-11)
             assert eq.energy_variance(p) == pytest.approx(var, rel=1e-10)
+
+
+# ---------------------------------------------------------------- one kernel
+
+def test_bernoulli_table_is_exact():
+    # c_j = B_2j/(2j)! from sum_{k<=m} a_k/(m+1-k)! = 0 with a_k = B_k/k!
+    a = [Fraction(1)]
+    for m in range(1, 37):
+        a.append(-sum(a[k] / math.factorial(m + 1 - k) for k in range(m)))
+    assert eq._C.tolist() == [float(a[2 * j]) for j in range(1, 19)]
+
+
+def _mp_forms(mp, n, beta):
+    """log Z, <E>, Var, S at a float beta (epsilon = 1) from 80-digit closed forms."""
+    with mp.workdps(80):
+        x = mp.mpf(beta)
+        logz = mp.log(mp.expm1(-n * x) / mp.expm1(-x))
+        e = 1 / mp.expm1(x) - n / mp.expm1(n * x)
+        var = mp.exp(x) / mp.expm1(x) ** 2 - n * n * mp.exp(n * x) / mp.expm1(n * x) ** 2
+        return [float(v) for v in (logz, e, var, logz + x * e)]
+
+
+SEAM_NX = [float(v) for v in np.logspace(-6, math.log10(300), 60)] + [
+    0.0099, 0.01, 0.0101, 1.999, 2.0, 2.001]
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 50, 10**3, 10**4, 10**5, 10**6])
+def test_closed_forms_across_the_seams_against_mpmath(n):
+    # both sides of |N beta eps| = 0.01 (the old series switch) and of 2 (the
+    # kernel's), on both signs of beta
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    for nx in SEAM_NX:
+        for beta in (nx / n, -nx / n):
+            p = EnsemblePoint.from_beta(n, beta)
+            got = [eq.log_partition_function(p), eq.mean_energy(p), eq.energy_variance(p),
+                   eq.entropy(p)]
+            for g, r in zip(got, _mp_forms(mp, n, beta)):
+                worst = max(worst, abs(g - r) / abs(r))
+    assert worst <= 1e-14
+
+
+def test_partition_function_finite_up_to_the_largest_double():
+    # log Z = 709.5 lies above the old 709.0 cut but below log(DBL_MAX) = 709.78
+    mp = pytest.importorskip("mpmath")
+    p = EnsemblePoint.from_omega(2000, 0.5876653604405353)
+    z = eq.partition_function(p)
+    assert math.isfinite(z) and z > 1e308
+    with mp.workdps(40):
+        x = mp.mpf(p.beta)
+        ref = float(mp.expm1(-2000 * x) / mp.expm1(-x))
+    assert z == pytest.approx(ref, rel=1e-12)  # log Z to ~1e-16 relative, times 709.5
+    assert eq.partition_function(EnsemblePoint.from_omega(2000, 0.59)) == math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 5000), x=st.floats(0.0, 60.0), epsilon=st.sampled_from([1.0, 0.3, 2.5]))
+@example(n=50, x=5.0, epsilon=1.0)
+@example(n=3, x=37.07, epsilon=1.0)
+@example(n=500, x=0.01 / 500, epsilon=1.0)
+@example(n=500, x=2.0 / 500, epsilon=1.0)
+def test_mirror_symmetry(n, x, epsilon):
+    beta = x / epsilon
+    p, q = EnsemblePoint.from_beta(n, beta, epsilon), EnsemblePoint.from_beta(n, -beta, epsilon)
+    s_p, s_q = eq.entropy(p), eq.entropy(q)
+    assert abs(s_p - s_q) <= 1e-15 * s_p
+    gap = (n - 1) * epsilon
+    assert abs(eq.mean_energy(p) + eq.mean_energy(q) - gap) <= 4 * math.ulp(gap)
+    assert eq.energy_variance(p) == eq.energy_variance(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 3000), beta=st.floats(-40.0, 40.0))
+@example(n=50, beta=5.0)
+@example(n=50, beta=-5.0)
+@example(n=1000, beta=1e-5)
+def test_entropy_is_shannon_entropy_of_the_steady_state(n, beta):
+    p = EnsemblePoint.from_beta(n, beta)
+    s = eq.entropy(p)
+    assert abs(s - shannon_entropy(steady_state(LinearWalkSpec(n, p.omega)))) <= 1e-12 * max(1.0, s)
+
+
+ONE_PATH_N = [2, 7, 500, 10**6]
+
+
+@pytest.mark.parametrize("n", ONE_PATH_N)
+@pytest.mark.parametrize("epsilon", [1.0, 0.3])
+def test_thermo_points_equal_the_scalar_evaluators(n, epsilon):
+    seams = [0.0099, 0.01, 0.0101, 1.999, 2.0, 2.001]
+    x = [0.0] + [sign * v / n for v in seams + [1e-7, 0.5, 40.0] for sign in (1, -1)]
+    betas = np.array(x) / epsilon
+    tp = eq.thermo_points(n, betas, epsilon)
+    scalar = {"Z": eq.partition_function, "mean_E": eq.mean_energy, "var_E": eq.energy_variance,
+              "S": eq.entropy, "F": eq.free_energy, "C_V": eq.heat_capacity}
+    for i, beta in enumerate(betas.tolist()):
+        p = EnsemblePoint.from_beta(n, beta, epsilon)
+        point = eq.thermo_point(p)
+        for name, f in scalar.items():
+            value = getattr(tp, name)[i]
+            assert value.tobytes() == np.float64(f(p)).tobytes(), (name, beta)
+            assert value.tobytes() == np.float64(getattr(point, name)).tobytes(), (name, beta)
+        assert getattr(tp, "T")[i] == point.T
+
+
+@pytest.mark.parametrize("n", ONE_PATH_N)
+def test_thermo_points_exact_at_infinite_temperature(n):
+    tp = eq.thermo_points(n, [0.0, -0.0])
+    assert tp.Z.tolist() == [float(n)] * 2
+    assert tp.mean_E.tolist() == [(n - 1) / 2] * 2
+    assert tp.var_E.tolist() == [(n * n - 1) / 12] * 2
+    assert tp.S.tolist() == [math.log(n)] * 2
+    assert tp.C_V.tolist() == [0.0] * 2
+    assert tp.F.tolist() == [-math.inf] * 2 and tp.T.tolist() == [math.inf] * 2
+    assert eq.log_partition_function(EnsemblePoint.from_beta(n, 0.0)) == math.log(n)
+
+
+def test_thermo_points_shapes():
+    assert isinstance(eq.thermo_point(EnsemblePoint.from_omega(10, 0.3)).S, float)
+    assert eq.thermo_points(10, 0.4).S.shape == ()
+    assert eq.thermo_points(10, np.zeros((2, 3))).var_E.shape == (2, 3)
+    assert eq.thermo_points(10, []).Z.shape == (0,)
+
+
+@pytest.mark.parametrize("n_nodes, beta, epsilon", [
+    (1, [0.1], 1.0), (0, [0.1], 1.0), (10, [0.1], 0.0), (10, [0.1], -1.0),
+    (10, [0.1], math.nan), (10, [0.1, math.nan], 1.0), (10, [math.inf], 1.0),
+    (10, [-math.inf, 0.2], 1.0), (10, [0.1], math.inf)])
+def test_thermo_points_rejects_bad_parameters(n_nodes, beta, epsilon):
+    with pytest.raises(ValueError):
+        eq.thermo_points(n_nodes, beta, epsilon)
