@@ -169,6 +169,18 @@ def _spec(args, omega: float) -> LinearWalkSpec:
     return LinearWalkSpec(args.n_nodes, omega, args.epsilon)
 
 
+def _single_omega(args) -> float:
+    omegas = _parse_omegas(args.omega)
+    if len(omegas) != 1:
+        raise CliError(EXIT_VALIDATION, f"{args.command} takes a single omega")
+    return omegas[0]
+
+
+def _check_steps(steps: int | None) -> None:
+    if steps is not None and steps < 0:
+        raise CliError(EXIT_VALIDATION, f"steps must be nonnegative, got {steps}")
+
+
 _CONFIG_CASTS = {
     "n-nodes": int,
     "omega": str,
@@ -245,12 +257,8 @@ def cmd_equilibrium(args) -> int:
 
 def cmd_trajectory(args) -> int:
     _require(args, "n-nodes", "omega", "steps")
-    omegas = _parse_omegas(args.omega)
-    if len(omegas) != 1:
-        raise CliError(EXIT_VALIDATION, "trajectory takes a single omega")
-    spec = _spec(args, omegas[0])
-    if args.steps < 0:
-        raise CliError(EXIT_VALIDATION, f"steps must be nonnegative, got {args.steps}")
+    spec = _spec(args, _single_omega(args))
+    _check_steps(args.steps)
     traj = th.simulate_trajectory(spec, args.steps)
     series = (np.arange(args.steps + 1), traj.entropy, traj.energy,
               traj.temperature_estimate, traj.entropy_generated)
@@ -278,20 +286,16 @@ def cmd_window(args) -> int:
 
 def cmd_approx_entropy(args) -> int:
     _require(args, "n-nodes", "omega")
-    omegas = _parse_omegas(args.omega)
-    if len(omegas) != 1:
-        raise CliError(EXIT_VALIDATION, "approx-entropy takes a single omega")
-    spec = _spec(args, omegas[0])
-    boltzmann = args.boltzmann or "tail-sum"
+    spec = _spec(args, _single_omega(args))
+    _check_steps(args.steps)
     params = th.approx_entropy_params(spec.n_nodes, spec.omega)
     window = th.thermalization_window(spec.n_nodes, spec.omega)
     horizon = args.steps if args.steps is not None else math.ceil(1.2 * window.t_end)
-    ts = range(1, horizon + 1)
-    parts = [th.approx_entropy_components(spec, t, params=params, boltzmann=boltzmann)
-             for t in ts]
-    columns = (ts, [c.total for c in parts], [c.gaussian for c in parts],
-               [c.boltzmann for c in parts], [c.weight for c in parts])
-    _emit(args.out, ["t", "S_a", "S_G", "S_B", "w"], [columns], args.format)
+    ts = np.arange(1, horizon + 1)
+    c = th.approx_entropy_components(spec, ts, params=params,
+                                     boltzmann=args.boltzmann or "tail-sum")
+    _emit(args.out, ["t", "S_a", "S_G", "S_B", "w"],
+          [(ts, c.total, c.gaussian, c.boltzmann, c.weight)], args.format)
     return EXIT_OK
 
 
@@ -302,10 +306,7 @@ def _one_row(values: list) -> list[tuple]:
 
 def cmd_table(args) -> int:
     _require(args, "n-nodes", "omega")
-    omegas = _parse_omegas(args.omega)
-    if len(omegas) != 1:
-        raise CliError(EXIT_VALIDATION, "table takes a single omega")
-    spec = _spec(args, omegas[0])
+    spec = _spec(args, _single_omega(args))
     boltzmann = args.boltzmann or "tail-sum"
     window = th.thermalization_window(spec.n_nodes, spec.omega)
     steps = args.steps if args.steps is not None else math.floor(window.t_end)
@@ -333,10 +334,7 @@ def cmd_table(args) -> int:
 
 def cmd_dqc(args) -> int:
     _require(args, "n-nodes", "omega")
-    omegas = _parse_omegas(args.omega)
-    if len(omegas) != 1:
-        raise CliError(EXIT_VALIDATION, "dqc takes a single omega")
-    omega = omegas[0]
+    omega = _single_omega(args)
     est = th.dqc_step_estimates(args.n_nodes, omega)
     point = EnsemblePoint.from_omega(args.n_nodes, omega, args.epsilon)
     e_eq = eq.mean_energy(point)          # energy absorbed reaching the steady state

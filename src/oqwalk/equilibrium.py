@@ -132,6 +132,8 @@ class EnsemblePoint:
         if self.n_nodes < 2:
             raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
         _check_epsilon(self.epsilon)
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         _check_omega(self.omega)
         drift = abs(self.omega - omega_from_beta(self.beta, self.epsilon))
         if drift > _CONSISTENCY_TOL:

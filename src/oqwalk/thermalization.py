@@ -6,7 +6,8 @@ far boundary and deforms into the geometric steady state.  This module
 simulates exact trajectories, locates the deformation window, evaluates the
 two-piece (Gaussian + Boltzmann) entropy approximation, and produces the
 error metrics, time-dependent temperature, entropy production, and step-count
-estimates for dissipative computation runs.
+estimates for dissipative computation runs.  The approximation evaluators are
+array-valued in t: floats for a scalar t, arrays shaped like an array of times.
 
 All analytic forms assume rightward drift (omega > 1/2).  For omega < 1/2
 mirror the node indices (omega -> 1-omega), which leaves every thermodynamic
@@ -90,10 +91,17 @@ class GaussianProfile:
         return math.sqrt(2.0 * self.diffusion * t)
 
 
+def _positive_times(t) -> np.ndarray:
+    """t as a float array, refused unless every entry is > 0 (nan included)."""
+    t = np.asarray(t, dtype=float)
+    if not (t > 0).all():
+        raise ValueError(f"t must be positive, got {t[~(t > 0)].flat[0]}")
+    return t
+
+
 def gaussian_probability(profile: GaussianProfile, x, t: float):
     """Drifting Gaussian density exp(-(x - v t)^2 / (2 t)) / sqrt(2 pi t)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _positive_times(t)
     var = 2.0 * profile.diffusion * t
     x = np.asarray(x, dtype=float)
     out = np.exp(-((x - profile.velocity * t) ** 2) / (2.0 * var)) / np.sqrt(2 * np.pi * var)
@@ -144,8 +152,7 @@ def thermalization_window(n_nodes: int, omega: float) -> ThermalizationWindow:
 
 def entropy_gaussian_regime(t: float) -> float:
     """Entropy of the free drifting packet, (1/2) log(2 pi e t); valid t < t_start."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _positive_times(t)
     return 0.5 * math.log(2.0 * math.pi * math.e * t)
 
 
@@ -212,16 +219,13 @@ def approx_entropy_params(
     )
 
 
-def tail_weight(params: ApproxEntropyParams, profile: GaussianProfile, t: float) -> float:
+def tail_weight(params: ApproxEntropyParams, profile: GaussianProfile, t):
     """Gaussian mass above the split line: w(t) = erfc((n' - v t)/sqrt(2 t))/2.
 
     Monotone nondecreasing in t for positive drift; 0 as t -> 0+, 1 once the
-    packet has fully crossed the line.
+    packet has fully crossed the line.  Array-valued in t, like approx_entropy.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    sd = profile.std(t)
-    return 0.5 * float(erfc((params.n_prime - profile.velocity * t) / (math.sqrt(2.0) * sd)))
+    return _components(params, profile, t, "tail-sum").weight
 
 
 def approx_probability(
@@ -256,7 +260,7 @@ def approx_probability(
 
 @dataclass(frozen=True)
 class ApproxEntropyComponents:
-    """Pieces of the two-part entropy approximation at one time."""
+    """Pieces of the two-part entropy approximation: floats at one time, arrays over many."""
 
     gaussian: float
     boltzmann: float
@@ -267,39 +271,36 @@ class ApproxEntropyComponents:
         return self.gaussian + self.boltzmann
 
 
-def approx_entropy_components(
-    spec: LinearWalkSpec,
-    t: float,
-    params: ApproxEntropyParams | None = None,
-    boltzmann: str = "tail-sum",
-) -> ApproxEntropyComponents:
-    """S_G, S_B and the tail weight w at time t (see approx_entropy)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if params is None:
-        params = approx_entropy_params(spec.n_nodes, spec.omega)
-    profile = GaussianProfile.for_omega(spec.omega)
-    u = params.n_prime - profile.velocity * t
-    z = u / math.sqrt(2.0 * t)
-    # erfc(-z) = 1 + erf(z), kept in complementary form for tiny tails.
-    s_g = 0.25 * (1.0 + math.log(2.0 * math.pi * t)) * float(erfc(-z)) \
-        - u * math.exp(-u * u / (2.0 * t)) / (2.0 * math.sqrt(2.0 * math.pi * t))
-    w = 0.5 * float(erfc(z))
-    if boltzmann == "tail-sum":
-        s_b = -float(xlogy(w, w)) * params.tail_mass + w * params.tail_entropy
-    elif boltzmann == "weighted-equilibrium":
-        s_b = w * params.equilibrium_entropy
-    else:
+def _components(params: ApproxEntropyParams, profile: GaussianProfile, t, boltzmann: str):
+    """S_G, S_B and w at each time of t, for a Gaussian piece of variance 2 D t."""
+    if boltzmann not in ("tail-sum", "weighted-equilibrium"):
         raise ValueError(f"unknown boltzmann convention {boltzmann!r}")
+    t = _positive_times(t)
+    var = 2.0 * profile.diffusion * t
+    u = params.n_prime - profile.velocity * t
+    z = u / np.sqrt(2.0 * var)
+    # erfc(-z) = 1 + erf(z), kept complementary for tiny tails; exp(-inf) = 0 near t = 0
+    with np.errstate(over="ignore"):
+        s_g = 0.25 * (1.0 + np.log(2.0 * math.pi * var)) * erfc(-z) \
+            - u * np.exp(-u * u / (2.0 * var)) / (2.0 * np.sqrt(2.0 * math.pi * var))
+    w = 0.5 * erfc(z)
+    s_b = (-xlogy(w, w) * params.tail_mass + w * params.tail_entropy
+           if boltzmann == "tail-sum" else w * params.equilibrium_entropy)
+    if t.ndim == 0:
+        s_g, s_b, w = float(s_g), float(s_b), float(w)
     return ApproxEntropyComponents(gaussian=s_g, boltzmann=s_b, weight=w)
 
 
-def approx_entropy(
-    spec: LinearWalkSpec,
-    t: float,
-    params: ApproxEntropyParams | None = None,
-    boltzmann: str = "tail-sum",
-) -> float:
+def approx_entropy_components(spec: LinearWalkSpec, t, params: ApproxEntropyParams | None = None,
+                              boltzmann: str = "tail-sum") -> ApproxEntropyComponents:
+    """S_G, S_B and the tail weight w at time t, or at each time of an array (see approx_entropy)."""
+    if params is None:
+        params = approx_entropy_params(spec.n_nodes, spec.omega)
+    return _components(params, GaussianProfile.for_omega(spec.omega), t, boltzmann)
+
+
+def approx_entropy(spec: LinearWalkSpec, t, params: ApproxEntropyParams | None = None,
+                   boltzmann: str = "tail-sum"):
     """Closed-form entropy S_a(t) = S_G(t) + S_B(t) of the two-piece profile.
 
     S_G is the exact differential entropy of the Gaussian piece truncated at
@@ -312,7 +313,8 @@ def approx_entropy(
     - "weighted-equilibrium": w(t) times the full closed-form equilibrium
       entropy; saturates at the exact steady-state entropy.
 
-    For t well below t_start both reduce to (1/2) log(2 pi e t).
+    For t well below t_start both reduce to (1/2) log(2 pi e t).  An array of
+    times (every entry > 0) gives an array shaped like it.
     """
     return approx_entropy_components(spec, t, params=params, boltzmann=boltzmann).total
 
@@ -564,14 +566,12 @@ def error_metrics(
         raise ValueError(
             f"trajectory covers {trajectory.steps} steps but the window ends at {hi}"
         )
-    if approx is None:
-        if params is None:
-            params = approx_entropy_params(spec.n_nodes, spec.omega)
-        approx = lambda t: approx_entropy(spec, t, params=params, boltzmann=boltzmann)
-
     ts = np.arange(lo, hi + 1)
+    if approx is None:
+        s_approx = approx_entropy(spec, ts, params=params, boltzmann=boltzmann)
+    else:
+        s_approx = np.array([approx(int(t)) for t in ts])
     s_exact = trajectory.entropy[ts]
-    s_approx = np.array([approx(int(t)) for t in ts])
     delta = np.abs(s_approx - s_exact)
     rel = delta / s_exact
     log_n = math.log(spec.n_nodes)
@@ -594,8 +594,7 @@ def noneq_temperature_analytic(profile: GaussianProfile, epsilon: float, t: floa
     Valid while the packet is clear of the boundary (t < t_start); beyond
     that use the trajectory's finite-difference estimate.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _positive_times(t)
     return 2.0 * profile.velocity * epsilon * t
 
 

@@ -230,6 +230,22 @@ def test_approx_entropy_series(tmp_path):
     assert all(b >= a for a, b in zip(ws, ws[1:]))
 
 
+@pytest.mark.parametrize("command", ["trajectory", "approx-entropy"])
+def test_negative_steps_are_refused(command, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, "--n-nodes", "100", "--omega", "0.7", "--steps", "-5",
+                 "--out", str(out)]) == 2
+    assert "steps must be nonnegative, got -5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trajectory", "approx-entropy", "table", "dqc"])
+def test_single_omega_commands_refuse_a_range(command, capsys):
+    steps = ["--steps", "10"] if command == "trajectory" else []
+    assert main([command, "--n-nodes", "50", "--omega", "0.6:0.8:0.1"] + steps) == 2
+    assert f"oqwalk: error: {command} takes a single omega" in capsys.readouterr().err
+
+
 def test_table_matches_library(tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     assert main(["table", "--n-nodes", "100", "--omega", "0.6666666666666666",

@@ -80,6 +80,18 @@ def test_ensemble_point_consistency():
         EnsemblePoint(n_nodes=10, epsilon=1.0, beta=1.0, omega=0.9)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_ensemble_point_rejects_non_finite_beta(beta):
+    # nan slips past the beta/omega consistency check (every comparison is
+    # False) and +-inf clamps omega to the nearest interior double
+    with pytest.raises(ValueError, match="beta must be finite"):
+        EnsemblePoint(10, 1.0, beta, 0.5)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        EnsemblePoint.from_beta(10, beta)
+    # the finite extremes stay valid
+    assert EnsemblePoint.from_beta(5, math.copysign(800.0, beta)).beta == math.copysign(800.0, beta)
+
+
 # ---------------------------------------------------------------- Z
 
 def test_partition_function_values():

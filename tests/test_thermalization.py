@@ -1,11 +1,13 @@
 """Trajectories, thermalization window, entropy approximation, entropy production."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 from scipy.special import xlogy
 
@@ -249,6 +251,94 @@ def test_approx_entropy_rejects_bad_inputs():
         th.approx_entropy(spec, 0.0)
     with pytest.raises(ValueError):
         th.approx_entropy(spec, 10.0, boltzmann="nonsense")
+    with pytest.raises(ValueError, match="t must be positive, got nan"):
+        th.approx_entropy(spec, math.nan)
+
+
+def test_approx_entropy_over_a_time_array():
+    spec = LinearWalkSpec(100, 2 / 3)
+    ts = np.arange(1, 509)
+    c = th.approx_entropy_components(spec, ts)
+    assert c.gaussian.shape == c.boltzmann.shape == c.weight.shape == c.total.shape == ts.shape
+    np.testing.assert_array_equal(th.approx_entropy(spec, ts), c.total)
+    one = th.approx_entropy_components(spec, 250)
+    assert all(type(v) is float for v in (one.gaussian, one.boltzmann, one.weight, one.total))
+    assert type(th.approx_entropy(spec, 250.0)) is float
+    assert type(th.tail_weight(th.approx_entropy_params(100, 2 / 3),
+                               th.GaussianProfile.for_omega(2 / 3), 250)) is float
+
+
+_times = st.floats(0.0, 1e6, exclude_min=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(10, 100_000),
+       omega=st.floats(0.55, 0.95, exclude_min=True, exclude_max=True),
+       ts=hnp.arrays(float, hnp.array_shapes(min_dims=1, max_dims=2, max_side=8),
+                     elements=_times))
+def test_time_arrays_equal_the_scalar_calls(n, omega, ts):
+    # one code path: every entry of an array call is the scalar call, bit for bit
+    spec = LinearWalkSpec(n, omega)
+    params = th.approx_entropy_params(n, omega)
+    prof = th.GaussianProfile.for_omega(omega)
+    for boltzmann in ("tail-sum", "weighted-equilibrium"):
+        got = th.approx_entropy_components(spec, ts, params=params, boltzmann=boltzmann)
+        ones = [th.approx_entropy_components(spec, float(t), params=params, boltzmann=boltzmann)
+                for t in ts.flat]
+        for name in ("gaussian", "boltzmann", "weight", "total"):
+            expected = np.reshape([getattr(c, name) for c in ones], ts.shape)
+            np.testing.assert_array_equal(getattr(got, name), expected)
+        np.testing.assert_array_equal(
+            th.approx_entropy(spec, ts, params=params, boltzmann=boltzmann), got.total)
+    weights = th.tail_weight(params, prof, ts)
+    np.testing.assert_array_equal(
+        weights, np.reshape([th.tail_weight(params, prof, float(t)) for t in ts.flat], ts.shape))
+
+
+_PARAMS_100 = th.approx_entropy_params(100, 2 / 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ts=hnp.arrays(float, st.integers(1, 20), elements=_times),
+       bad=st.sampled_from([0.0, -0.0, -1e-300, -1.0, -math.inf, math.nan]),
+       data=st.data())
+def test_a_bad_time_anywhere_is_refused(ts, bad, data):
+    ts = ts.copy()
+    ts[data.draw(st.integers(0, len(ts) - 1))] = bad
+    spec = LinearWalkSpec(100, 2 / 3)
+    for boltzmann in ("tail-sum", "weighted-equilibrium"):
+        with pytest.raises(ValueError, match="t must be positive"):
+            th.approx_entropy_components(spec, ts, params=_PARAMS_100, boltzmann=boltzmann)
+        with pytest.raises(ValueError, match="t must be positive"):
+            th.approx_entropy(spec, ts, params=_PARAMS_100, boltzmann=boltzmann)
+    with pytest.raises(ValueError, match="t must be positive"):
+        th.tail_weight(_PARAMS_100, th.GaussianProfile.for_omega(2 / 3), ts)
+
+
+def _gaussian_piece_mp(mp, n_prime, velocity, t):
+    # S_G's closed form at the given double inputs, in mpmath's precision
+    t = mp.mpf(t)
+    u = mp.mpf(n_prime) - mp.mpf(velocity) * t
+    z = u / mp.sqrt(2 * t)
+    return ((1 + mp.log(2 * mp.pi * t)) * mp.erfc(-z) / 4
+            - u * mp.exp(-u * u / (2 * t)) / (2 * mp.sqrt(2 * mp.pi * t)))
+
+
+def test_gaussian_piece_against_mpmath():
+    # 200 steps across the crossing t = n'/v ~ 1491.5, from the Gaussian regime
+    # to where erfc(-z) ~ 1e-11.  The bound is the worst relative error of the
+    # earlier per-step math.log/math.exp evaluation on this grid (7.58e-15).
+    mp = pytest.importorskip("mpmath")
+    spec = LinearWalkSpec(500, 2 / 3)
+    params = th.approx_entropy_params(500, 2 / 3)
+    prof = th.GaussianProfile.for_omega(2 / 3)
+    ts = np.arange(1000, 2600, 8)
+    assert ts[0] < params.n_prime / prof.velocity < ts[-1]
+    got = th.approx_entropy_components(spec, ts, params=params).gaussian
+    with mp.workdps(50):
+        ref = [_gaussian_piece_mp(mp, params.n_prime, prof.velocity, float(t)) for t in ts]
+        err = max(abs((mp.mpf(g) - r) / r) for g, r in zip(got.tolist(), ref))
+    assert err <= 7.6e-15
 
 
 # ---------------------------------------------------------------- trajectory
@@ -755,6 +845,42 @@ def test_error_metrics_regression_values():
     assert m2.mean_rel == pytest.approx(0.0398, abs=2e-4)
     assert m2.delta_logn_max == pytest.approx(0.0295, abs=2e-4)
     assert m2.mean_logn == pytest.approx(0.0187, abs=2e-4)
+
+
+@lru_cache(maxsize=4)
+def _window_run(n):
+    """Exact trajectory at omega = 2/3 up to the end of the thermalization window."""
+    spec = LinearWalkSpec(n, 2 / 3)
+    return spec, th.simulate_trajectory(spec, math.floor(th.thermalization_window(n, 2 / 3).t_end))
+
+
+def _metrics_row(n, k_upper):
+    spec, traj = _window_run(n)
+    m = th.error_metrics(spec, traj, params=th.approx_entropy_params(n, 2 / 3, k_upper=k_upper))
+    return m.delta_max, m.delta_rel_max, m.mean_rel, m.delta_logn_max, m.mean_logn
+
+
+# delta_max, delta_rel_max, mean_rel, delta_logN_max, mean_logN (tail-sum,
+# omega = 2/3) beyond the tabulated N = 100 and 500
+PAPER_SCALE_ROWS = {
+    (1_000, 4.0): (0.1028, 0.0696, 0.0139, 0.0149, 0.0049),
+    (1_000, 2.0): (0.6221, 0.4211, 0.1356, 0.0901, 0.0419),
+    (10_000, 4.0): (0.0979, 0.0645, 0.0106, 0.0106, 0.0030),
+    (10_000, 2.0): (0.6258, 0.4124, 0.1269, 0.0679, 0.0338),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k_upper", sorted(PAPER_SCALE_ROWS))
+def test_error_metrics_paper_scale_rows(n, k_upper):
+    assert _metrics_row(n, k_upper) == pytest.approx(PAPER_SCALE_ROWS[n, k_upper], abs=2e-4)
+
+
+@pytest.mark.slow
+def test_log_n_error_falls_with_n():
+    # the two-piece approximation gets relatively better as N grows
+    errors = [_metrics_row(n, 4.0)[3] for n in (100, 500, 1_000, 10_000)]
+    assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
 # ---------------------------------------------------------------- dqc estimates
