@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import OqwChannel
 
@@ -172,10 +171,11 @@ def markov_evolve(spec: LinearWalkSpec, p0: np.ndarray, steps: int) -> np.ndarra
 def steady_state(spec: LinearWalkSpec) -> np.ndarray:
     """Stationary distribution pi_m = a^m (a-1)/(a^N - 1), a = omega/(1-omega).
 
-    Evaluated in the log domain (logsumexp normalization) so it stays finite
-    and normalized for N up to 1e6 and omega in [1e-6, 1-1e-6]; the naive a^N
-    overflows doubles already at a = 2, N = 1100.  omega = 1/2 returns the
-    uniform distribution (the a -> 1 limit).
+    Evaluated in the log domain, normalized by a log-sum-exp anchored at the
+    dominant node, so it stays finite and normalized for N up to 1e6 and
+    omega in [1e-6, 1-1e-6]; the naive a^N overflows doubles already at
+    a = 2, N = 1100.  omega = 1/2 returns the uniform distribution (the
+    a -> 1 limit).
     """
     n = spec.n_nodes
     if spec.omega == 0.5:
@@ -186,7 +186,11 @@ def steady_state(spec: LinearWalkSpec) -> np.ndarray:
     # doubles only resolve ~2e-9 absolutely.
     anchor = n - 1 if log_a > 0 else 0
     logs = (np.arange(n) - anchor) * log_a
-    return np.exp(logs - logsumexp(logs))
+    # logs[anchor] = 0 is the maximum, so log(sum exp(logs)) = log1p(sum of the
+    # rest), which sums the same terms in the same order as a max-shifted logsumexp.
+    rest = np.exp(logs)
+    rest[anchor] = 0.0
+    return np.exp(logs - np.log1p(rest.sum()))
 
 
 def boundary_mass_bound(omega: float) -> float:

@@ -6,8 +6,11 @@ far boundary and deforms into the geometric steady state.  This module
 simulates exact trajectories, locates the deformation window, evaluates the
 two-piece (Gaussian + Boltzmann) entropy approximation, and produces the
 error metrics, time-dependent temperature, entropy production, and step-count
-estimates for dissipative computation runs.  The approximation evaluators are
-array-valued in t: floats for a scalar t, arrays shaped like an array of times.
+estimates for dissipative computation runs.  The approximation evaluators
+(and entropy_gaussian_regime) are array-valued in t: floats for a scalar t,
+arrays shaped like an array of times.  Their erfc is the C library's
+math.erfc, applied elementwise, and p log p with 0 log 0 = 0 has one
+definition (_xlogx) for the Shannon entropy and the Boltzmann piece.
 
 All analytic forms assume rightward drift (omega > 1/2).  For omega < 1/2
 mirror the node indices (omega -> 1-omega), which leaves every thermodynamic
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import erfc, xlogy
 
 from . import equilibrium
 from .equilibrium import EnsemblePoint
@@ -150,10 +152,13 @@ def thermalization_window(n_nodes: int, omega: float) -> ThermalizationWindow:
     )
 
 
-def entropy_gaussian_regime(t: float) -> float:
-    """Entropy of the free drifting packet, (1/2) log(2 pi e t); valid t < t_start."""
-    _positive_times(t)
-    return 0.5 * math.log(2.0 * math.pi * math.e * t)
+def entropy_gaussian_regime(t):
+    """Entropy of the free drifting packet, (1/2) log(2 pi e t); valid t < t_start.
+
+    Array-valued in t, like approx_entropy: a float for a scalar t.
+    """
+    s = 0.5 * np.log(2.0 * math.pi * math.e * _positive_times(t))
+    return float(s) if s.ndim == 0 else s
 
 
 @dataclass(frozen=True)
@@ -214,7 +219,7 @@ def approx_entropy_params(
         n_prime=n_prime,
         tail_start=tail_start,
         tail_mass=float(tail.sum()),
-        tail_entropy=float(-xlogy(tail, tail).sum()),
+        tail_entropy=shannon_entropy(tail),
         equilibrium_entropy=equilibrium.entropy(point),
     )
 
@@ -271,6 +276,12 @@ class ApproxEntropyComponents:
         return self.gaussian + self.boltzmann
 
 
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """erfc elementwise through the C library's math.erfc, within ~2 ulp deep into the tail."""
+    # fromiter fills the float result directly; np.frompyfunc would hold an object array
+    return np.fromiter(map(math.erfc, z.flat), float, z.size).reshape(z.shape)
+
+
 def _components(params: ApproxEntropyParams, profile: GaussianProfile, t, boltzmann: str):
     """S_G, S_B and w at each time of t, for a Gaussian piece of variance 2 D t."""
     if boltzmann not in ("tail-sum", "weighted-equilibrium"):
@@ -281,10 +292,10 @@ def _components(params: ApproxEntropyParams, profile: GaussianProfile, t, boltzm
     z = u / np.sqrt(2.0 * var)
     # erfc(-z) = 1 + erf(z), kept complementary for tiny tails; exp(-inf) = 0 near t = 0
     with np.errstate(over="ignore"):
-        s_g = 0.25 * (1.0 + np.log(2.0 * math.pi * var)) * erfc(-z) \
+        s_g = 0.25 * (1.0 + np.log(2.0 * math.pi * var)) * _erfc(-z) \
             - u * np.exp(-u * u / (2.0 * var)) / (2.0 * np.sqrt(2.0 * math.pi * var))
-    w = 0.5 * erfc(z)
-    s_b = (-xlogy(w, w) * params.tail_mass + w * params.tail_entropy
+    w = 0.5 * _erfc(z)
+    s_b = (-_xlogx(w) * params.tail_mass + w * params.tail_entropy
            if boltzmann == "tail-sum" else w * params.equilibrium_entropy)
     if t.ndim == 0:
         s_g, s_b, w = float(s_g), float(s_b), float(w)
@@ -329,11 +340,15 @@ def shannon_entropy(p: np.ndarray) -> float | np.ndarray:
     Neumann entropy of the full quantum state: every occupied block stays a
     rank-one projector, so the position marginal carries all the mixedness.
     """
-    p = np.asarray(p, dtype=float)
+    s = -_xlogx(np.asarray(p, dtype=float)).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
+
+
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p elementwise, with 0 log 0 = 0."""
     terms = np.log(p, out=np.zeros_like(p), where=p > 0)
     terms *= p
-    s = -terms.sum(axis=-1)
-    return float(s) if s.ndim == 0 else s
+    return terms
 
 
 @dataclass(frozen=True)

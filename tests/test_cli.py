@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -228,6 +231,30 @@ def test_approx_entropy_series(tmp_path):
     assert rows[49][1] == pytest.approx(th.entropy_gaussian_regime(50), abs=1e-6)
     ws = column(rows, 4)
     assert all(b >= a for a, b in zip(ws, ws[1:]))
+
+
+def test_approx_entropy_bad_convention_writes_nothing(tmp_path, capsys):
+    # the config file is the one way past argparse's choices
+    config = tmp_path / "bad.cfg"
+    config.write_text("boltzmann = bogus\n")
+    out = tmp_path / "sa.csv"
+    assert main(["approx-entropy", "--n-nodes", "100", "--omega", "0.7", "--steps", "10000",
+                 "--config", str(config), "--out", str(out)]) == 2
+    assert "unknown boltzmann convention" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_approx_entropy_memory_is_independent_of_steps(tmp_path):
+    # 300k steps: the one-call series peaked at ~21 MB under tracemalloc
+    tracemalloc.start()
+    try:
+        assert main(["approx-entropy", "--n-nodes", "100", "--omega", "0.7",
+                     "--steps", "300000", "--out", str(tmp_path / "sa.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert (tmp_path / "sa.csv").read_text().count("\n") == 1 + 300000
 
 
 @pytest.mark.parametrize("command", ["trajectory", "approx-entropy"])
@@ -515,6 +542,9 @@ WRITER_CASES = {
                lambda: _window(100, [0.55 + k * 0.1 for k in range(5)])),
     "approx-entropy": (["approx-entropy", "--n-nodes", "100", "--omega", str(OMEGA),
                         "--steps", "200"], lambda: _approx_entropy(100, OMEGA, 200)),
+    # 9000 rows: three blocks of t, the last one partial
+    "approx-entropy-blocks": (["approx-entropy", "--n-nodes", "500", "--omega", str(OMEGA),
+                               "--steps", "9000"], lambda: _approx_entropy(500, OMEGA, 9000)),
     "table": (["table", "--n-nodes", "100", "--omega", str(OMEGA)],
               lambda: _table(100, OMEGA)),
     "dqc": (["dqc", "--n-nodes", "100", "--omega", str(OMEGA)], lambda: _dqc(100, OMEGA)),
@@ -608,3 +638,38 @@ def test_dump_memory_is_independent_of_steps(tmp_path):
         tracemalloc.stop()
     assert peak < 10 * 2 ** 20
     assert (tmp_path / "dump.csv").read_text().count("\n") == 1 + 5001 * 100
+
+
+# Every subcommand once, on small inputs.
+ALL_SUBCOMMANDS = [
+    ["steady-state", "--n-nodes", "30", "--omega", "0.1:0.9:0.2"],
+    ["equilibrium", "--n-nodes", "30", "--omega", "0.1:0.9:0.2"],
+    ["trajectory", "--n-nodes", "30", "--omega", "0.7", "--steps", "50",
+     "--dump-distributions", "dump.csv"],
+    ["window", "--n-nodes", "30", "--omega", "0.6:0.9:0.1"],
+    ["approx-entropy", "--n-nodes", "100", "--omega", "0.7"],
+    ["table", "--n-nodes", "100", "--omega", "0.7"],
+    ["dqc", "--n-nodes", "100", "--omega", "0.7"],
+]
+
+
+def test_subcommands_run_without_scipy(tmp_path):
+    # A None entry in sys.modules makes every `import scipy...` raise
+    # ImportError, so a scipy import anywhere in the package, lazy or not, fails.
+    assert {argv[0] for argv in ALL_SUBCOMMANDS} == {
+        name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    script = f"""
+import sys
+sys.modules["scipy"] = None
+from oqwalk.cli import main
+for argv in {ALL_SUBCOMMANDS!r}:
+    assert main(argv + ["--out", argv[0] + ".csv"]) == 0, argv
+assert not any(name.startswith("scipy") for name in sys.modules if sys.modules[name])
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.glob("*.csv"))) == len(ALL_SUBCOMMANDS) + 1

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from oqwalk import channel as ch
 from oqwalk import linear as lin
@@ -222,6 +223,20 @@ def test_steady_state_matches_brute_force():
     for n, omega in [(10, 0.35), (25, 0.8), (100, 0.55)]:
         np.testing.assert_allclose(
             lin.steady_state(LinearWalkSpec(n, omega)), brute_steady(n, omega), atol=1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 100_000),
+       omega=st.floats(1e-6, 1 - 1e-6).filter(lambda omega: omega != 0.5))
+@example(n=100_000, omega=2 / 3)
+@example(n=100_000, omega=1e-6)
+@example(n=100_000, omega=1 - 1e-6)
+def test_steady_state_keeps_the_logsumexp_bits(n, omega):
+    # the normalization is scipy's logsumexp, bit for bit, on the same exponents
+    log_a = math.log(omega) - math.log1p(-omega)
+    logs = (np.arange(n) - (n - 1 if log_a > 0 else 0)) * log_a
+    np.testing.assert_array_equal(lin.steady_state(LinearWalkSpec(n, omega)),
+                                  np.exp(logs - logsumexp(logs)))
 
 
 # ---------------------------------------------------------------- boundary bound

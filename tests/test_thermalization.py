@@ -293,6 +293,9 @@ def test_time_arrays_equal_the_scalar_calls(n, omega, ts):
     weights = th.tail_weight(params, prof, ts)
     np.testing.assert_array_equal(
         weights, np.reshape([th.tail_weight(params, prof, float(t)) for t in ts.flat], ts.shape))
+    np.testing.assert_array_equal(
+        th.entropy_gaussian_regime(ts),
+        np.reshape([th.entropy_gaussian_regime(float(t)) for t in ts.flat], ts.shape))
 
 
 _PARAMS_100 = th.approx_entropy_params(100, 2 / 3)
@@ -313,6 +316,8 @@ def test_a_bad_time_anywhere_is_refused(ts, bad, data):
             th.approx_entropy(spec, ts, params=_PARAMS_100, boltzmann=boltzmann)
     with pytest.raises(ValueError, match="t must be positive"):
         th.tail_weight(_PARAMS_100, th.GaussianProfile.for_omega(2 / 3), ts)
+    with pytest.raises(ValueError, match="t must be positive"):
+        th.entropy_gaussian_regime(ts)
 
 
 def _gaussian_piece_mp(mp, n_prime, velocity, t):
@@ -339,6 +344,26 @@ def test_gaussian_piece_against_mpmath():
         ref = [_gaussian_piece_mp(mp, params.n_prime, prof.velocity, float(t)) for t in ts]
         err = max(abs((mp.mpf(g) - r) / r) for g, r in zip(got.tolist(), ref))
     assert err <= 7.6e-15
+
+
+@pytest.mark.parametrize("n,steps,stride", [(500, 3000, 3), (10_000, 40_000, 40)])
+def test_tail_weight_against_mpmath(n, steps, stride):
+    # w = erfc(z)/2 at the double z the kernel forms, over the whole horizon.
+    # Early on w falls through the subnormal range to 0; it is compared
+    # wherever the reference is a normal double.
+    mp = pytest.importorskip("mpmath")
+    params = th.approx_entropy_params(n, 2 / 3)
+    prof = th.GaussianProfile.for_omega(2 / 3)
+    ts = np.arange(1, steps + 1, stride)
+    got = th.tail_weight(params, prof, ts)
+    z = (params.n_prime - prof.velocity * ts) / np.sqrt(2.0 * (2.0 * prof.diffusion * ts))
+    with mp.workdps(50):
+        ref = [mp.erfc(mp.mpf(v)) / 2 for v in z.tolist()]
+        normal = [r >= np.finfo(float).tiny for r in ref]
+        assert sum(normal) > len(ts) // 2
+        assert all(g > 0 for g, ok in zip(got.tolist(), normal) if ok)
+        err = max(abs((mp.mpf(g) - r) / r) for g, r, ok in zip(got.tolist(), ref, normal) if ok)
+    assert err <= 1e-15
 
 
 # ---------------------------------------------------------------- trajectory
