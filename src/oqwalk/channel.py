@@ -10,10 +10,20 @@ a state holds `rho` (N, d, d), traces summing to one.  Checks run once, at
 construction (completeness; Hermiticity, positivity, trace), and `step` only
 reads the stored report, since a complete CP map keeps a valid state valid.
 All arrays are read-only, so both objects are immutable and `step` is pure.
+
+Sums over edges (the completeness check and `step`) go through one scatter,
+`_scatter`: a 1-D float `np.add.at` over the real and imaginary parts of the
+(E, d, d) terms, in edge order, at a flat index built from the edges' nodes.
+A channel builds the index of `dst` once, at construction.  Complex addition
+is componentwise and `add.at` adds in index order, so each element receives
+the same sums as a complex `np.add.at(out, nodes, terms)`, bit for bit.
+A state's `blocks` mapping is indexed from `rho` the first time it is read,
+so `step` does array work only.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -66,6 +76,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _flat_index(nodes: np.ndarray, dim: int) -> np.ndarray:
+    """Float offsets of the blocks at `nodes` in a flat (N, dim, dim) complex array."""
+    width = 2 * dim * dim
+    return (nodes[:, None] * width + np.arange(width)).ravel()
+
+
+def _scatter(out: np.ndarray, index: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """out[nodes[e]] += terms[e] for each edge e in order, `index` = _flat_index(nodes).
+
+    A 1-D float `np.add.at`, which numpy (>= 1.25) runs on its fast path.
+    """
+    np.add.at(out.reshape(-1).view(float), index, terms.reshape(-1).view(float))
+    return out
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validate_channel: ok iff every node's defect is within tolerance.
@@ -100,6 +125,7 @@ class OqwChannel:
     dst: np.ndarray = field(init=False, repr=False, compare=False)
     ops: np.ndarray = field(init=False, repr=False, compare=False)
     report: ValidationReport = field(init=False, repr=False, compare=False)
+    _dst_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, d = self.node_count, self.internal_dim
@@ -108,20 +134,25 @@ class OqwChannel:
                 raise ChannelStructureError(f"{name} must be >= 1, got {value}")
         edges = []
         for key in self.transitions:
-            i, j = key
+            try:
+                i, j = map(operator.index, key)
+            except (TypeError, ValueError):
+                raise ChannelStructureError(
+                    f"transition key {key!r} is not a pair of integer node indices") from None
             if not (0 <= i < n and 0 <= j < n):
                 raise ChannelStructureError(f"transition {key} outside node range")
-            edges.append((int(i), int(j)))
+            edges.append((i, j))
         ops = [_as_operator(op, d) for op in self.transitions.values()]
         ops = _frozen(np.array(ops, dtype=complex).reshape(-1, d, d))
         src, dst = _frozen(np.array(edges, dtype=np.intp).reshape(-1, 2)).T
-        acc = np.zeros((n, d, d), dtype=complex)
-        np.add.at(acc, src, _dagger(ops) @ ops)
+        acc = _scatter(np.zeros((n, d, d), dtype=complex), _flat_index(src, d),
+                       _dagger(ops) @ ops)
         defects = np.abs(acc - np.eye(d)).max(axis=(1, 2))
         report = ValidationReport(ok=bool(defects.max() <= STRUCTURAL_TOL),
                                   defects=dict(enumerate(defects.tolist())))
         for name, value in [("transitions", MappingProxyType(dict(zip(edges, ops)))),
-                            ("src", src), ("dst", dst), ("ops", ops), ("report", report)]:
+                            ("src", src), ("dst", dst), ("ops", ops), ("report", report),
+                            ("_dst_index", _frozen(_flat_index(dst, d)))]:
             object.__setattr__(self, name, value)
 
     def __reduce__(self):  # unpickle through the checks, which re-freeze the arrays
@@ -139,7 +170,10 @@ def validate_channel(channel: OqwChannel) -> ValidationReport:
 
 @dataclass(frozen=True)
 class BlockState:
-    """Block-diagonal walk state: read-only `rho` (N, d, d); `blocks` maps nonzero nodes."""
+    """Block-diagonal walk state: read-only `rho` (N, d, d); `blocks` maps nonzero nodes.
+
+    `blocks` is a read-only mapping of views of `rho`, indexed on first read.
+    """
 
     node_count: int
     blocks: Mapping[int, np.ndarray]
@@ -148,9 +182,15 @@ class BlockState:
     def __post_init__(self) -> None:
         if not self.blocks:
             raise ValueError("state needs at least one block")
-        for node in self.blocks:
+        nodes = []
+        for key in self.blocks:
+            try:
+                node = operator.index(key)
+            except TypeError:
+                raise ValueError(f"block node {key!r} is not an integer index") from None
             if not 0 <= node < self.node_count:
-                raise ValueError(f"block node {node} outside 0..{self.node_count - 1}")
+                raise ValueError(f"block node {key} outside 0..{self.node_count - 1}")
+            nodes.append(node)
         dim = _as_operator(next(iter(self.blocks.values()))).shape[0]
         b = np.array([_as_operator(m, dim) for m in self.blocks.values()])
         if np.abs(b - _dagger(b)).max() > _HERMITIAN_TOL:
@@ -161,14 +201,21 @@ class BlockState:
         if abs(total - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"block traces sum to {total}, not 1")
         rho = np.zeros((self.node_count, dim, dim), dtype=complex)
-        rho[[int(node) for node in self.blocks]] = b
+        rho[nodes] = b
         self._store(rho)
 
     def _store(self, rho: np.ndarray) -> None:
         object.__setattr__(self, "node_count", rho.shape[0])
         object.__setattr__(self, "rho", _frozen(rho))
-        occupied = np.flatnonzero(rho.any(axis=(1, 2)))
-        object.__setattr__(self, "blocks", MappingProxyType({int(i): rho[i] for i in occupied}))
+        vars(self).pop("blocks", None)  # indexed from rho on first read, in __getattr__
+
+    def __getattr__(self, name: str):
+        if name != "blocks" or "rho" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        occupied = np.flatnonzero(self.rho.any(axis=(1, 2)))
+        blocks = MappingProxyType({int(i): self.rho[i] for i in occupied})
+        object.__setattr__(self, "blocks", blocks)
+        return blocks
 
     @classmethod
     def _trusted(cls, rho: np.ndarray) -> "BlockState":
@@ -197,6 +244,10 @@ class BlockState:
 def step(channel: OqwChannel, state: BlockState) -> BlockState:
     """One application of the walk: rho'[j] = sum_i B[i,j] rho[i] B[i,j]^dagger.
 
+    Two batched matmuls give the (E, d, d) terms, which `_scatter` adds into
+    rho' in edge order at the flat `dst` index the channel built at
+    construction; the result is then made exactly Hermitian.  No mapping is
+    built: the new state's `blocks` is indexed on first read.
     Refuses channels whose stored report failed, as they do not preserve trace.
     """
     report = channel.report
@@ -209,8 +260,8 @@ def step(channel: OqwChannel, state: BlockState) -> BlockState:
     if state.rho.shape[:2] != (channel.node_count, channel.internal_dim):
         raise ValueError(f"state of shape {state.rho.shape} fed to channel on "
                          f"{channel.node_count} nodes with internal dim {channel.internal_dim}")
-    rho = np.zeros_like(state.rho)
-    np.add.at(rho, channel.dst, channel.ops @ state.rho[channel.src] @ _dagger(channel.ops))
+    rho = _scatter(np.zeros_like(state.rho), channel._dst_index,
+                   channel.ops @ state.rho[channel.src] @ _dagger(channel.ops))
     # Kill roundoff asymmetry so the PSD/Hermitian invariants stay exact.
     return BlockState._trusted(0.5 * (rho + _dagger(rho)))
 

@@ -2,9 +2,12 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oqwalk import channel as ch
 from oqwalk import linear as lin
@@ -56,7 +59,34 @@ def test_structure_errors_distinct_from_completeness():
         OqwChannel(2, 1, {(0, 1): np.ones((1, 2))})
 
 
+@pytest.mark.parametrize("key", [(0.5, 1), (1, 1.0), (np.float64(0.0), 1), (0,), (0, 1, 1),
+                                 "01", 1])
+def test_channel_refuses_non_integer_transition_keys(key):
+    with pytest.raises(ch.ChannelStructureError, match=re.escape(repr(key))):
+        OqwChannel(2, 1, {key: np.ones((1, 1))})
+
+
+def test_channel_accepts_numpy_integer_keys():
+    chan = OqwChannel(2, 1, {(np.int64(0), np.int32(1)): np.ones((1, 1)),
+                             (np.intp(1), 1): np.ones((1, 1))})
+    assert list(chan.transitions) == [(0, 1), (1, 1)]
+    assert all(type(i) is int for key in chan.transitions for i in key)
+    np.testing.assert_array_equal(chan.src, [0, 1])
+    np.testing.assert_array_equal(chan.dst, [1, 1])
+
+
 # ---------------------------------------------------------------- block states
+
+@pytest.mark.parametrize("key", [1.7, 1.0, np.float64(1.0), "1", (1,)])
+def test_block_state_refuses_non_integer_nodes(key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        BlockState(3, {key: np.eye(1)})
+
+
+def test_block_state_accepts_numpy_integer_nodes():
+    state = BlockState(3, {np.int64(2): np.eye(1)})
+    np.testing.assert_array_equal(ch.position_marginal(state), [0, 0, 1])
+
 
 def test_block_state_validation():
     with pytest.raises(ValueError):
@@ -162,6 +192,106 @@ def test_engine_arrays_are_read_only():
     np.testing.assert_array_equal(clone.rho, state.rho)
     assert not clone.rho.flags.writeable
     assert not pickle.loads(pickle.dumps(chan)).ops.flags.writeable
+
+
+def random_complete_channel(rng, n, d):
+    """Ragged complete channel: in-degrees 0-4, node 0 never a target when n > 1.
+
+    Each source gets one edge to a random target with room, then a few more;
+    its operators are the d x d blocks of a random isometry, so that
+    sum_j B[i,j]^dagger B[i,j] = I.  The edges are inserted in shuffled order.
+    """
+    targets = list(range(1, n)) or [0]
+    indegree = dict.fromkeys(targets, 0)
+    out = {i: [] for i in range(n)}
+    for i in range(n):
+        for extra in range(1 + rng.integers(0, 3)):
+            room = [j for j in targets if indegree[j] < 4 and j not in out[i]]
+            if not room or (extra and rng.random() < 0.3):
+                break
+            j = room[rng.integers(len(room))]
+            out[i].append(j)
+            indegree[j] += 1
+    transitions = []
+    for i, js in out.items():
+        g = rng.standard_normal((len(js) * d, d)) + 1j * rng.standard_normal((len(js) * d, d))
+        q = np.linalg.qr(g)[0].reshape(len(js), d, d)
+        transitions += [((i, j), b) for j, b in zip(js, q)]
+    order = rng.permutation(len(transitions))
+    return OqwChannel(n, d, dict(transitions[k] for k in order))
+
+
+def random_state(rng, n, d):
+    occupied = rng.random(n) < 0.6
+    occupied[rng.integers(n)] = True
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    blocks = {i: g[i] @ g[i].conj().T for i in np.flatnonzero(occupied)}
+    total = sum(np.trace(b).real for b in blocks.values())
+    return BlockState(n, {int(i): b / total for i, b in blocks.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), d=st.integers(1, 3),
+       steps=st.integers(1, 6))
+def test_step_keeps_the_complex_add_at_bits(seed, n, d, steps):
+    # reference: the complex (E, d, d) scatter, edge by edge in index order
+    rng = np.random.default_rng(seed)
+    chan = random_complete_channel(rng, n, d)
+    clone = pickle.loads(pickle.dumps(chan))
+    assert chan.report.ok
+
+    def same_bits(a, b):
+        return (np.array_equal(a, b) and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+                and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+    for c in (chan, OqwChannel(n, d, {k: 1.01 * b for k, b in chan.transitions.items()})):
+        acc = np.zeros((n, d, d), dtype=complex)
+        np.add.at(acc, c.src, c.ops.conj().swapaxes(1, 2) @ c.ops)
+        defects = np.abs(acc - np.eye(d)).max(axis=(1, 2))
+        assert dict(c.report.defects) == dict(enumerate(defects.tolist()))
+
+    state = random_state(rng, n, d)
+    for _ in range(steps):
+        ref = np.zeros_like(state.rho)
+        np.add.at(ref, chan.dst,
+                  chan.ops @ state.rho[chan.src] @ chan.ops.conj().swapaxes(1, 2))
+        ref = 0.5 * (ref + ref.conj().swapaxes(1, 2))
+        new = ch.step(chan, state)
+        assert same_bits(new.rho, ref)
+        assert same_bits(ch.step(clone, state).rho, ref)
+        state = new
+
+
+def test_blocks_index_rho_on_first_read():
+    # the mapping is indexed from the frozen rho, with the keys and views it had
+    rng = np.random.default_rng(7)
+    chans = [linear_channel(6, 0.7, unitaries=(X, H, X @ H, H, X)),
+             random_complete_channel(rng, 7, 2)]
+    states = [BlockState.localized(6, 0, np.array([0.6, 0.8])), random_state(rng, 7, 2)]
+    for chan, state in zip(chans, states):
+        for _ in range(4):
+            state = ch.step(chan, state)
+            expect = {int(i): state.rho[i] for i in np.flatnonzero(state.rho.any(axis=(1, 2)))}
+            blocks = state.blocks
+            assert list(dict(blocks)) == sorted(expect)
+            assert len(blocks) == len(expect)
+            assert list(blocks) == list(expect)
+            for node, block in blocks.items():
+                assert node in blocks
+                np.testing.assert_array_equal(block, expect[node])
+                assert np.shares_memory(block, state.rho)
+                assert not block.flags.writeable
+            assert state.node_count not in blocks
+            assert state.blocks is blocks
+            with pytest.raises(TypeError):
+                blocks[0] = np.eye(2)
+            with pytest.raises(TypeError):
+                del blocks[next(iter(blocks))]
+            clone = pickle.loads(pickle.dumps(state))
+            assert list(clone.blocks) == list(blocks)
+            for node in blocks:
+                np.testing.assert_array_equal(clone.blocks[node], blocks[node])
+                assert np.shares_memory(clone.blocks[node], clone.rho)
 
 
 # ---------------------------------------------------------------- marginals
