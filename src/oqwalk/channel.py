@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "STRUCTURAL_TOL",
-    "STEP_TRACE_TOL",
     "ChannelStructureError",
     "ChannelCompletenessError",
     "OqwChannel",
@@ -43,10 +42,9 @@ __all__ = [
     "position_marginal",
 ]
 
-# Structural tolerances: completeness defect, PSD eigenvalue floor, state
-# normalization.  Per-step trace drift is held an order tighter.
+# Structural tolerance: completeness defect, PSD eigenvalue floor, state
+# normalization.
 STRUCTURAL_TOL = 1e-10
-STEP_TRACE_TOL = 1e-12
 _HERMITIAN_TOL = 1e-12
 
 
@@ -111,21 +109,23 @@ class ValidationReport:
         return {i: d for i, d in self.defects.items() if d > STRUCTURAL_TOL}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OqwChannel:
     """Sparse family of per-edge operators {(source, target): B} on a graph.
 
     Absent pairs are zero operators; `transitions` is a read-only view of `ops`.
+    `==` and `hash` go by identity: to compare two channels' contents, compare
+    `src`, `dst` and `ops` with `np.array_equal`.
     """
 
     node_count: int
     internal_dim: int
     transitions: Mapping[tuple[int, int], np.ndarray]
-    src: np.ndarray = field(init=False, repr=False, compare=False)
-    dst: np.ndarray = field(init=False, repr=False, compare=False)
-    ops: np.ndarray = field(init=False, repr=False, compare=False)
-    report: ValidationReport = field(init=False, repr=False, compare=False)
-    _dst_index: np.ndarray = field(init=False, repr=False, compare=False)
+    src: np.ndarray = field(init=False, repr=False)
+    dst: np.ndarray = field(init=False, repr=False)
+    ops: np.ndarray = field(init=False, repr=False)
+    report: ValidationReport = field(init=False, repr=False)
+    _dst_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, d = self.node_count, self.internal_dim
@@ -168,16 +168,18 @@ def validate_channel(channel: OqwChannel) -> ValidationReport:
     return channel.report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockState:
     """Block-diagonal walk state: read-only `rho` (N, d, d); `blocks` maps nonzero nodes.
 
     `blocks` is a read-only mapping of views of `rho`, indexed on first read.
+    `==` and `hash` go by identity: to compare two states, compare `rho` with
+    `np.array_equal` (or `np.allclose`).
     """
 
     node_count: int
     blocks: Mapping[int, np.ndarray]
-    rho: np.ndarray = field(init=False, repr=False, compare=False)
+    rho: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:

@@ -24,7 +24,9 @@ once the first block has checked its inputs, so its memory does not grow
 with --steps.
 
 A config file (--config, `key = value` lines, # comments) can supply any long
-flag; explicit command-line flags win.
+flag, each value read with that flag's type; explicit command-line flags win.
+A key that names no flag is refused with its file and line, a key for a flag
+the subcommand lacks is ignored, and `format` must be csv or json.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from itertools import chain
 
 import numpy as np
@@ -162,12 +165,6 @@ def _parse_omegas(text: str) -> list[float]:
     return (start + np.arange(count) * step).tolist()
 
 
-def _require(args, *names) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise CliError(EXIT_VALIDATION, f"missing required parameter --{name}")
-
-
 def _spec(args, omega: float) -> LinearWalkSpec:
     return LinearWalkSpec(args.n_nodes, omega, args.epsilon)
 
@@ -184,19 +181,6 @@ def _check_steps(steps: int | None) -> None:
         raise CliError(EXIT_VALIDATION, f"steps must be nonnegative, got {steps}")
 
 
-_CONFIG_CASTS = {
-    "n-nodes": int,
-    "omega": str,
-    "epsilon": float,
-    "steps": int,
-    "format": str,
-    "out": str,
-    "jobs": int,
-    "dump-distributions": str,
-    "boltzmann": str,
-}
-
-
 def _load_config(path: str) -> dict[str, object]:
     values: dict[str, object] = {}
     try:
@@ -211,28 +195,18 @@ def _load_config(path: str) -> dict[str, object]:
         if "=" not in line:
             raise CliError(EXIT_VALIDATION, f"{path}:{lineno}: expected `key = value`")
         key, _, val = (s.strip() for s in line.partition("="))
-        if key not in _CONFIG_CASTS:
+        if key not in _FLAGS or key == "config":
             raise CliError(EXIT_VALIDATION, f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key.replace("-", "_")] = _CONFIG_CASTS[key](val)
+            values[key.replace("-", "_")] = _FLAGS[key]["type"](val)
         except ValueError:
             raise CliError(EXIT_VALIDATION, f"{path}:{lineno}: bad value for {key}") from None
     return values
 
 
-def _merge_config(args) -> None:
-    # config supplies values only where the command line left the default None
-    if args.config is None:
-        return
-    for dest, value in _load_config(args.config).items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
-
-
 # ---------------------------------------------------------------- subcommands
 
 def cmd_steady_state(args) -> int:
-    _require(args, "n-nodes", "omega")
     omegas = _parse_omegas(args.omega)
     pis = [lin.steady_state(_spec(args, omega)) for omega in omegas]
     m = np.arange(args.n_nodes)
@@ -245,7 +219,6 @@ def cmd_steady_state(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
-    _require(args, "n-nodes", "omega")
     omegas = _parse_omegas(args.omega)
     for omega in omegas:
         if not 0.0 < omega < 1.0:
@@ -259,7 +232,6 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
-    _require(args, "n-nodes", "omega", "steps")
     spec = _spec(args, _single_omega(args))
     _check_steps(args.steps)
     traj = th.simulate_trajectory(spec, args.steps)
@@ -277,7 +249,6 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_window(args) -> int:
-    _require(args, "n-nodes", "omega")
     omegas = _parse_omegas(args.omega)
     windows = [th.thermalization_window(args.n_nodes, omega) for omega in omegas]
     columns = ([args.n_nodes] * len(omegas), omegas, [w.t_start for w in windows],
@@ -288,7 +259,6 @@ def cmd_window(args) -> int:
 
 
 def cmd_approx_entropy(args) -> int:
-    _require(args, "n-nodes", "omega")
     spec = _spec(args, _single_omega(args))
     _check_steps(args.steps)
     params = th.approx_entropy_params(spec.n_nodes, spec.omega)
@@ -297,8 +267,7 @@ def cmd_approx_entropy(args) -> int:
 
     def rows(start: int) -> tuple:
         ts = np.arange(start, min(start + _BLOCK_ROWS, horizon + 1))
-        c = th.approx_entropy_components(spec, ts, params=params,
-                                         boltzmann=args.boltzmann or "tail-sum")
+        c = th.approx_entropy_components(spec, ts, params=params, boltzmann=args.boltzmann)
         return ts, c.total, c.gaussian, c.boltzmann, c.weight
 
     # The kernel is elementwise in t, so blocks of t give the one-call bytes in
@@ -316,13 +285,11 @@ def _one_row(values: list) -> list[tuple]:
 
 
 def cmd_table(args) -> int:
-    _require(args, "n-nodes", "omega")
     spec = _spec(args, _single_omega(args))
-    boltzmann = args.boltzmann or "tail-sum"
     window = th.thermalization_window(spec.n_nodes, spec.omega)
     steps = args.steps if args.steps is not None else math.floor(window.t_end)
     traj = th.simulate_trajectory(spec, steps)
-    report = th.error_metrics(spec, traj, boltzmann=boltzmann)
+    report = th.error_metrics(spec, traj, boltzmann=args.boltzmann)
     print(f"error metrics for N={spec.n_nodes}, omega={spec.omega:.17g} "
           f"over steps [{math.ceil(window.t_start)}, {math.floor(window.t_end)}]:")
     for label, value in [
@@ -344,7 +311,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_dqc(args) -> int:
-    _require(args, "n-nodes", "omega")
     omega = _single_omega(args)
     est = th.dqc_step_estimates(args.n_nodes, omega)
     point = EnsemblePoint.from_omega(args.n_nodes, omega, args.epsilon)
@@ -364,63 +330,57 @@ def cmd_dqc(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+# Each long flag's argparse settings, in --help order; config values are read
+# with the same `type`.  A subcommand takes every flag that is no subcommand's
+# extra, plus its own extras.
+_FLAGS: dict[str, dict] = {
+    "n-nodes": dict(type=int, help="lattice size N"),
+    "omega": dict(type=str, help="hop weight: scalar or start:stop:step range"),
+    "epsilon": dict(type=float, default=1.0, help="level spacing (default 1)"),
+    "steps": dict(type=int, help="number of steps"),
+    "format": dict(type=str, choices=("csv", "json"), default="csv",
+                   help="output format (default csv)"),
+    "out": dict(type=str, help="output path (default stdout)"),
+    "jobs": dict(type=int, help="ignored; accepted so existing scripts and configs keep working"),
+    "dump-distributions": dict(type=str,
+                               help="also write per-step distributions (n,m,p) to this path"),
+    "boltzmann": dict(type=str, choices=("tail-sum", "weighted-equilibrium"), default="tail-sum",
+                      help="Boltzmann-piece convention of the entropy approximation "
+                           "(default tail-sum)"),
+    "config": dict(type=str, help="key = value file supplying defaults for the flags above"),
+}
+
+
+# A subcommand: its handler, help line, extra flags and required flags.
+_Command = namedtuple("_Command", "handler help extras required",
+                      defaults=((), ("n-nodes", "omega")))
+_COMMANDS = {
+    "steady-state": _Command(cmd_steady_state, "stationary distribution"),
+    "equilibrium": _Command(cmd_equilibrium, "equilibrium observable sweep"),
+    "trajectory": _Command(cmd_trajectory, "exact per-step series",
+                           ("steps", "dump-distributions"), ("n-nodes", "omega", "steps")),
+    "window": _Command(cmd_window, "thermalization window bounds"),
+    "approx-entropy": _Command(cmd_approx_entropy, "closed-form entropy approximation series",
+                               ("steps", "boltzmann")),
+    "table": _Command(cmd_table, "approximation error metrics over the window",
+                      ("steps", "boltzmann")),
+    "dqc": _Command(cmd_dqc, "step estimates and energy bookkeeping"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oqwalk",
         description="Linear open-quantum-walk simulations and thermodynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, steps=False, dump=False, boltzmann=False):
-        p.add_argument("--n-nodes", type=int, default=None, help="lattice size N")
-        p.add_argument("--omega", type=str, default=None,
-                       help="hop weight: scalar or start:stop:step range")
-        p.add_argument("--epsilon", type=float, default=None, help="level spacing (default 1)")
-        if steps:
-            p.add_argument("--steps", type=int, default=None, help="number of steps")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default csv)")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="ignored; accepted so existing scripts and configs keep working")
-        if dump:
-            p.add_argument("--dump-distributions", type=str, default=None,
-                           help="also write per-step distributions (n,m,p) to this path")
-        if boltzmann:
-            p.add_argument("--boltzmann", choices=("tail-sum", "weighted-equilibrium"),
-                           default=None,
-                           help="Boltzmann-piece convention of the entropy approximation "
-                                "(default tail-sum)")
-        p.add_argument("--config", type=str, default=None,
-                       help="key = value file supplying defaults for the flags above")
-
-    p = sub.add_parser("steady-state", help="stationary distribution")
-    common(p)
-    p.set_defaults(handler=cmd_steady_state)
-
-    p = sub.add_parser("equilibrium", help="equilibrium observable sweep")
-    common(p)
-    p.set_defaults(handler=cmd_equilibrium)
-
-    p = sub.add_parser("trajectory", help="exact per-step series")
-    common(p, steps=True, dump=True)
-    p.set_defaults(handler=cmd_trajectory)
-
-    p = sub.add_parser("window", help="thermalization window bounds")
-    common(p)
-    p.set_defaults(handler=cmd_window)
-
-    p = sub.add_parser("approx-entropy", help="closed-form entropy approximation series")
-    common(p, steps=True, boltzmann=True)
-    p.set_defaults(handler=cmd_approx_entropy)
-
-    p = sub.add_parser("table", help="approximation error metrics over the window")
-    common(p, steps=True, boltzmann=True)
-    p.set_defaults(handler=cmd_table)
-
-    p = sub.add_parser("dqc", help="step estimates and energy bookkeeping")
-    common(p)
-    p.set_defaults(handler=cmd_dqc)
+    extras = {flag for command in _COMMANDS.values() for flag in command.extras}
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, settings in _FLAGS.items():
+            if flag in command.extras or flag not in extras:
+                p.add_argument(f"--{flag}", **settings)
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -431,20 +391,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
-        _merge_config(args)
-        if args.epsilon is None:
-            args.epsilon = 1.0
-        if args.format is None:
-            args.format = "csv"
+        if args.config is not None:
+            # Typed defaults: argparse converts only string defaults, by `type`
+            # and never by `choices`.  Parsing argv again makes explicit flags win.
+            values = _load_config(args.config).items()
+            args.parser.set_defaults(**{k: v for k, v in values if hasattr(args, k)})
+            args = parser.parse_args(argv)
         if args.epsilon <= 0:
             raise CliError(EXIT_VALIDATION, f"epsilon must be positive, got {args.epsilon}")
-        return args.handler(args)
-    except CliError as exc:
+        if args.format not in _FLAGS["format"]["choices"]:
+            raise CliError(EXIT_VALIDATION, f"format must be csv or json, got {args.format!r}")
+        command = _COMMANDS[args.command]
+        for flag in command.required:
+            if getattr(args, flag.replace("-", "_")) is None:
+                raise CliError(EXIT_VALIDATION, f"missing required parameter --{flag}")
+        return command.handler(args)
+    except (CliError, ValueError) as exc:
         print(f"oqwalk: error: {exc}", file=sys.stderr)
-        return exc.code
-    except ValueError as exc:
-        print(f"oqwalk: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return exc.code if isinstance(exc, CliError) else EXIT_VALIDATION
 
 
 def entrypoint() -> None:

@@ -194,6 +194,20 @@ def test_engine_arrays_are_read_only():
     assert not pickle.loads(pickle.dumps(chan)).ops.flags.writeable
 
 
+@pytest.mark.parametrize("unitaries,psi", [(None, None), ((H, X), np.array([0.6, 0.8]))],
+                         ids=["d1", "d2"])
+def test_equality_is_identity_and_objects_hash(unitaries, psi):
+    # dataclass equality compared the array mappings and raised for d >= 2
+    chans = [linear_channel(3, 0.7, unitaries) for _ in range(2)]
+    states = [BlockState.localized(3, 0, psi) for _ in range(2)]
+    for a, b in (chans, states):
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert len({a, a, b}) == 2
+    np.testing.assert_array_equal(states[0].rho, states[1].rho)
+    np.testing.assert_array_equal(chans[0].ops, chans[1].ops)
+
+
 def random_complete_channel(rng, n, d):
     """Ragged complete channel: in-degrees 0-4, node 0 never a target when n > 1.
 

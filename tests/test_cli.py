@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -432,6 +433,102 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     cfg.write_text("nonsense = 1\n")
     assert main(["steady-state", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+_PLAIN = ["n-nodes", "omega", "epsilon", "format", "out", "jobs", "config"]
+_STEPS = ["n-nodes", "omega", "epsilon", "steps", "format", "out", "jobs"]
+SUBCOMMAND_FLAGS = {
+    "steady-state": _PLAIN,
+    "equilibrium": _PLAIN,
+    "trajectory": _STEPS + ["dump-distributions", "config"],
+    "window": _PLAIN,
+    "approx-entropy": _STEPS + ["boltzmann", "config"],
+    "table": _STEPS + ["boltzmann", "config"],
+    "dqc": _PLAIN,
+}
+# per flag: the value under test, and another one for the precedence check
+FLAG_VALUES = {
+    "n-nodes": ("12", "9"), "omega": ("0.7", "0.8"), "epsilon": ("2.5", "1.5"),
+    "steps": ("90", "80"), "format": ("json", "csv"), "out": ("o.txt", "p.txt"),
+    "jobs": ("3", "2"), "dump-distributions": ("d.txt", "e.txt"),
+    "boltzmann": ("weighted-equilibrium", "tail-sum"),
+}
+
+
+def test_each_subcommand_lists_its_flags_in_order(capsys):
+    assert main(["--help"]) == 0
+    assert f"{{{','.join(SUBCOMMAND_FLAGS)}}}" in capsys.readouterr().out
+    for command, flags in SUBCOMMAND_FLAGS.items():
+        assert main([command, "--help"]) == 0
+        assert re.findall(r"^  --([\w-]+)", capsys.readouterr().out, re.M) == flags
+
+
+def _base_argv(command, skip):
+    """The subcommand with its required flags, and --steps for trajectory, but `skip`."""
+    needed = ["n-nodes", "omega"] + (["steps"] if command == "trajectory" else [])
+    return [command] + [a for f in needed if f != skip for a in (f"--{f}", FLAG_VALUES[f][0])]
+
+
+def _run(capsys, argv, config=None):
+    """(exit code, stdout, stderr, written files) of one run in the working directory.
+
+    The config text goes to run.cfg; every file is removed afterwards.
+    """
+    if config is not None:
+        with open("run.cfg", "w") as fh:
+            fh.write(config)
+        argv = argv + ["--config", "run.cfg"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    files = {}
+    for name in sorted(os.listdir()):
+        with open(name, "rb") as fh:
+            files[name] = fh.read()
+        os.remove(name)
+    files.pop("run.cfg", None)
+    return code, captured.out, captured.err, files
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in SUBCOMMAND_FLAGS.items()
+                                          for f in flags if f != "config"])
+def test_config_line_matches_the_flag(command, flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = _base_argv(command, flag)
+    value, other = FLAG_VALUES[flag]
+    from_flag = _run(capsys, base + [f"--{flag}", value])
+    assert from_flag[0] == 0
+    assert _run(capsys, base, f"{flag} = {value}\n") == from_flag
+    # an explicit flag beats the config value for that flag
+    assert _run(capsys, base + [f"--{flag}", value], f"{flag} = {other}\n") == from_flag
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c, flags in SUBCOMMAND_FLAGS.items()
+                                          for f in FLAG_VALUES if f not in flags])
+def test_config_key_of_another_subcommand_is_ignored(command, flag, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = _base_argv(command, None)
+    plain = _run(capsys, base)
+    assert plain[0] == 0
+    assert _run(capsys, base, f"{flag} = {FLAG_VALUES[flag][0]}\n") == plain
+
+
+@pytest.mark.parametrize("key", ["config", "handler", "parser", "command"])
+def test_config_refuses_keys_that_name_no_flag(key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"n-nodes = 5\n{key} = steady-state\n")
+    assert main(["steady-state", "--omega", "0.5", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"oqwalk: error: {cfg}:2: unknown key {key!r}\n")
+
+
+@pytest.mark.parametrize("argv", [["steady-state"], ["dqc", "--out", "dqc.csv"]])
+def test_config_format_outside_choices_is_refused(argv, tmp_path, capsys, monkeypatch):
+    # argparse checks --format's choices on the command line only
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("format = xml\n")
+    assert main(argv + ["--n-nodes", "3", "--omega", "0.7", "--config", "run.cfg"]) == 2
+    assert capsys.readouterr() == ("", "oqwalk: error: format must be csv or json, got 'xml'\n")
+    assert os.listdir(tmp_path) == ["run.cfg"]
 
 
 def test_stdout_output(capsys):
