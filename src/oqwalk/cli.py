@@ -176,11 +176,6 @@ def _single_omega(args) -> float:
     return omegas[0]
 
 
-def _check_steps(steps: int | None) -> None:
-    if steps is not None and steps < 0:
-        raise CliError(EXIT_VALIDATION, f"steps must be nonnegative, got {steps}")
-
-
 def _load_config(path: str) -> dict[str, object]:
     values: dict[str, object] = {}
     try:
@@ -205,20 +200,21 @@ def _load_config(path: str) -> dict[str, object]:
 
 
 # ---------------------------------------------------------------- subcommands
+# Each handler yields its tables as (path, fields, chunks), path None meaning
+# stdout; main writes each table before it asks for the next.
 
-def cmd_steady_state(args) -> int:
+def cmd_steady_state(args):
     omegas = _parse_omegas(args.omega)
     pis = [lin.steady_state(_spec(args, omega)) for omega in omegas]
     m = np.arange(args.n_nodes)
     if len(omegas) > 1:
         chunks = [(np.full(len(pi), omega), m, pi) for omega, pi in zip(omegas, pis)]
-        _emit(args.out, ["omega", "m", "pi"], chunks, args.format)
+        yield args.out, ["omega", "m", "pi"], chunks
     else:
-        _emit(args.out, ["m", "pi"], [(m, pis[0])], args.format)
-    return EXIT_OK
+        yield args.out, ["m", "pi"], [(m, pis[0])]
 
 
-def cmd_equilibrium(args) -> int:
+def cmd_equilibrium(args):
     omegas = _parse_omegas(args.omega)
     for omega in omegas:
         if not 0.0 < omega < 1.0:
@@ -226,41 +222,36 @@ def cmd_equilibrium(args) -> int:
     betas = [eq.beta_from_omega(omega, args.epsilon) for omega in omegas]
     tp = eq.thermo_points(args.n_nodes, betas, args.epsilon)
     columns = (omegas, betas, tp.T, tp.Z, tp.mean_E, tp.var_E, tp.S, tp.F, tp.C_V)
-    _emit(args.out, ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], [columns],
-          args.format)
-    return EXIT_OK
+    yield args.out, ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], [columns]
 
 
-def cmd_trajectory(args) -> int:
+def cmd_trajectory(args):
     spec = _spec(args, _single_omega(args))
-    _check_steps(args.steps)
     traj = th.simulate_trajectory(spec, args.steps)
     series = (np.arange(args.steps + 1), traj.entropy, traj.energy,
               traj.temperature_estimate, traj.entropy_generated)
-    _emit(args.out, ["n", "S", "E", "T_est", "S_gen"], [series], args.format)
+    yield args.out, ["n", "S", "E", "T_est", "S_gen"], [series]
     if args.dump_distributions is not None:
         # Replay the deterministic chain step by step (bit-identical to the
         # series run) so the dump holds one distribution at a time: O(N) memory.
         m = np.arange(spec.n_nodes)
         chunks = ((np.full(spec.n_nodes, n), m, p)
                   for n, p in enumerate(th.iter_distributions(spec, args.steps)))
-        _emit(args.dump_distributions, ["n", "m", "p"], chunks, args.format)
-    return EXIT_OK
+        yield args.dump_distributions, ["n", "m", "p"], chunks
 
 
-def cmd_window(args) -> int:
+def cmd_window(args):
     omegas = _parse_omegas(args.omega)
     windows = [th.thermalization_window(args.n_nodes, omega) for omega in omegas]
     columns = ([args.n_nodes] * len(omegas), omegas, [w.t_start for w in windows],
                [w.t_end for w in windows], [w.t_therm for w in windows])
-    _emit(args.out, ["n_nodes", "omega", "t_start", "t_end", "t_therm"], [columns],
-          args.format)
-    return EXIT_OK
+    yield args.out, ["n_nodes", "omega", "t_start", "t_end", "t_therm"], [columns]
 
 
-def cmd_approx_entropy(args) -> int:
+def cmd_approx_entropy(args):
     spec = _spec(args, _single_omega(args))
-    _check_steps(args.steps)
+    if args.steps is not None:
+        lin._check_steps(args.steps)
     params = th.approx_entropy_params(spec.n_nodes, spec.omega)
     window = th.thermalization_window(spec.n_nodes, spec.omega)
     horizon = args.steps if args.steps is not None else math.ceil(1.2 * window.t_end)
@@ -275,16 +266,15 @@ def cmd_approx_entropy(args) -> int:
     # which refuses a bad --boltzmann with nothing written.
     first = rows(1)
     rest = map(rows, range(1 + _BLOCK_ROWS, horizon + 1, _BLOCK_ROWS))
-    _emit(args.out, ["t", "S_a", "S_G", "S_B", "w"], chain([first], rest), args.format)
-    return EXIT_OK
+    yield args.out, ["t", "S_a", "S_G", "S_B", "w"], chain([first], rest)
 
 
 def _one_row(values: list) -> list[tuple]:
-    """A single-row table as the one chunk `_emit` takes."""
+    """A single-row table as its one chunk."""
     return [tuple([v] for v in values)]
 
 
-def cmd_table(args) -> int:
+def cmd_table(args):
     spec = _spec(args, _single_omega(args))
     window = th.thermalization_window(spec.n_nodes, spec.omega)
     steps = args.steps if args.steps is not None else math.floor(window.t_end)
@@ -303,14 +293,13 @@ def cmd_table(args) -> int:
     if args.out is not None:
         fields = ["n_nodes", "omega", "t_start", "t_end", "delta_max",
                   "delta_rel_max", "mean_rel", "delta_logn_max", "mean_logn"]
-        _emit(args.out, fields, _one_row([
+        yield args.out, fields, _one_row([
             report.n_nodes, report.omega, report.t_start, report.t_end, report.delta_max,
             report.delta_rel_max, report.mean_rel, report.delta_logn_max, report.mean_logn,
-        ]), args.format)
-    return EXIT_OK
+        ])
 
 
-def cmd_dqc(args) -> int:
+def cmd_dqc(args):
     omega = _single_omega(args)
     est = th.dqc_step_estimates(args.n_nodes, omega)
     point = EnsemblePoint.from_omega(args.n_nodes, omega, args.epsilon)
@@ -323,9 +312,8 @@ def cmd_dqc(args) -> int:
     print(f"d<E>/domega at omega    = {de_domega:.6f}")
     if args.out is not None:
         fields = ["n_nodes", "omega", "n_start", "n_steps", "n_end", "E_eq", "dE_domega"]
-        _emit(args.out, fields, _one_row([args.n_nodes, omega, est.n_start, est.n_steps,
-                                          est.n_end, e_eq, de_domega]), args.format)
-    return EXIT_OK
+        yield args.out, fields, _one_row([args.n_nodes, omega, est.n_start, est.n_steps,
+                                          est.n_end, e_eq, de_domega])
 
 
 # ---------------------------------------------------------------- parser
@@ -397,15 +385,16 @@ def main(argv: list[str] | None = None) -> int:
             values = _load_config(args.config).items()
             args.parser.set_defaults(**{k: v for k, v in values if hasattr(args, k)})
             args = parser.parse_args(argv)
-        if args.epsilon <= 0:
-            raise CliError(EXIT_VALIDATION, f"epsilon must be positive, got {args.epsilon}")
+        eq._check_epsilon(args.epsilon)
         if args.format not in _FLAGS["format"]["choices"]:
             raise CliError(EXIT_VALIDATION, f"format must be csv or json, got {args.format!r}")
         command = _COMMANDS[args.command]
         for flag in command.required:
             if getattr(args, flag.replace("-", "_")) is None:
                 raise CliError(EXIT_VALIDATION, f"missing required parameter --{flag}")
-        return command.handler(args)
+        for path, fields, chunks in command.handler(args):
+            _emit(path, fields, chunks, args.format)
+        return EXIT_OK
     except (CliError, ValueError) as exc:
         print(f"oqwalk: error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else EXIT_VALIDATION

@@ -74,6 +74,11 @@ _COEF = np.stack([np.r_[0.0, _C / (2 * _J)], np.r_[_C, 0.0],
 _CONSISTENCY_TOL = 1e-12
 
 
+def _check_n_nodes(n_nodes: int) -> None:
+    if n_nodes < 2:
+        raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
+
+
 def _check_omega(omega: float) -> None:
     if not (0.0 < omega < 1.0):
         raise ValueError(f"omega must lie strictly inside (0, 1), got {omega}")
@@ -129,8 +134,7 @@ class EnsemblePoint:
     omega: float
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
+        _check_n_nodes(self.n_nodes)
         _check_epsilon(self.epsilon)
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
@@ -320,8 +324,7 @@ def energy_cost_domega(point: EnsemblePoint) -> float:
 
 def energy_gap(n_nodes: int, epsilon: float = 1.0) -> float:
     """Energy gap between the omega -> 0 and omega -> 1 steady states: (N-1)*epsilon."""
-    if n_nodes < 2:
-        raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
+    _check_n_nodes(n_nodes)
     _check_epsilon(epsilon)
     return (n_nodes - 1) * epsilon
 
@@ -344,8 +347,7 @@ def thermo_points(n_nodes: int, beta, epsilon: float = 1.0) -> ThermoPoint:
 
     At beta = 0, Z = N exactly, T = inf and F = -inf (the beta -> 0+ limit).
     """
-    if n_nodes < 2:
-        raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
+    _check_n_nodes(n_nodes)
     _check_epsilon(epsilon)
     beta = np.asarray(beta, dtype=float)
     x = beta * epsilon

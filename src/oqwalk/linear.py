@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import OqwChannel
+from .equilibrium import _check_epsilon, _check_n_nodes, _check_omega
 
 __all__ = [
     "LinearWalkSpec",
@@ -45,12 +46,9 @@ class LinearWalkSpec:
     unitaries: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ValueError(f"n_nodes must be >= 2, got {self.n_nodes}")
-        if not (0.0 < self.omega < 1.0):
-            raise ValueError(f"omega must lie strictly inside (0, 1), got {self.omega}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        _check_n_nodes(self.n_nodes)
+        _check_omega(self.omega)
+        _check_epsilon(self.epsilon)
         if self.unitaries is not None:
             us = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
             if len(us) != self.n_nodes - 1:
@@ -158,11 +156,22 @@ def markov_step(
     return q
 
 
-def markov_evolve(spec: LinearWalkSpec, p0: np.ndarray, steps: int) -> np.ndarray:
-    """steps applications of the chain to p0 (matrix-free, O(N) per step)."""
+def _check_steps(steps: int) -> None:
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    p = _check_distribution(p0, spec.n_nodes).copy()
+
+
+def _start(spec: LinearWalkSpec, steps: int, p0: np.ndarray | None) -> np.ndarray:
+    """A new copy of the start of a steps-long run; p0=None is the walker at node 0."""
+    _check_steps(steps)
+    if p0 is None:
+        p0 = np.eye(1, spec.n_nodes)[0]
+    return _check_distribution(p0, spec.n_nodes).copy()
+
+
+def markov_evolve(spec: LinearWalkSpec, p0: np.ndarray, steps: int) -> np.ndarray:
+    """steps applications of the chain to p0 (matrix-free, O(N) per step)."""
+    p = _start(spec, steps, p0)
     for _ in range(steps):
         p = markov_step(p, spec.omega)
     return p

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import equilibrium
 from .equilibrium import EnsemblePoint
-from .linear import LinearWalkSpec, _check_distribution, markov_step, steady_state
+from .linear import LinearWalkSpec, _start, markov_step, steady_state
 
 __all__ = [
     "GaussianProfile",
@@ -137,8 +137,7 @@ def thermalization_window(n_nodes: int, omega: float) -> ThermalizationWindow:
     map omega -> 1-omega first.  The drift-free point omega = 1/2 has no
     finite window and raises.
     """
-    if n_nodes < 2:
-        raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
+    equilibrium._check_n_nodes(n_nodes)
     v = 2.0 * omega - 1.0
     if v <= 0.0:
         raise ValueError(
@@ -415,16 +414,6 @@ def iter_distributions(
     return _evolve(_start(spec, steps, p0), spec.omega, steps)
 
 
-def _start(spec: LinearWalkSpec, steps: int, p0: np.ndarray | None) -> np.ndarray:
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
-    if p0 is None:
-        p = np.zeros(spec.n_nodes)
-        p[0] = 1.0
-        return p
-    return _check_distribution(p0, spec.n_nodes).copy()
-
-
 def _evolve(p: np.ndarray, omega: float, steps: int) -> Iterator[np.ndarray]:
     yield p
     for _ in range(steps):
@@ -575,8 +564,6 @@ def error_metrics(
     window = thermalization_window(spec.n_nodes, spec.omega)
     lo = math.ceil(window.t_start)
     hi = math.floor(window.t_end)
-    if hi < lo:
-        raise ValueError(f"empty metrics window [{lo}, {hi}]")
     if trajectory.steps < hi:
         raise ValueError(
             f"trajectory covers {trajectory.steps} steps but the window ends at {hi}"
