@@ -75,6 +75,8 @@ _CONSISTENCY_TOL = 1e-12
 
 
 def _check_n_nodes(n_nodes: int) -> None:
+    if not isinstance(n_nodes, (int, np.integer)):  # 12.0 too: N counts nodes
+        raise ValueError(f"n_nodes must be an integer, got {n_nodes!r}")
     if n_nodes < 2:
         raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
 

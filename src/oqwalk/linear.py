@@ -31,13 +31,14 @@ __all__ = [
 _UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearWalkSpec:
     """Parameters of a linear walk: node count, hop weight, level spacing, unitaries.
 
     lambda = 1 - omega is implied, never stored.  `unitaries`, when given, is
     the tuple (U_0, ..., U_{N-2}) of internal rotations applied on right hops;
-    by default all are the trivial 1x1 identity.
+    by default all are the trivial 1x1 identity.  Specs compare by value, the
+    unitaries element-wise, and equal specs hash equal.
     """
 
     n_nodes: int
@@ -62,6 +63,19 @@ class LinearWalkSpec:
                 if np.abs(u.conj().T @ u - np.eye(d)).max() > _UNITARY_TOL:
                     raise ValueError(f"operator {k} is not unitary")
             object.__setattr__(self, "unitaries", us)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LinearWalkSpec):
+            return NotImplemented
+        if (self.n_nodes, self.omega, self.epsilon) != (other.n_nodes, other.omega, other.epsilon):
+            return False
+        if self.unitaries is None or other.unitaries is None:
+            return self.unitaries is other.unitaries
+        return all(map(np.array_equal, self.unitaries, other.unitaries))
+
+    def __hash__(self) -> int:
+        # the unitaries are left out: equal arrays may differ in bytes (0.0 and -0.0)
+        return hash((self.n_nodes, self.omega, self.epsilon, self.internal_dim))
 
     @property
     def lam(self) -> float:

@@ -223,6 +223,13 @@ def approx_entropy_params(
     )
 
 
+def _check_same_walk(spec: LinearWalkSpec, other, what: str) -> None:
+    """Refuse params or a trajectory (`other`, with n_nodes and omega) built for another walk."""
+    if (other.n_nodes, other.omega) != (spec.n_nodes, spec.omega):
+        raise ValueError(f"{what} built for (N, omega) = ({other.n_nodes}, {other.omega}), "
+                         f"not the spec's ({spec.n_nodes}, {spec.omega})")
+
+
 def tail_weight(params: ApproxEntropyParams, profile: GaussianProfile, t):
     """Gaussian mass above the split line: w(t) = erfc((n' - v t)/sqrt(2 t))/2.
 
@@ -247,6 +254,7 @@ def approx_probability(
     """
     if params is None:
         params = approx_entropy_params(spec.n_nodes, spec.omega)
+    _check_same_walk(spec, params, "params")
     profile = GaussianProfile.for_omega(spec.omega)
     w = tail_weight(params, profile, t)
     pi = steady_state(spec)
@@ -306,6 +314,7 @@ def approx_entropy_components(spec: LinearWalkSpec, t, params: ApproxEntropyPara
     """S_G, S_B and the tail weight w at time t, or at each time of an array (see approx_entropy)."""
     if params is None:
         params = approx_entropy_params(spec.n_nodes, spec.omega)
+    _check_same_walk(spec, params, "params")
     return _components(params, GaussianProfile.for_omega(spec.omega), t, boltzmann)
 
 
@@ -561,6 +570,7 @@ def error_metrics(
     delta = |S_a - S|, reported as max and mean, relative to S(t) and to the
     maximum possible entropy log N.
     """
+    _check_same_walk(spec, trajectory.spec, "trajectory")
     window = thermalization_window(spec.n_nodes, spec.omega)
     lo = math.ceil(window.t_start)
     hi = math.floor(window.t_end)
@@ -631,8 +641,11 @@ class DqcEstimates:
 def dqc_step_estimates(n_nodes: int, omega: float) -> DqcEstimates:
     """Bracketed run length for dissipative computation: N/(2 omega - 1) steps.
 
-    n_steps is when the last-node occupation becomes usable; it always falls
-    inside the thermalization window [n_start, n_end].
+    n_steps is when the centre of the drifting packet reaches the last node;
+    it always falls inside the thermalization window [n_start, n_end].  It is
+    not when the readout becomes usable: the last-node occupation first comes
+    within 1e-3 (relative) of its steady-state value after n_end, at step 475
+    for N = 100, omega = 2/3, where n_steps = 300 and n_end = 423.5.
     """
     if not omega > 0.5:
         raise ValueError(f"step estimates need omega > 1/2, got {omega}")

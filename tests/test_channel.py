@@ -399,3 +399,43 @@ def test_zero_steps_is_identity():
     state = BlockState.localized(4, 1, np.array([0.6, 0.8]))
     # not stepping at all trivially preserves the state object
     np.testing.assert_array_equal(ch.position_marginal(state), [0, 1, 0, 0])
+
+
+# ---------------------------------------------------------------- refused inputs
+
+@pytest.mark.parametrize("node_count, internal_dim, name, value", [
+    (0, 1, "node_count", 0), (-2, 1, "node_count", -2), (3, 0, "internal_dim", 0)])
+def test_channel_refuses_empty_dimensions(node_count, internal_dim, name, value):
+    with pytest.raises(ch.ChannelStructureError) as exc:
+        OqwChannel(node_count, internal_dim, {})
+    assert str(exc.value) == f"{name} must be >= 1, got {value}"
+
+
+def test_block_state_refuses_no_blocks_and_nodes_out_of_range():
+    with pytest.raises(ValueError) as exc:
+        BlockState(3, {})
+    assert str(exc.value) == "state needs at least one block"
+    for node in (3, -1):
+        with pytest.raises(ValueError) as exc:
+            BlockState(3, {node: np.eye(1)})
+        assert str(exc.value) == f"block node {node} outside 0..2"
+
+
+@pytest.mark.parametrize("state", [BlockState.localized(4, 0),
+                                   BlockState.localized(3, 0, np.array([0.6, 0.8]))])
+def test_step_refuses_a_state_of_another_shape(state):
+    channel = lin.build_channel(LinearWalkSpec(3, 0.7))
+    with pytest.raises(ValueError) as exc:
+        ch.step(channel, state)
+    assert str(exc.value) == (f"state of shape {state.rho.shape} fed to channel on "
+                              "3 nodes with internal dim 1")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_state_internal_dim(d):
+    psi = np.zeros(d)
+    psi[-1] = 1.0
+    state = BlockState.localized(4, 2, psi)
+    assert state.internal_dim == d
+    assert ch.step(lin.build_channel(LinearWalkSpec(4, 0.7, unitaries=(np.eye(d),) * 3)),
+                   state).internal_dim == d

@@ -770,3 +770,35 @@ assert not any(name.startswith("scipy") for name in sys.modules if sys.modules[n
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert len(list(tmp_path.glob("*.csv"))) == len(ALL_SUBCOMMANDS) + 1
+
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    (["steady-state", "--config", "missing.cfg"], None, 3,
+     "cannot read config missing.cfg: [Errno 2] No such file or directory: 'missing.cfg'"),
+    (["steady-state", "--config", "run.cfg"], "n-nodes = 3\nomega 0.5\n", 2,
+     "run.cfg:2: expected `key = value`"),
+    (["steady-state", "--omega", "0.5", "--config", "run.cfg"], "n-nodes = abc\n", 2,
+     "run.cfg:1: bad value for n-nodes"),
+    (["trajectory", "--n-nodes", "5", "--omega", "0.5", "--config", "run.cfg"],
+     "# steps\nsteps = 2.5\n", 2, "run.cfg:2: bad value for steps"),
+    (["equilibrium", "--n-nodes", "30", "--omega", "0.5:1.5:0.5"], None, 2,
+     "omega 1.0 outside (0, 1)"),
+    (["equilibrium", "--n-nodes", "30", "--omega", "0:0.5:0.25"], None, 2,
+     "omega 0.0 outside (0, 1)"),
+    (["steady-state", "--n-nodes", "3", "--omega", "0.5", "--epsilon", "0"], None, 2,
+     "epsilon must be positive, got 0.0"),
+    (["table", "--n-nodes", "100", "--omega", "0.7", "--epsilon", "0"], None, 2,
+     "epsilon must be positive, got 0.0"),
+    # window passes epsilon to no library call; main checks it for every subcommand
+    (["window", "--n-nodes", "100", "--omega", "0.7", "--epsilon", "nan"], None, 2,
+     "epsilon must be positive, got nan"),
+])
+def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, code, message,
+                                                               tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv + ["--out", "out.csv"]) == code
+    assert capsys.readouterr() == ("", f"oqwalk: error: {message}\n")
+    assert sorted(os.listdir(tmp_path)) == before

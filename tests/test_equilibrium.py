@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oqwalk import equilibrium as eq
 from oqwalk.equilibrium import EnsemblePoint
 from oqwalk.linear import LinearWalkSpec, steady_state
-from oqwalk.thermalization import shannon_entropy
+from oqwalk.thermalization import dqc_step_estimates, shannon_entropy, thermalization_window
 
 OMEGA_GRID = [round(0.05 * k, 2) for k in range(1, 20) if k != 10]
 N_GRID = [2, 3, 10, 100]
@@ -494,3 +494,70 @@ def test_thermo_points_shapes():
 def test_thermo_points_rejects_bad_parameters(n_nodes, beta, epsilon):
     with pytest.raises(ValueError):
         eq.thermo_points(n_nodes, beta, epsilon)
+
+
+# ---------------------------------------------------------------- node count
+
+_NODE_COUNT_CALLERS = {
+    "LinearWalkSpec": lambda n: LinearWalkSpec(n, 0.7),
+    "EnsemblePoint": lambda n: EnsemblePoint.from_omega(n, 0.7),
+    "thermo_points": lambda n: eq.thermo_points(n, [0.3]),
+    "energy_gap": lambda n: eq.energy_gap(n),
+    "thermalization_window": lambda n: thermalization_window(n, 0.7),
+    "dqc_step_estimates": lambda n: dqc_step_estimates(n, 0.7),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_NODE_COUNT_CALLERS))
+@pytest.mark.parametrize("n_nodes", [10.5, math.nan, 12.0, np.float64(12.0), "12"],
+                         ids=["half", "nan", "float", "float64", "str"])
+def test_node_count_must_be_an_integer(caller, n_nodes):
+    with pytest.raises(ValueError) as exc:
+        _NODE_COUNT_CALLERS[caller](n_nodes)
+    assert str(exc.value) == f"n_nodes must be an integer, got {n_nodes!r}"
+
+
+@pytest.mark.parametrize("caller", sorted(_NODE_COUNT_CALLERS))
+def test_node_count_check_keeps_integers(caller):
+    _NODE_COUNT_CALLERS[caller](np.int64(12))
+    with pytest.raises(ValueError) as exc:
+        _NODE_COUNT_CALLERS[caller](1)
+    assert str(exc.value) == "n_nodes must be >= 2, got 1"
+
+
+# ---------------------------------------------------------------- large-N and high-T forms
+
+@pytest.mark.parametrize("beta, epsilon", [(0.5, 1.0), (-0.5, 1.0), (2.0, 0.3), (-40.0, 1.0)])
+def test_entropy_derivative_large_n(beta, epsilon):
+    x = beta * epsilon
+    expected = -beta * epsilon ** 2 * math.exp(x) / math.expm1(x) ** 2
+    assert eq.entropy_derivative_large_n(beta, epsilon) == pytest.approx(expected, rel=1e-13)
+    # the N -> inf limit of the finite-N derivative -beta Var(E)
+    finite = eq.entropy_derivative(EnsemblePoint.from_beta(10 ** 6, beta, epsilon))
+    assert eq.entropy_derivative_large_n(beta, epsilon) == pytest.approx(finite, rel=1e-12)
+    with pytest.raises(ValueError) as exc:
+        eq.entropy_derivative_large_n(0.0, epsilon)
+    assert str(exc.value) == "the large-N entropy derivative diverges at beta = 0"
+
+
+@pytest.mark.parametrize("z", [701.0, -701.0, 745.0])
+def test_large_n_forms_beyond_sinh_overflow(z):
+    # |z| > 700: e^|z|/(e^|z| - 1)^2 is e^-|z| to the last bit
+    assert eq.heat_capacity_large_n(z) == z * z * math.exp(-abs(z))
+    assert eq.entropy_derivative_large_n(z) == -z * math.exp(-abs(z))
+
+
+def test_large_n_forms_are_continuous_at_the_700_seam():
+    below, above = 700.0, float(np.nextafter(700.0, math.inf))
+    assert eq.heat_capacity_large_n(above) == pytest.approx(eq.heat_capacity_large_n(below),
+                                                            rel=1e-13)
+
+
+def test_high_t_asymptotes_refuse_their_poles():
+    with pytest.raises(ValueError) as exc:
+        eq.entropy_derivative_high_t(0.0)
+    assert str(exc.value) == "asymptote diverges at beta = 0"
+    for beta, epsilon in [(0.0, 1.0), (-0.1, 1.0), (-0.0, 2.0)]:
+        with pytest.raises(ValueError) as exc:
+            eq.free_energy_derivative_high_t(beta, epsilon)
+        assert str(exc.value) == "asymptote defined for beta * epsilon > 0"

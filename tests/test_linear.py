@@ -347,3 +347,36 @@ def test_l1_convergence_monotone_and_complete(n, omega):
         assert dist <= prev + 1e-14
         prev = dist
     assert prev <= 1e-6
+
+
+# ---------------------------------------------------------------- spec equality
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spec_equality_and_hash_by_value(d):
+    u = np.eye(1, dtype=complex) if d == 1 else H
+    spec = LinearWalkSpec(3, 0.7, unitaries=(u, u))
+    same = LinearWalkSpec(3, 0.7, unitaries=(u.copy(), u.copy()))
+    assert spec == same and not spec != same
+    assert hash(spec) == hash(same)
+    assert len({spec, same}) == 1
+    others = [LinearWalkSpec(3, 0.7), LinearWalkSpec(3, 0.7, unitaries=(u, -u)),
+              LinearWalkSpec(3, 0.6, unitaries=(u, u)),
+              LinearWalkSpec(3, 0.7, 2.0, unitaries=(u, u))]
+    for other in others:
+        assert spec != other and other != spec
+        hash(other)
+    assert LinearWalkSpec(3, 0.7) == LinearWalkSpec(3, 0.7)
+    assert spec != (3, 0.7)
+
+
+def test_spec_refuses_a_unitary_of_another_shape():
+    with pytest.raises(ValueError) as exc:
+        LinearWalkSpec(3, 0.5, unitaries=(H, np.eye(3)))
+    assert str(exc.value) == "unitary 1 has shape (3, 3), expected (2, 2)"
+
+
+def test_internal_state_refuses_psi_of_another_dimension():
+    spec = LinearWalkSpec(3, 0.6, unitaries=(X, H))
+    with pytest.raises(ValueError) as exc:
+        lin.internal_state_at_node(spec, np.ones(3) / math.sqrt(3), 1)
+    assert str(exc.value) == "psi has dim 3, expected 2"

@@ -941,3 +941,85 @@ def test_dqc_near_unit_drift_asymptotics():
 def test_dqc_rejects_nonpositive_drift():
     with pytest.raises(ValueError):
         th.dqc_step_estimates(100, 0.5)
+
+
+@pytest.mark.parametrize("n, omega, n_steps, readout", [
+    (100, 2 / 3, 300.0, 475), (500, 2 / 3, 1500.0, 1865), (200, 0.83, 303.03, 369)])
+def test_dqc_n_steps_is_before_the_readout_is_usable(n, omega, n_steps, readout):
+    # n_steps is when the packet's centre arrives; the last-node mass comes
+    # within 1e-3 of its steady value only after n_end
+    spec = LinearWalkSpec(n, omega)
+    last = lin.steady_state(spec)[-1]
+    first = next(k for k, p in enumerate(th.iter_distributions(spec, 10 * n))
+                 if abs(p[-1] - last) <= 1e-3 * last)
+    est = th.dqc_step_estimates(n, omega)
+    assert est.n_start < est.n_steps < est.n_end < first
+    assert est.n_steps == pytest.approx(n_steps, abs=0.01)
+    assert first == readout
+
+
+def test_dqc_estimates_refuse_disorder():
+    for values in [(1.0, 3.0, 2.0), (2.0, 1.0, 3.0), (3.0, 2.0, 1.0)]:
+        with pytest.raises(ValueError) as exc:
+            th.DqcEstimates(*values)
+        assert str(exc.value) == f"expected n_start <= n_steps <= n_end, got {values}"
+    th.DqcEstimates(1.0, 1.0, 1.0)
+
+
+# ---------------------------------------------------------------- refused inputs
+
+@pytest.mark.parametrize("velocity", [1.0, -1.0, 1.5, math.nan])
+def test_gaussian_profile_refuses_velocity_outside_the_interval(velocity):
+    with pytest.raises(ValueError) as exc:
+        th.GaussianProfile(velocity)
+    assert str(exc.value) == f"velocity must lie in (-1, 1), got {velocity}"
+
+
+def test_gaussian_profile_mean_and_std():
+    profile = th.GaussianProfile.for_omega(0.7)
+    assert profile.mean(10.0) == pytest.approx(4.0, rel=1e-15)
+    assert profile.std(10.0) == math.sqrt(10.0)
+    # the moments of the density it describes
+    xs, dx = np.linspace(-60.0, 90.0, 30001, retstep=True)
+    density = th.gaussian_probability(profile, xs, 10.0) * dx
+    mean = (xs * density).sum()
+    assert mean == pytest.approx(profile.mean(10.0), abs=1e-9)
+    assert math.sqrt(((xs - mean) ** 2 * density).sum()) == pytest.approx(profile.std(10.0),
+                                                                          rel=1e-9)
+
+
+@pytest.mark.parametrize("t_start, t_end", [(5.0, 5.0), (6.0, 5.0), (-1.0, 5.0)])
+def test_window_refuses_disorder(t_start, t_end):
+    with pytest.raises(ValueError) as exc:
+        th.ThermalizationWindow(t_start, t_end)
+    assert str(exc.value) == f"need 0 <= t_start < t_end, got ({t_start}, {t_end})"
+
+
+# ---------------------------------------------------------------- mismatched walks
+
+_SPEC = LinearWalkSpec(100, 2 / 3)
+_PAIRS = "(N, omega) = ({}, {}), not the spec's (100, 0.6666666666666666)"
+
+
+@pytest.mark.parametrize("call", [
+    lambda params: th.approx_entropy_components(_SPEC, 300.0, params=params),
+    lambda params: th.approx_entropy(_SPEC, 300.0, params=params),
+    lambda params: th.approx_entropy(_SPEC, np.arange(1, 400), params=params),
+    lambda params: th.approx_probability(_SPEC, 300.0, [10.0, 99.0], params=params),
+])
+@pytest.mark.parametrize("n, omega", [(500, 0.6), (100, 0.6), (120, 2 / 3)])
+def test_params_of_another_walk_are_refused(call, n, omega):
+    with pytest.raises(ValueError) as exc:
+        call(th.approx_entropy_params(n, omega))
+    assert str(exc.value) == "params built for " + _PAIRS.format(n, omega)
+    call(th.approx_entropy_params(100, 2 / 3))
+
+
+@pytest.mark.parametrize("n, omega", [(120, 0.7), (100, 0.7), (101, 2 / 3)])
+def test_trajectory_of_another_walk_is_refused(n, omega):
+    trajectory = th.simulate_trajectory(LinearWalkSpec(n, omega), 600)
+    with pytest.raises(ValueError) as exc:
+        th.error_metrics(_SPEC, trajectory)
+    assert str(exc.value) == "trajectory built for " + _PAIRS.format(n, omega)
+    # epsilon does not enter the entropy series, so it is not compared
+    th.error_metrics(_SPEC, th.simulate_trajectory(LinearWalkSpec(100, 2 / 3, 2.0), 600))
