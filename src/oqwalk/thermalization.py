@@ -568,7 +568,8 @@ def error_metrics(
     may override the entropy approximation (any callable step -> value); by
     default approx_entropy with the given params/convention is used.
     delta = |S_a - S|, reported as max and mean, relative to S(t) and to the
-    maximum possible entropy log N.
+    maximum possible entropy log N.  A trajectory or params built for another
+    (N, omega) than the spec's is refused.
     """
     _check_same_walk(spec, trajectory.spec, "trajectory")
     window = thermalization_window(spec.n_nodes, spec.omega)
