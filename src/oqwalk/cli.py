@@ -19,9 +19,10 @@ Output is streamed: results are computed first (so a failing computation
 writes nothing), then written in blocks of rows, each row formatted by one
 printf-style template.  --dump-distributions replays the chain one step at a
 time after the series is written, so its memory is O(N), not O(steps * N);
-approx-entropy computes its series one block of t at a time as it writes,
-once the first block has checked its inputs, so its memory does not grow
-with --steps.
+it is written in blocks of whole steps from one per-step template that holds
+the node labels as text, so only p is formatted per row.  approx-entropy
+computes its series one block of t at a time as it writes, once the first
+block has checked its inputs, so its memory does not grow with --steps.
 
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag, each value read with that flag's type; explicit command-line flags win.
@@ -36,7 +37,9 @@ import json
 import math
 import sys
 from collections import namedtuple
-from itertools import chain
+from collections.abc import Iterator
+from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,12 +72,14 @@ class CliError(Exception):
 _BLOCK_ROWS = 4096
 
 
-def _row_template(fields: list[str], columns: list[np.ndarray], csv: bool) -> str:
-    ints = [c.dtype.kind in "iu" for c in columns]
+def _conversion(dtype: np.dtype, csv: bool) -> str:
+    return "%d" if dtype.kind in "iu" else "%.17g" if csv else "%s"
+
+
+def _row_template(fields: list[str], conversions: list[str], csv: bool) -> str:
     if csv:
-        return ",".join("%d" if i else "%.17g" for i in ints) + "\n"
-    members = ",\n".join(f"    {json.dumps(f)}: {'%d' if i else '%s'}"
-                         for f, i in zip(fields, ints))
+        return ",".join(conversions) + "\n"
+    members = ",\n".join(f"    {json.dumps(f)}: {c}" for f, c in zip(fields, conversions))
     return "  {\n" + members + "\n  }"
 
 
@@ -87,13 +92,49 @@ def _values(column: np.ndarray, csv: bool) -> list:
     return values
 
 
-def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
-    """Write a table to the text stream `fh`, one chunk of rows at a time.
+class _Steps(NamedTuple):
+    """A table chunk of rows (n, m, p[m]): each node m of each distribution p_n.
 
-    Each chunk is a tuple of equal-length columns, one per field.  Rows are
-    formatted by one printf-style template: integer columns with %d, float
-    columns with %.17g in CSV (the same text as format(v, ".17g"), inf, nan
-    and -0 included) and as repr(float) in JSON.  The output equals
+    The writer formats only p per row; m goes in from a per-step template
+    built once, and n once per step.
+    """
+
+    n_nodes: int
+    distributions: Iterator[np.ndarray]
+
+
+def _column_blocks(fields: list[str], chunk: tuple, csv: bool, sep: str) -> Iterator[tuple]:
+    columns = [np.asarray(c) for c in chunk]
+    row = _row_template(fields, [_conversion(c.dtype, csv) for c in columns], csv)
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [_values(c[start:start + _BLOCK_ROWS], csv) for c in columns]
+        yield sep.join([row] * len(block[0])), tuple(chain.from_iterable(zip(*block)))
+
+
+def _step_blocks(fields: list[str], chunk: _Steps, csv: bool, sep: str) -> Iterator[tuple]:
+    # The step template: one row per node with m written in, n left as a NUL
+    # (which no label or field name holds) and p's conversion kept through
+    # the fill of m by "%%"; in pieces of at most _BLOCK_ROWS nodes.
+    row = _row_template(fields, ["\0", "%d", "%" + _conversion(np.dtype(float), csv)], csv)
+    pieces = []
+    for lo in range(0, chunk.n_nodes, _BLOCK_ROWS):
+        labels = tuple(range(lo, min(lo + _BLOCK_ROWS, chunk.n_nodes)))
+        pieces.append((lo, sep.join([row] * len(labels)) % labels))
+    steps = enumerate(chunk.distributions)
+    while block := list(islice(steps, max(1, _BLOCK_ROWS // chunk.n_nodes))):
+        for lo, piece in pieces:
+            text = sep.join([piece.replace("\0", str(n)) for n, _ in block])
+            p = np.concatenate([p_n[lo:lo + _BLOCK_ROWS] for _, p_n in block])
+            yield text, tuple(_values(p, csv))
+
+
+def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
+    """Write a table to the text stream `fh`, one block of rows at a time.
+
+    Each chunk is a tuple of equal-length columns, one per field, or a _Steps.
+    Rows are formatted by one printf-style template: integer columns with %d,
+    float columns with %.17g in CSV (the same text as format(v, ".17g"), inf,
+    nan and -0 included) and as repr(float) in JSON.  The output equals
     ",".join(format(v, ".17g")) per CSV row and json.dumps(records, indent=2)
     plus a newline for JSON, with non-finite floats as "inf"/"-inf"/"nan".
     """
@@ -102,12 +143,9 @@ def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
         fh.write(",".join(fields) + "\n")
     lead, sep = ("", "") if csv else ("[\n", ",\n")
     for chunk in chunks:
-        columns = [np.asarray(c) for c in chunk]
-        row = _row_template(fields, columns, csv)
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [_values(c[start:start + _BLOCK_ROWS], csv) for c in columns]
-            values = tuple(chain.from_iterable(zip(*block)))
-            fh.write(lead + sep.join([row] * len(block[0])) % values)
+        blocks = _step_blocks if isinstance(chunk, _Steps) else _column_blocks
+        for text, values in blocks(fields, chunk, csv, sep):
+            fh.write(lead + text % values)
             lead = sep
     if not csv:
         fh.write("\n]\n" if lead == sep else "[]\n")
@@ -234,10 +272,8 @@ def cmd_trajectory(args):
     if args.dump_distributions is not None:
         # Replay the deterministic chain step by step (bit-identical to the
         # series run) so the dump holds one distribution at a time: O(N) memory.
-        m = np.arange(spec.n_nodes)
-        chunks = ((np.full(spec.n_nodes, n), m, p)
-                  for n, p in enumerate(th.iter_distributions(spec, args.steps)))
-        yield args.dump_distributions, ["n", "m", "p"], chunks
+        chunk = _Steps(spec.n_nodes, th.iter_distributions(spec, args.steps))
+        yield args.dump_distributions, ["n", "m", "p"], [chunk]
 
 
 def cmd_window(args):

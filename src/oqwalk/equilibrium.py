@@ -89,6 +89,8 @@ def _check_omega(omega: float) -> None:
 def _check_epsilon(epsilon: float) -> None:
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if math.isinf(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
 
 
 def beta_from_omega(omega: float, epsilon: float = 1.0) -> float:
@@ -331,9 +333,13 @@ def energy_gap(n_nodes: int, epsilon: float = 1.0) -> float:
     return (n_nodes - 1) * epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoPoint:
-    """Equilibrium observables: floats at one point, arrays over a sweep."""
+    """Equilibrium observables: floats at one point, arrays over a sweep.
+
+    `==` and `hash` go by identity: to compare two points' values, compare
+    each field (with `np.array_equal` for a sweep).
+    """
 
     Z: float
     mean_E: float

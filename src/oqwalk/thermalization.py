@@ -270,9 +270,13 @@ def approx_probability(
     return out if np.ndim(x) else float(out[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApproxEntropyComponents:
-    """Pieces of the two-part entropy approximation: floats at one time, arrays over many."""
+    """Pieces of the two-part entropy approximation: floats at one time, arrays over many.
+
+    `==` and `hash` go by identity: to compare two results' values, compare
+    each field (with `np.array_equal` over many times).
+    """
 
     gaussian: float
     boltzmann: float
@@ -359,7 +363,7 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
     """Per-step series of an exact walk simulation.
 
@@ -377,6 +381,9 @@ class TrajectoryRecord:
     smallest S_gen(n+1) - S_gen(n), negative on a second-law violation (0.0
     for a zero-step run); final_l1_to_steady is ||p_steps - pi||_1 against
     steady_state(spec).
+
+    `==` and `hash` go by identity: to compare two runs, compare their series
+    with `np.array_equal`.
     """
 
     spec: LinearWalkSpec

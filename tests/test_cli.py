@@ -690,6 +690,52 @@ def test_distribution_dump_is_bit_identical_to_trajectory(fmt, tmp_path):
     np.testing.assert_array_equal(p, expected)       # 17 digits round-trip exactly
 
 
+# (N, omega, steps) of the --dump-distributions reference cases
+DUMP_CASES = {
+    "several-steps-per-block": (40, 0.83, 150),
+    "step-spans-two-blocks": (5000, 0.7, 2),     # N > _BLOCK_ROWS
+    "single-step": (3, 0.7, 0),
+    "partial-last-block": (2, 0.7, 4100),        # 8202 rows: two full blocks and a partial
+    "half": (7, 0.5, 50),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(DUMP_CASES))
+def test_dump_bytes_match_reference(case, fmt, tmp_path):
+    n_nodes, omega, steps = DUMP_CASES[case]
+    rows = [[n, m, float(p[m])] for n, p in
+            enumerate(th.iter_distributions(LinearWalkSpec(n_nodes, omega), steps))
+            for m in range(n_nodes)]
+    dump = tmp_path / f"dump.{fmt}"
+    assert main(["trajectory", "--n-nodes", str(n_nodes), "--omega", str(omega),
+                 "--steps", str(steps), "--format", fmt, "--out", str(tmp_path / "series"),
+                 "--dump-distributions", str(dump)]) == 0
+    assert dump.read_bytes() == render_reference(["n", "m", "p"], rows, fmt).encode()
+
+
+# with 4-row blocks: two 2-node steps per block, one 3-node step per block,
+# and a 9-node step in pieces of 4, 4 and 1 nodes
+@pytest.mark.parametrize("n_nodes, most_rows", [(2, 4), (3, 3), (9, 4)])
+def test_dump_writes_at_most_block_rows_at_once(n_nodes, most_rows, monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    spec = LinearWalkSpec(n_nodes, 0.7)
+    rows = [[n, m, float(p[m])] for n, p in enumerate(th.iter_distributions(spec, 4))
+            for m in range(n_nodes)]
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    for fmt, row_end in (("csv", "\n"), ("json", "}")):
+        writes, fh = [], Recorder()
+        chunk = cli._Steps(n_nodes, th.iter_distributions(spec, 4))
+        cli._write_table(fh, ["n", "m", "p"], [chunk], fmt)
+        assert fh.getvalue() == render_reference(["n", "m", "p"], rows, fmt)
+        body = writes[1:] if fmt == "csv" else writes[:-1]      # header / closing bracket
+        assert max(text.count(row_end) for text in body) == most_rows
+
+
 def test_dump_written_after_series_and_io_failure_exit(tmp_path, capsys):
     series = tmp_path / "series.csv"
     assert main(["trajectory", "--n-nodes", "20", "--omega", "0.7", "--steps", "10",
@@ -748,6 +794,15 @@ ALL_SUBCOMMANDS = [
     ["table", "--n-nodes", "100", "--omega", "0.7"],
     ["dqc", "--n-nodes", "100", "--omega", "0.7"],
 ]
+
+
+@pytest.mark.parametrize("argv", ALL_SUBCOMMANDS, ids=[argv[0] for argv in ALL_SUBCOMMANDS])
+def test_infinite_epsilon_is_refused(argv, tmp_path, capsys, monkeypatch):
+    # inf passed the positivity check and died in 1/beta with a traceback
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--epsilon", "inf", "--out", "out.csv"]) == 2
+    assert capsys.readouterr() == ("", "oqwalk: error: epsilon must be finite, got inf\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_subcommands_run_without_scipy(tmp_path):

@@ -42,6 +42,10 @@ def test_spec_validation():
         LinearWalkSpec(5, 1.0)
     with pytest.raises(ValueError):
         LinearWalkSpec(5, 0.5, epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon must be finite, got inf"):
+        LinearWalkSpec(10, 0.7, math.inf)
+    with pytest.raises(ValueError, match="epsilon must be positive, got -inf"):
+        LinearWalkSpec(10, 0.7, -math.inf)
     with pytest.raises(ValueError):
         LinearWalkSpec(3, 0.5, unitaries=(X,))  # needs N-1 = 2
     with pytest.raises(ValueError):

@@ -368,6 +368,29 @@ def test_tail_weight_against_mpmath(n, steps, stride):
 
 # ---------------------------------------------------------------- trajectory
 
+# Each record type built twice from the same inputs, in its scalar (or
+# single-row) form and its array form.
+_RECORDS = {
+    "ThermoPoint-scalar": lambda: eq.thermo_point(EnsemblePoint.from_omega(10, 0.3)),
+    "ThermoPoint-array": lambda: eq.thermo_points(10, [0.1, 0.2]),
+    "ApproxEntropyComponents-scalar": lambda: th.approx_entropy_components(
+        LinearWalkSpec(100, 0.7), 50.0),
+    "ApproxEntropyComponents-array": lambda: th.approx_entropy_components(
+        LinearWalkSpec(100, 0.7), np.arange(1, 6)),
+    "TrajectoryRecord-zero-steps": lambda: th.simulate_trajectory(LinearWalkSpec(5, 0.7), 0),
+    "TrajectoryRecord-array": lambda: th.simulate_trajectory(LinearWalkSpec(5, 0.7), 5),
+}
+
+
+@pytest.mark.parametrize("build", list(_RECORDS.values()), ids=list(_RECORDS))
+def test_record_equality_is_identity_and_records_hash(build):
+    # dataclass equality compared the array fields and raised "truth value ... ambiguous"
+    a, b = build(), build()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, a, b}) == 2
+
+
 def test_trajectory_zero_steps():
     traj = th.simulate_trajectory(LinearWalkSpec(10, 0.7), 0)
     assert traj.entropy.tolist() == [0.0]
