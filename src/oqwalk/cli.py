@@ -16,13 +16,19 @@ written as inf/-inf (CSV) or the strings "inf"/"-inf" (JSON).  Exit codes:
 0 success, 2 invalid parameters, 3 I/O failure.
 
 Output is streamed: results are computed first (so a failing computation
-writes nothing), then written in blocks of rows, each row formatted by one
-printf-style template.  --dump-distributions replays the chain one step at a
-time after the series is written, so its memory is O(N), not O(steps * N);
-it is written in blocks of whole steps from one per-step template that holds
-the node labels as text, so only p is formatted per row.  approx-entropy
-computes its series one block of t at a time as it writes, once the first
-block has checked its inputs, so its memory does not grow with --steps.
+writes nothing), then written in blocks of rows.  CSV numbers are formatted a
+whole block at a time by a numpy kernel (oqwalk._numtext) that gives the bytes
+of format(v, ".17g") and str(v); it leaves the values whose rounding it cannot
+decide (about 1% of them), inf, nan, integers beyond 2**53 and arrays of
+fewer than 256 values to CPython's own '%.17g' and '%d'.  JSON rows are
+formatted by one printf-style template per block.  --dump-distributions
+replays the chain one step at a time after the series is written, so its
+memory is O(N), not O(steps * N); it is written in blocks of whole steps,
+with the node labels formatted once per run and n once per step.  A
+steady-state omega range checks every omega first and then computes one pi at
+a time as it writes.  approx-entropy computes its series one block of t at a
+time as it writes, once the first block has checked its inputs, so its
+memory does not grow with --steps.
 
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag, each value read with that flag's type; explicit command-line flags win.
@@ -38,7 +44,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import chain, islice
+from itertools import chain, groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -68,87 +74,159 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- serialization
 
-# Rows formatted per `%` call, which bounds the text held in memory at once.
+# Rows written per block, which bounds the text held in memory at once.
 _BLOCK_ROWS = 4096
 
 
-def _conversion(dtype: np.dtype, csv: bool) -> str:
-    return "%d" if dtype.kind in "iu" else "%.17g" if csv else "%s"
+def _csv_rows(columns: list[np.ndarray]) -> str:
+    """CSV rows from each column's text matrix (see _numtext.text_matrix)."""
+    widths = [c.shape[1] + 1 for c in columns]
+    rows = np.empty((len(columns[0]), sum(widths)), dtype=np.uint8)
+    end = 0
+    for column, width in zip(columns, widths):
+        rows[:, end:end + width - 1] = column
+        end += width
+        rows[:, end - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _row_template(fields: list[str], conversions: list[str], csv: bool) -> str:
-    if csv:
-        return ",".join(conversions) + "\n"
-    members = ",\n".join(f"    {json.dumps(f)}: {c}" for f, c in zip(fields, conversions))
-    return "  {\n" + members + "\n  }"
+def _column_runs(chunks) -> Iterator[list[np.ndarray]]:
+    """The rows of column chunks regrouped into blocks of _BLOCK_ROWS rows.
 
-
-def _values(column: np.ndarray, csv: bool) -> list:
-    # Python scalars: repr(np.float64) is not the float's repr under numpy 2
-    values = column.tolist()
-    if not csv and column.dtype.kind == "f" and not np.isfinite(column).all():
-        # strict JSON has no inf/nan literals: write the strings "inf"/"-inf"/"nan"
-        values = [v if math.isfinite(v) else f'"{v:.17g}"' for v in values]
-    return values
+    Many small chunks share a block; a chunk whose dtypes differ from those
+    of the rows held ends the block early, so no column changes its dtype.
+    """
+    held, rows, dtypes = [], 0, None
+    for chunk in chunks:
+        columns = [np.asarray(c) for c in chunk]
+        types = [c.dtype for c in columns]
+        if types != dtypes:
+            if rows:
+                yield [np.concatenate(c) for c in zip(*held)]
+            held, rows, dtypes = [], 0, types
+        held.append(columns)
+        rows += len(columns[0])
+        if rows >= _BLOCK_ROWS:
+            merged = [np.concatenate(c) for c in zip(*held)]
+            whole = rows - rows % _BLOCK_ROWS
+            for start in range(0, whole, _BLOCK_ROWS):
+                yield [c[start:start + _BLOCK_ROWS] for c in merged]
+            held, rows = [[c[whole:] for c in merged]], rows - whole
+    if rows:
+        yield [np.concatenate(c) for c in zip(*held)]
 
 
 class _Steps(NamedTuple):
     """A table chunk of rows (n, m, p[m]): each node m of each distribution p_n.
 
-    The writer formats only p per row; m goes in from a per-step template
-    built once, and n once per step.
+    The writer formats the node labels m once per run, n once per step and
+    p per row.
     """
 
     n_nodes: int
     distributions: Iterator[np.ndarray]
 
 
-def _column_blocks(fields: list[str], chunk: tuple, csv: bool, sep: str) -> Iterator[tuple]:
-    columns = [np.asarray(c) for c in chunk]
-    row = _row_template(fields, [_conversion(c.dtype, csv) for c in columns], csv)
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [_values(c[start:start + _BLOCK_ROWS], csv) for c in columns]
-        yield sep.join([row] * len(block[0])), tuple(chain.from_iterable(zip(*block)))
-
-
-def _step_blocks(fields: list[str], chunk: _Steps, csv: bool, sep: str) -> Iterator[tuple]:
-    # The step template: one row per node with m written in, n left as a NUL
-    # (which no label or field name holds) and p's conversion kept through
-    # the fill of m by "%%"; in pieces of at most _BLOCK_ROWS nodes.
-    row = _row_template(fields, ["\0", "%d", "%" + _conversion(np.dtype(float), csv)], csv)
-    pieces = []
-    for lo in range(0, chunk.n_nodes, _BLOCK_ROWS):
-        labels = tuple(range(lo, min(lo + _BLOCK_ROWS, chunk.n_nodes)))
-        pieces.append((lo, sep.join([row] * len(labels)) % labels))
+def _step_pieces(chunk: _Steps) -> Iterator[tuple]:
+    """(ns, nodes, p): blocks of whole steps of at most _BLOCK_ROWS rows, with
+    p the concatenated p_n[nodes] of steps ns; a step of more nodes is split
+    into pieces of that many."""
+    pieces = [range(lo, min(lo + _BLOCK_ROWS, chunk.n_nodes))
+              for lo in range(0, chunk.n_nodes, _BLOCK_ROWS)]
     steps = enumerate(chunk.distributions)
     while block := list(islice(steps, max(1, _BLOCK_ROWS // chunk.n_nodes))):
-        for lo, piece in pieces:
-            text = sep.join([piece.replace("\0", str(n)) for n, _ in block])
-            p = np.concatenate([p_n[lo:lo + _BLOCK_ROWS] for _, p_n in block])
-            yield text, tuple(_values(p, csv))
+        ns = [n for n, _ in block]
+        for nodes in pieces:
+            yield ns, nodes, np.concatenate([p_n[nodes.start:nodes.stop] for _, p_n in block])
+
+
+def _csv_steps(chunk: _Steps) -> Iterator[str]:
+    from . import _numtext
+    labels = {}                     # text of the node labels, once per run
+    for ns, nodes, p in _step_pieces(chunk):
+        if nodes not in labels:
+            labels[nodes] = _numtext.text_matrix(np.array(nodes))
+        yield _csv_rows([np.repeat(_numtext.text_matrix(np.array(ns)), len(nodes), axis=0),
+                         np.tile(labels[nodes], (len(ns), 1)), _numtext.text_matrix(p)])
+
+
+def _json_steps(fields: list[str], chunk: _Steps, sep: str) -> Iterator[str]:
+    # one row per node with m written in, n left as a NUL (which no label or
+    # field name holds) and p's conversion kept through the fill of m
+    row = _json_row(fields, ["\0", "%d", "%%s"])
+    labels = {}
+    for ns, nodes, p in _step_pieces(chunk):
+        if nodes not in labels:
+            labels[nodes] = sep.join([row] * len(nodes)) % tuple(nodes)
+        text = sep.join([labels[nodes].replace("\0", str(n)) for n in ns])
+        yield text % tuple(_json_values(p))
+
+
+def _json_row(fields: list[str], conversions: list[str]) -> str:
+    members = ",\n".join(f"    {json.dumps(f)}: {c}" for f, c in zip(fields, conversions))
+    return "  {\n" + members + "\n  }"
+
+
+def _json_values(column: np.ndarray) -> list:
+    # Python scalars: repr(np.float64) is not the float's repr under numpy 2
+    values = column.tolist()
+    if column.dtype.kind == "f" and not np.isfinite(column).all():
+        # strict JSON has no inf/nan literals: write the strings "inf"/"-inf"/"nan"
+        values = [v if math.isfinite(v) else f'"{v:.17g}"' for v in values]
+    return values
+
+
+def _json_blocks(fields: list[str], chunk: tuple, sep: str) -> Iterator[str]:
+    columns = [np.asarray(c) for c in chunk]
+    row = _json_row(fields, ["%d" if c.dtype.kind in "iu" else "%s" for c in columns])
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [_json_values(c[start:start + _BLOCK_ROWS]) for c in columns]
+        yield sep.join([row] * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
 def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
     """Write a table to the text stream `fh`, one block of rows at a time.
 
     Each chunk is a tuple of equal-length columns, one per field, or a _Steps.
-    Rows are formatted by one printf-style template: integer columns with %d,
-    float columns with %.17g in CSV (the same text as format(v, ".17g"), inf,
-    nan and -0 included) and as repr(float) in JSON.  The output equals
-    ",".join(format(v, ".17g")) per CSV row and json.dumps(records, indent=2)
-    plus a newline for JSON, with non-finite floats as "inf"/"-inf"/"nan".
+    The output equals ",".join(format(v, ".17g")) per CSV row (str(v) for
+    integers) and json.dumps(records, indent=2) plus a newline for JSON, with
+    non-finite floats as "inf"/"-inf"/"nan".
+
+    CSV: column chunks are regrouped into blocks of _BLOCK_ROWS rows, so many
+    small chunks share one block.  Each block's columns are formatted by
+    _numtext.text_matrix, which writes the digits of most floats itself and
+    hands CPython's '%.17g' the roundings too close to call (about 1% of the
+    values), inf and nan, and '%d' the integer columns beyond 2**53; columns
+    of fewer than _numtext._SMALL values go to CPython whole.  JSON: each
+    chunk's rows are formatted by one printf-style template per block, floats
+    as repr(float), which is a shortest round trip that the kernel does not
+    produce.
     """
-    csv = fmt == "csv"
-    if csv:
+    if fmt == "csv":
+        # imported on first use, so that start-up without a CSV table does
+        # not load (or, without cached bytecode, compile) the kernel
+        from . import _numtext
         fh.write(",".join(fields) + "\n")
-    lead, sep = ("", "") if csv else ("[\n", ",\n")
+        for steps, run in groupby(chunks, key=lambda chunk: isinstance(chunk, _Steps)):
+            if steps:
+                for chunk in run:
+                    for text in _csv_steps(chunk):
+                        fh.write(text)
+            else:
+                for columns in _column_runs(run):
+                    fh.write(_csv_rows([_numtext.text_matrix(c) for c in columns]))
+        return
+    lead, sep = "[\n", ",\n"
     for chunk in chunks:
-        blocks = _step_blocks if isinstance(chunk, _Steps) else _column_blocks
-        for text, values in blocks(fields, chunk, csv, sep):
-            fh.write(lead + text % values)
+        if isinstance(chunk, _Steps):
+            blocks = _json_steps(fields, chunk, sep)
+        else:
+            blocks = _json_blocks(fields, chunk, sep)
+        for text in blocks:
+            fh.write(lead + text)
             lead = sep
-    if not csv:
-        fh.write("\n]\n" if lead == sep else "[]\n")
+    fh.write("\n]\n" if lead == sep else "[]\n")
 
 
 def _emit(path: str | None, fields: list[str], chunks, fmt: str) -> None:
@@ -243,13 +321,18 @@ def _load_config(path: str) -> dict[str, object]:
 
 def cmd_steady_state(args):
     omegas = _parse_omegas(args.omega)
-    pis = [lin.steady_state(_spec(args, omega)) for omega in omegas]
+    # Every omega is checked before anything is written, and then each pi is
+    # computed as it is written, so a range holds one pi at a time.
+    _spec(args, omegas[0])
+    for omega in omegas[1:]:
+        eq._check_omega(omega)
     m = np.arange(args.n_nodes)
     if len(omegas) > 1:
-        chunks = [(np.full(len(pi), omega), m, pi) for omega, pi in zip(omegas, pis)]
+        chunks = ((np.full(args.n_nodes, omega), m, lin.steady_state(_spec(args, omega)))
+                  for omega in omegas)
         yield args.out, ["omega", "m", "pi"], chunks
     else:
-        yield args.out, ["m", "pi"], [(m, pis[0])]
+        yield args.out, ["m", "pi"], [(m, lin.steady_state(_spec(args, omegas[0])))]
 
 
 def cmd_equilibrium(args):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from oqwalk import equilibrium as eq
 from oqwalk import linear as lin
 from oqwalk import thermalization as th
-from oqwalk import cli
+from oqwalk import _numtext, cli
 from oqwalk.cli import main
 from oqwalk.equilibrium import EnsemblePoint
 from oqwalk.linear import LinearWalkSpec
@@ -857,3 +857,90 @@ def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, cod
     assert main(argv + ["--out", "out.csv"]) == code
     assert capsys.readouterr() == ("", f"oqwalk: error: {message}\n")
     assert sorted(os.listdir(tmp_path)) == before
+
+
+# ---------------------------------------------------------------- CSV number kernel
+
+_REFERENCE_ROWS = {}
+
+
+def reference_rows(kind, case):
+    """The (fields, rows) of a WRITER_CASES or DUMP_CASES case, built once."""
+    if (kind, case) not in _REFERENCE_ROWS:
+        if kind == "writer":
+            _REFERENCE_ROWS[kind, case] = WRITER_CASES[case][1]()
+        else:
+            n_nodes, omega, steps = DUMP_CASES[case]
+            spec = LinearWalkSpec(n_nodes, omega)
+            _REFERENCE_ROWS[kind, case] = (["n", "m", "p"], [
+                [n, m, float(p[m])] for n, p in enumerate(th.iter_distributions(spec, steps))
+                for m in range(n_nodes)])
+    return _REFERENCE_ROWS[kind, case]
+
+
+def csv_output(kind, case, tmp_path):
+    out = tmp_path / "out.csv"
+    if kind == "writer":
+        assert main(WRITER_CASES[case][0] + ["--out", str(out)]) == 0
+    else:
+        n_nodes, omega, steps = DUMP_CASES[case]
+        assert main(["trajectory", "--n-nodes", str(n_nodes), "--omega", str(omega),
+                     "--steps", str(steps), "--out", str(tmp_path / "series.csv"),
+                     "--dump-distributions", str(out)]) == 0
+    return out.read_bytes()
+
+
+KERNEL_CASES = ([("writer", case) for case in sorted(WRITER_CASES)]
+                + [("dump", case) for case in sorted(DUMP_CASES)])
+
+
+# "fallback": a rounding bound that no value meets, so CPython formats every
+# nonzero value; "kernel": the kernel also for arrays too short to pay for it
+@pytest.mark.parametrize("mode", ["fallback", "kernel"])
+@pytest.mark.parametrize("kind, case", KERNEL_CASES, ids=[c for _, c in KERNEL_CASES])
+def test_csv_bytes_do_not_depend_on_who_formats(kind, case, mode, tmp_path, monkeypatch):
+    monkeypatch.setattr(_numtext, "_SMALL", 0)
+    if mode == "fallback":
+        monkeypatch.setattr(_numtext, "_REL_ERR", 1.0)
+    fields, rows = reference_rows(kind, case)
+    assert csv_output(kind, case, tmp_path) == render_reference(fields, rows, "csv").encode()
+
+
+def test_small_chunks_are_written_in_full_blocks(monkeypatch):
+    # 99999 omegas of 2 nodes each: one 2-row chunk per omega
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    writes, out = [], Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["steady-state", "--n-nodes", "2", "--omega", "0.00001:0.99999:0.00001"]) == 0
+    omegas = [0.00001 + k * 0.00001 for k in range(99999)]
+    rows = [[omega, m, float(p)] for omega in omegas
+            for m, p in enumerate(lin.steady_state(LinearWalkSpec(2, omega)))]
+    assert out.getvalue() == render_reference(["omega", "m", "pi"], rows, "csv")
+    assert len(writes) == 1 + math.ceil(len(rows) / cli._BLOCK_ROWS)
+
+
+def test_steady_state_memory_does_not_grow_with_the_omega_count(tmp_path):
+    peaks = []
+    for stop in ("0.0099", "0.0999"):           # 99 and 999 omegas of 2000 nodes
+        tracemalloc.start()
+        try:
+            assert main(["steady-state", "--n-nodes", "2000", "--omega", f"0.0001:{stop}:0.0001",
+                         "--out", str(tmp_path / "pi.csv")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # holding every pi took 31.5 MB at 999 omegas against 3.6 MB at 99
+    assert peaks[1] < 1.25 * peaks[0]
+
+
+def test_steady_state_range_with_a_bad_omega_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "pi.csv"
+    assert main(["steady-state", "--n-nodes", "10", "--omega", "0.5:1.5:0.25",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "oqwalk: error: omega must lie strictly inside (0, 1), got 1.0\n")
+    assert not out.exists()
