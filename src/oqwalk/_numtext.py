@@ -134,8 +134,8 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     n = len(x)
     ax = np.abs(x)
     with np.errstate(all="ignore"):
-        # zero, inf and nan take k = 0: zero then writes as '0' below, and
-        # D = inf or nan fails the range test
+        # zero, inf and nan take k = 0: zero gets D = R = 0, which the layout
+        # of k = 0 writes as '0', and D = inf or nan fails the tests below
         k = np.floor(np.log10(np.where((ax > 0) & (ax < np.inf), ax, 1.0))).astype(np.intp)
         k -= _K_LO
         d = ax.astype(_LD) * pow10[_K_HI - _K_LO - k]

@@ -105,14 +105,19 @@ def test_uint64_beyond_int64_is_exact():
     assert lines(np.array(values, dtype=np.uint64)) == expected(values)
 
 
-def test_kernel_writes_most_values_itself():
+def test_wide_magnitudes_match_format_and_mostly_skip_cpython():
+    # Long-double scaling off a table entry that is itself rounded (10**q
+    # for q < 0 or q > 27) decides about 4 in 1e5 of these wrongly when the
+    # error bound is left out, so 2**18 values catch that.
     rng = np.random.default_rng(14)
-    values = np.concatenate([rng.random(20_000) * 10.0 ** rng.integers(-30, 30, 20_000),
-                             rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(float)])
+    n = 2 ** 18
+    values = np.concatenate([
+        rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.integers(-300, 300, n),
+        rng.integers(0, 2 ** 64, 20_000, dtype=np.uint64).view(float)])
     with counting_cpython() as handed:
         text = lines(values)
-    assert text == expected(values.tolist())
-    # the share within the rounding bound, log10 misses and nan: ~1%
+    assert text == "%.17g\n" * len(values) % tuple(values.tolist())
+    # the values within the rounding bound, log10 misses and nan: ~1%
     assert sum(handed) < 0.03 * len(values)
 
 
