@@ -326,13 +326,13 @@ def cmd_steady_state(args):
     _spec(args, omegas[0])
     for omega in omegas[1:]:
         eq._check_omega(omega)
+    pis = (lin.steady_state(_spec(args, omega)) for omega in omegas)
     m = np.arange(args.n_nodes)
     if len(omegas) > 1:
-        chunks = ((np.full(args.n_nodes, omega), m, lin.steady_state(_spec(args, omega)))
-                  for omega in omegas)
+        chunks = ((np.full(len(pi), omega), m, pi) for omega, pi in zip(omegas, pis))
         yield args.out, ["omega", "m", "pi"], chunks
     else:
-        yield args.out, ["m", "pi"], [(m, lin.steady_state(_spec(args, omegas[0])))]
+        yield args.out, ["m", "pi"], [(m, next(pis))]
 
 
 def cmd_equilibrium(args):
