@@ -16,19 +16,19 @@ written as inf/-inf (CSV) or the strings "inf"/"-inf" (JSON).  Exit codes:
 0 success, 2 invalid parameters, 3 I/O failure.
 
 Output is streamed: results are computed first (so a failing computation
-writes nothing), then written in blocks of rows.  CSV numbers are formatted a
-whole block at a time by a numpy kernel (oqwalk._numtext) that gives the bytes
-of format(v, ".17g") and str(v); it leaves the values whose rounding it cannot
-decide (about 1% of them), inf, nan, integers beyond 2**53 and arrays of
-fewer than 256 values to CPython's own '%.17g' and '%d'.  JSON rows are
-formatted by one printf-style template per block.  --dump-distributions
+writes nothing), then written in blocks of at most 4096 rows, one write each.
+CSV and JSON share the blocks: small column chunks (one per omega of a range)
+are regrouped to fill them, and the distribution dump is cut into blocks of
+whole steps.  CSV numbers are formatted a block at a time by a numpy kernel
+(oqwalk._numtext) that gives the bytes of format(v, ".17g") and str(v),
+leaving the roundings it cannot decide (about 1%), inf, nan, integers beyond
+2**53 and arrays of fewer than 256 values to CPython's '%.17g' and '%d'; a
+JSON block fills a printf-style template of one row.  --dump-distributions
 replays the chain one step at a time after the series is written, so its
-memory is O(N), not O(steps * N); it is written in blocks of whole steps,
-with the node labels formatted once per run and n once per step.  A
-steady-state omega range checks every omega first and then computes one pi at
-a time as it writes.  approx-entropy computes its series one block of t at a
-time as it writes, once the first block has checked its inputs, so its
-memory does not grow with --steps.
+memory is O(N), not O(steps * N).  A steady-state omega range checks every
+omega first and then computes one pi at a time as it writes.  approx-entropy
+computes its series one block of t at a time as it writes, once the first
+block has checked its inputs, so its memory does not grow with --steps.
 
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag, each value read with that flag's type; explicit command-line flags win.
@@ -44,6 +44,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Iterator
+from functools import partial
 from itertools import chain, groupby, islice
 from typing import NamedTuple
 
@@ -118,11 +119,7 @@ def _column_runs(chunks) -> Iterator[list[np.ndarray]]:
 
 
 class _Steps(NamedTuple):
-    """A table chunk of rows (n, m, p[m]): each node m of each distribution p_n.
-
-    The writer formats the node labels m once per run, n once per step and
-    p per row.
-    """
+    """A table chunk of rows (n, m, p[m]): each node m of each distribution p_n."""
 
     n_nodes: int
     distributions: Iterator[np.ndarray]
@@ -141,31 +138,17 @@ def _step_pieces(chunk: _Steps) -> Iterator[tuple]:
             yield ns, nodes, np.concatenate([p_n[nodes.start:nodes.stop] for _, p_n in block])
 
 
-def _csv_steps(chunk: _Steps) -> Iterator[str]:
-    from . import _numtext
-    labels = {}                     # text of the node labels, once per run
-    for ns, nodes, p in _step_pieces(chunk):
-        if nodes not in labels:
-            labels[nodes] = _numtext.text_matrix(np.array(nodes))
-        yield _csv_rows([np.repeat(_numtext.text_matrix(np.array(ns)), len(nodes), axis=0),
-                         np.tile(labels[nodes], (len(ns), 1)), _numtext.text_matrix(p)])
+def _csv_columns(text_matrix, columns: list[np.ndarray]) -> str:
+    return _csv_rows([text_matrix(c) for c in columns])
 
 
-def _json_steps(fields: list[str], chunk: _Steps, sep: str) -> Iterator[str]:
-    # one row per node with m written in, n left as a NUL (which no label or
-    # field name holds) and p's conversion kept through the fill of m
-    row = _json_row(fields, ["\0", "%d", "%%s"])
-    labels = {}
-    for ns, nodes, p in _step_pieces(chunk):
-        if nodes not in labels:
-            labels[nodes] = sep.join([row] * len(nodes)) % tuple(nodes)
-        text = sep.join([labels[nodes].replace("\0", str(n)) for n in ns])
-        yield text % tuple(_json_values(p))
-
-
-def _json_row(fields: list[str], conversions: list[str]) -> str:
-    members = ",\n".join(f"    {json.dumps(f)}: {c}" for f, c in zip(fields, conversions))
-    return "  {\n" + members + "\n  }"
+def _csv_steps(text_matrix, labels: dict, piece: tuple) -> str:
+    # labels keeps the text of the node labels, formatted once per run
+    ns, nodes, p = piece
+    if nodes not in labels:
+        labels[nodes] = text_matrix(np.array(nodes))
+    return _csv_rows([np.repeat(text_matrix(np.array(ns)), len(nodes), axis=0),
+                      np.tile(labels[nodes], (len(ns), 1)), text_matrix(p)])
 
 
 def _json_values(column: np.ndarray) -> list:
@@ -177,12 +160,18 @@ def _json_values(column: np.ndarray) -> list:
     return values
 
 
-def _json_blocks(fields: list[str], chunk: tuple, sep: str) -> Iterator[str]:
-    columns = [np.asarray(c) for c in chunk]
-    row = _json_row(fields, ["%d" if c.dtype.kind in "iu" else "%s" for c in columns])
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [_json_values(c[start:start + _BLOCK_ROWS]) for c in columns]
-        yield sep.join([row] * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
+def _json_columns(fields: list[str], columns: list[np.ndarray]) -> str:
+    """The JSON records of one block, from a printf template of one row."""
+    members = ",\n".join(f"    {json.dumps(f)}: {'%d' if c.dtype.kind in 'iu' else '%s'}"
+                         for f, c in zip(fields, columns))
+    rows = ",\n".join(["  {\n" + members + "\n  }"] * len(columns[0]))
+    return rows % tuple(chain.from_iterable(zip(*map(_json_values, columns))))
+
+
+def _json_steps(fields: list[str], piece: tuple) -> str:
+    ns, nodes, p = piece
+    return _json_columns(fields, [np.repeat(ns, len(nodes)),
+                                  np.tile(np.arange(nodes.start, nodes.stop), len(ns)), p])
 
 
 def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
@@ -193,40 +182,37 @@ def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
     integers) and json.dumps(records, indent=2) plus a newline for JSON, with
     non-finite floats as "inf"/"-inf"/"nan".
 
-    CSV: column chunks are regrouped into blocks of _BLOCK_ROWS rows, so many
-    small chunks share one block.  Each block's columns are formatted by
-    _numtext.text_matrix, which writes the digits of most floats itself and
-    hands CPython's '%.17g' the roundings too close to call (about 1% of the
-    values), inf and nan, and '%d' the integer columns beyond 2**53; columns
-    of fewer than _numtext._SMALL values go to CPython whole.  JSON: each
-    chunk's rows are formatted by one printf-style template per block, floats
-    as repr(float), which is a shortest round trip that the kernel does not
-    produce.
+    One loop serves both formats: runs of column chunks are regrouped into
+    blocks of _BLOCK_ROWS rows by _column_runs, and _Steps chunks are cut
+    into blocks of whole steps by _step_pieces.  A format gives its header or
+    brackets and a renderer for each kind of block.  CSV formats columns with
+    _numtext.text_matrix (see its module), and the dump's node labels once
+    per run.  JSON fills a printf template of one row per block, floats as
+    repr(float), a shortest round trip that the kernel does not produce; a
+    step block goes through it as the columns n, m and p.
     """
     if fmt == "csv":
         # imported on first use, so that start-up without a CSV table does
         # not load (or, without cached bytecode, compile) the kernel
-        from . import _numtext
+        from ._numtext import text_matrix
         fh.write(",".join(fields) + "\n")
-        for steps, run in groupby(chunks, key=lambda chunk: isinstance(chunk, _Steps)):
-            if steps:
-                for chunk in run:
-                    for text in _csv_steps(chunk):
-                        fh.write(text)
-            else:
-                for columns in _column_runs(run):
-                    fh.write(_csv_rows([_numtext.text_matrix(c) for c in columns]))
-        return
-    lead, sep = "[\n", ",\n"
-    for chunk in chunks:
-        if isinstance(chunk, _Steps):
-            blocks = _json_steps(fields, chunk, sep)
+        lead = sep = ""
+        columns_text = partial(_csv_columns, text_matrix)
+        steps_text = partial(_csv_steps, text_matrix, {})
+    else:
+        lead, sep = "[\n", ",\n"
+        columns_text = partial(_json_columns, fields)
+        steps_text = partial(_json_steps, fields)
+    for steps, run in groupby(chunks, key=lambda chunk: isinstance(chunk, _Steps)):
+        if steps:
+            blocks = map(steps_text, chain.from_iterable(map(_step_pieces, run)))
         else:
-            blocks = _json_blocks(fields, chunk, sep)
+            blocks = map(columns_text, _column_runs(run))
         for text in blocks:
             fh.write(lead + text)
             lead = sep
-    fh.write("\n]\n" if lead == sep else "[]\n")
+    if fmt == "json":
+        fh.write("\n]\n" if lead == sep else "[]\n")
 
 
 def _emit(path: str | None, fields: list[str], chunks, fmt: str) -> None:

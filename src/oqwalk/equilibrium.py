@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 __all__ = [
     "EnsemblePoint",
@@ -84,6 +83,13 @@ def _check_n_nodes(n_nodes: int) -> None:
 def _check_omega(omega: float) -> None:
     if not (0.0 < omega < 1.0):
         raise ValueError(f"omega must lie strictly inside (0, 1), got {omega}")
+
+
+def _check_drift(omega: float) -> None:
+    """The window and approximation formulas need drift toward node N-1."""
+    if not omega > 0.5:
+        raise ValueError(f"omega must exceed 1/2 (drift toward the far boundary), got {omega}; "
+                         "for omega < 1/2 use the mirror map omega -> 1-omega")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -178,6 +184,16 @@ def _exp_over_expm1_sq(z: float) -> float:
     return 0.25 / (s * s)
 
 
+def _remainders(u: np.ndarray) -> np.ndarray:
+    """l, h and g stacked: numpy's polyval(u, _COEF), step for step, without the
+    import of numpy.polynomial, which loads five other polynomial families too."""
+    c = _COEF.reshape(_COEF.shape + (1,) * u.ndim)
+    acc = c[-1] + u * 0
+    for c_j in c[-2::-1]:
+        acc = c_j + acc * u
+    return acc
+
+
 def _forms(n: int, x):
     """log Z, <E>/eps, Var(E)/eps^2 and S at each x = beta*eps of an array.
 
@@ -189,7 +205,7 @@ def _forms(n: int, x):
     s = np.abs(x)
     z = np.stack([s, n * s])
     with np.errstate(all="ignore"):  # each branch is evaluated on the other's points too
-        l, h, g = polyval(z * z, _COEF)
+        l, h, g = _remainders(z * z)
         ez, em = np.exp(-z), -np.expm1(-z)
         log_em = np.where(z < math.log(2.0), np.log(em), np.log1p(-ez))
         q = ez / em

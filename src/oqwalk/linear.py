@@ -11,12 +11,13 @@ geometric distribution.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import OqwChannel
-from .equilibrium import _check_epsilon, _check_n_nodes, _check_omega
+from .equilibrium import _check_drift, _check_epsilon, _check_n_nodes, _check_omega
 
 __all__ = [
     "LinearWalkSpec",
@@ -183,11 +184,18 @@ def _start(spec: LinearWalkSpec, steps: int, p0: np.ndarray | None) -> np.ndarra
     return _check_distribution(p0, spec.n_nodes).copy()
 
 
+def _evolve(p: np.ndarray, omega: float, steps: int) -> Iterator[np.ndarray]:
+    """p and the steps distributions after it, each a new array."""
+    yield p
+    for _ in range(steps):
+        p = markov_step(p, omega)
+        yield p
+
+
 def markov_evolve(spec: LinearWalkSpec, p0: np.ndarray, steps: int) -> np.ndarray:
     """steps applications of the chain to p0 (matrix-free, O(N) per step)."""
-    p = _start(spec, steps, p0)
-    for _ in range(steps):
-        p = markov_step(p, spec.omega)
+    for p in _evolve(_start(spec, steps, p0), spec.omega, steps):
+        pass
     return p
 
 
@@ -222,8 +230,8 @@ def boundary_mass_bound(omega: float) -> float:
     For omega > 1/2 the stationary chain keeps pi_{N-1} >= eta > 0 no matter
     how large N grows.  Vacuous for omega <= 1/2, which raises.
     """
-    if not 0.5 < omega < 1.0:
-        raise ValueError(f"bound requires omega in (1/2, 1), got {omega}")
+    _check_drift(omega)
+    _check_omega(omega)
     return 2.0 - 1.0 / omega
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import equilibrium
 from .equilibrium import EnsemblePoint
-from .linear import LinearWalkSpec, _start, markov_step, steady_state
+from .linear import LinearWalkSpec, _evolve, _start, markov_step, steady_state
 
 __all__ = [
     "GaussianProfile",
@@ -138,12 +138,8 @@ def thermalization_window(n_nodes: int, omega: float) -> ThermalizationWindow:
     finite window and raises.
     """
     equilibrium._check_n_nodes(n_nodes)
+    equilibrium._check_drift(omega)
     v = 2.0 * omega - 1.0
-    if v <= 0.0:
-        raise ValueError(
-            f"window formulas need omega > 1/2 (drift toward the far boundary); "
-            f"got omega = {omega}.  Use the mirror map for omega < 1/2."
-        )
     root = math.sqrt(1.0 + v * n_nodes)
     return ThermalizationWindow(
         t_start=((root - 1.0) / v) ** 2,
@@ -200,8 +196,7 @@ def approx_entropy_params(
     k_upper=4.0, i.e. n_prime = N - 4*sigma_ss; this is inferred from the
     tables themselves.  The default stays k_upper=2.0.
     """
-    if not 0.5 < omega < 1.0:
-        raise ValueError(f"approximation needs omega in (1/2, 1), got {omega}")
+    equilibrium._check_drift(omega)
     point = EnsemblePoint.from_omega(n_nodes, omega, 1.0)
     sigma_ss = equilibrium.energy_std_large_n(point)
     n_prime = n_nodes - k_upper * sigma_ss
@@ -430,13 +425,6 @@ def iter_distributions(
     return _evolve(_start(spec, steps, p0), spec.omega, steps)
 
 
-def _evolve(p: np.ndarray, omega: float, steps: int) -> Iterator[np.ndarray]:
-    yield p
-    for _ in range(steps):
-        p = markov_step(p, omega)
-        yield p
-
-
 def _generated_entropy(entropy: np.ndarray, energy: np.ndarray, t_eq: float) -> np.ndarray:
     """S_gen = S - E/T_eq; at infinite T_eq (omega = 1/2) the heat term drops."""
     if math.isinf(t_eq):
@@ -655,8 +643,6 @@ def dqc_step_estimates(n_nodes: int, omega: float) -> DqcEstimates:
     within 1e-3 (relative) of its steady-state value after n_end, at step 475
     for N = 100, omega = 2/3, where n_steps = 300 and n_end = 423.5.
     """
-    if not omega > 0.5:
-        raise ValueError(f"step estimates need omega > 1/2, got {omega}")
     window = thermalization_window(n_nodes, omega)
     return DqcEstimates(
         n_start=window.t_start,

@@ -219,6 +219,32 @@ def test_dqc_rejects_low_omega(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega", [0.4, 0.5])
+def test_rightward_drift_rule_has_one_owner_and_one_message(omega, capsys):
+    with pytest.raises(ValueError) as rule:
+        eq._check_drift(omega)
+    message = str(rule.value)
+    assert "mirror map" in message
+    refusals = [lambda: th.thermalization_window(100, omega),
+                lambda: th.approx_entropy_params(100, omega),
+                lambda: th.dqc_step_estimates(100, omega),
+                lambda: lin.boundary_mass_bound(omega)]
+    for refuse in refusals:
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value) == message
+    for command in ("window", "dqc", "approx-entropy", "table"):
+        assert main([command, "--n-nodes", "100", "--omega", str(omega)]) == 2
+        assert capsys.readouterr() == ("", f"oqwalk: error: {message}\n")
+
+
+def test_omega_of_one_is_refused_by_the_omega_rule():
+    for refuse in (lambda: th.approx_entropy_params(100, 1.0),
+                   lambda: lin.boundary_mass_bound(1.0)):
+        with pytest.raises(ValueError, match=r"^omega must lie strictly inside \(0, 1\)"):
+            refuse()
+
+
 # ---------------------------------------------------------------- approx-entropy / table
 
 def test_approx_entropy_series(tmp_path):
@@ -920,6 +946,25 @@ def test_small_chunks_are_written_in_full_blocks(monkeypatch):
     rows = [[omega, m, float(p)] for omega in omegas
             for m, p in enumerate(lin.steady_state(LinearWalkSpec(2, omega)))]
     assert out.getvalue() == render_reference(["omega", "m", "pi"], rows, "csv")
+    assert len(writes) == 1 + math.ceil(len(rows) / cli._BLOCK_ROWS)
+
+
+def test_small_json_chunks_are_written_in_full_blocks(monkeypatch):
+    # the JSON twin of the CSV test above: "[" rides on the first block and
+    # the closing bracket is one more write
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    writes, out = [], Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["steady-state", "--n-nodes", "2", "--omega", "0.00001:0.99999:0.00001",
+                 "--format", "json"]) == 0
+    omegas = [0.00001 + k * 0.00001 for k in range(99999)]
+    rows = [[omega, m, float(p)] for omega in omegas
+            for m, p in enumerate(lin.steady_state(LinearWalkSpec(2, omega)))]
+    assert out.getvalue() == render_reference(["omega", "m", "pi"], rows, "json")
     assert len(writes) == 1 + math.ceil(len(rows) / cli._BLOCK_ROWS)
 
 

@@ -1,6 +1,9 @@
 """Equilibrium statistical mechanics against brute-force steady-state sums."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +45,31 @@ def test_beta_omega_map_values():
     assert eq.beta_from_omega(0.5, 1.0) == 0.0
     assert eq.beta_from_omega(1 / 3, 1.0) == pytest.approx(math.log(2), abs=1e-15)
     assert eq.beta_from_omega(2 / 3, 1.0) == pytest.approx(-math.log(2), abs=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(), (1000,), (3, 7)])
+@pytest.mark.parametrize("n", [2, 500])
+def test_remainders_are_polyval_bit_for_bit(shape, n):
+    from numpy.polynomial.polynomial import polyval     # the reference, imported here only
+    seam = 2.0 / n                                      # N|beta| = 2, the series/closed-form seam
+    rng = np.random.default_rng(15)
+    for first in [0.0, seam, np.nextafter(seam, 0.0), np.nextafter(seam, 1.0), 1e-300, 40.0]:
+        s = 10.0 ** rng.uniform(-8.0, 2.0, math.prod(shape))
+        s[0] = first
+        z = np.stack([s.reshape(shape), n * s.reshape(shape)])     # as _forms stacks it
+        with np.errstate(all="ignore"):
+            got, want = eq._remainders(z * z), polyval(z * z, eq._COEF)
+        assert got.shape == want.shape == (3, 2) + shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_import_does_not_load_numpy_polynomial():
+    code = "import sys, oqwalk.cli; print('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize("omega", OMEGA_GRID + [0.5, 1e-6, 1 - 1e-6])
