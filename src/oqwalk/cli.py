@@ -17,8 +17,8 @@ written as inf/-inf (CSV) or the strings "inf"/"-inf" (JSON).  Exit codes:
 
 Output is streamed: results are computed first (so a failing computation
 writes nothing), then written in blocks of at most 4096 rows, one write each.
-CSV and JSON share the blocks: small column chunks (one per omega of a range)
-are regrouped to fill them, and the distribution dump is cut into blocks of
+CSV and JSON share the blocks: a column chunk is cut into blocks of rows,
+never merged with the next, and the distribution dump is cut into blocks of
 whole steps.  CSV numbers are formatted a block at a time by a numpy kernel
 (oqwalk._numtext) that gives the bytes of format(v, ".17g") and str(v),
 leaving the roundings it cannot decide (about 1%), inf, nan, integers beyond
@@ -26,7 +26,7 @@ leaving the roundings it cannot decide (about 1%), inf, nan, integers beyond
 JSON block fills a printf-style template of one row.  --dump-distributions
 replays the chain one step at a time after the series is written, so its
 memory is O(N), not O(steps * N).  A steady-state omega range checks every
-omega first and then computes one pi at a time as it writes.  approx-entropy
+omega first, then computes pi for one block of omegas at a time.  approx-entropy
 computes its series one block of t at a time as it writes, once the first
 block has checked its inputs, so its memory does not grow with --steps.
 
@@ -45,7 +45,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -92,30 +92,11 @@ def _csv_rows(columns: list[np.ndarray]) -> str:
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _column_runs(chunks) -> Iterator[list[np.ndarray]]:
-    """The rows of column chunks regrouped into blocks of _BLOCK_ROWS rows.
-
-    Many small chunks share a block; a chunk whose dtypes differ from those
-    of the rows held ends the block early, so no column changes its dtype.
-    """
-    held, rows, dtypes = [], 0, None
-    for chunk in chunks:
-        columns = [np.asarray(c) for c in chunk]
-        types = [c.dtype for c in columns]
-        if types != dtypes:
-            if rows:
-                yield [np.concatenate(c) for c in zip(*held)]
-            held, rows, dtypes = [], 0, types
-        held.append(columns)
-        rows += len(columns[0])
-        if rows >= _BLOCK_ROWS:
-            merged = [np.concatenate(c) for c in zip(*held)]
-            whole = rows - rows % _BLOCK_ROWS
-            for start in range(0, whole, _BLOCK_ROWS):
-                yield [c[start:start + _BLOCK_ROWS] for c in merged]
-            held, rows = [[c[whole:] for c in merged]], rows - whole
-    if rows:
-        yield [np.concatenate(c) for c in zip(*held)]
+def _column_blocks(chunk: tuple) -> Iterator[list[np.ndarray]]:
+    """A chunk of equal-length columns cut into blocks of at most _BLOCK_ROWS rows."""
+    columns = [np.asarray(c) for c in chunk]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        yield [c[start:start + _BLOCK_ROWS] for c in columns]
 
 
 class _Steps(NamedTuple):
@@ -182,10 +163,10 @@ def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
     integers) and json.dumps(records, indent=2) plus a newline for JSON, with
     non-finite floats as "inf"/"-inf"/"nan".
 
-    One loop serves both formats: runs of column chunks are regrouped into
-    blocks of _BLOCK_ROWS rows by _column_runs, and _Steps chunks are cut
-    into blocks of whole steps by _step_pieces.  A format gives its header or
-    brackets and a renderer for each kind of block.  CSV formats columns with
+    One loop serves both formats: column chunks are cut into blocks of
+    _BLOCK_ROWS rows by _column_blocks, and _Steps chunks into blocks of
+    whole steps by _step_pieces.  A format gives its header or brackets and
+    a renderer for each kind of block.  CSV formats columns with
     _numtext.text_matrix (see its module), and the dump's node labels once
     per run.  JSON fills a printf template of one row per block, floats as
     repr(float), a shortest round trip that the kernel does not produce; a
@@ -203,11 +184,11 @@ def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
         lead, sep = "[\n", ",\n"
         columns_text = partial(_json_columns, fields)
         steps_text = partial(_json_steps, fields)
-    for steps, run in groupby(chunks, key=lambda chunk: isinstance(chunk, _Steps)):
-        if steps:
-            blocks = map(steps_text, chain.from_iterable(map(_step_pieces, run)))
+    for chunk in chunks:
+        if isinstance(chunk, _Steps):
+            blocks = map(steps_text, _step_pieces(chunk))
         else:
-            blocks = map(columns_text, _column_runs(run))
+            blocks = map(columns_text, _column_blocks(chunk))
         for text in blocks:
             fh.write(lead + text)
             lead = sep
@@ -267,10 +248,6 @@ def _parse_omegas(text: str) -> list[float]:
     return (start + np.arange(count) * step).tolist()
 
 
-def _spec(args, omega: float) -> LinearWalkSpec:
-    return LinearWalkSpec(args.n_nodes, omega, args.epsilon)
-
-
 def _single_omega(args) -> float:
     omegas = _parse_omegas(args.omega)
     if len(omegas) != 1:
@@ -306,19 +283,22 @@ def _load_config(path: str) -> dict[str, object]:
 # stdout; main writes each table before it asks for the next.
 
 def cmd_steady_state(args):
-    omegas = _parse_omegas(args.omega)
-    # Every omega is checked before anything is written, and then each pi is
-    # computed as it is written, so a range holds one pi at a time.
-    _spec(args, omegas[0])
-    for omega in omegas[1:]:
+    n, omegas = args.n_nodes, _parse_omegas(args.omega)
+    # N and every omega are checked once, in order, before anything is written
+    eq._check_n_nodes(n)
+    for omega in omegas:
         eq._check_omega(omega)
-    pis = (lin.steady_state(_spec(args, omega)) for omega in omegas)
-    m = np.arange(args.n_nodes)
-    if len(omegas) > 1:
-        chunks = ((np.full(len(pi), omega), m, pi) for omega, pi in zip(omegas, pis))
-        yield args.out, ["omega", "m", "pi"], chunks
+    m = np.arange(n)
+    per_block = max(1, _BLOCK_ROWS // n)
+
+    def block(start: int) -> tuple:
+        ws = omegas[start:start + per_block]
+        return np.repeat(ws, n), np.tile(m, len(ws)), lin._steady_states(n, ws).ravel()
+
+    if len(omegas) == 1:        # a single omega's table has no omega column
+        yield args.out, ["m", "pi"], [block(0)[1:]]
     else:
-        yield args.out, ["m", "pi"], [(m, next(pis))]
+        yield args.out, ["omega", "m", "pi"], map(block, range(0, len(omegas), per_block))
 
 
 def cmd_equilibrium(args):
@@ -326,14 +306,14 @@ def cmd_equilibrium(args):
     for omega in omegas:
         if not 0.0 < omega < 1.0:
             raise CliError(EXIT_VALIDATION, f"omega {omega} outside (0, 1)")
-    betas = [eq.beta_from_omega(omega, args.epsilon) for omega in omegas]
+    betas = -np.fromiter(map(eq._log_odds, omegas), float, len(omegas)) / args.epsilon
     tp = eq.thermo_points(args.n_nodes, betas, args.epsilon)
     columns = (omegas, betas, tp.T, tp.Z, tp.mean_E, tp.var_E, tp.S, tp.F, tp.C_V)
     yield args.out, ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], [columns]
 
 
 def cmd_trajectory(args):
-    spec = _spec(args, _single_omega(args))
+    spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
     traj = th.simulate_trajectory(spec, args.steps)
     series = (np.arange(args.steps + 1), traj.entropy, traj.energy,
               traj.temperature_estimate, traj.entropy_generated)
@@ -354,7 +334,7 @@ def cmd_window(args):
 
 
 def cmd_approx_entropy(args):
-    spec = _spec(args, _single_omega(args))
+    spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
     if args.steps is not None:
         lin._check_steps(args.steps)
     params = th.approx_entropy_params(spec.n_nodes, spec.omega)
@@ -380,7 +360,7 @@ def _one_row(values: list) -> list[tuple]:
 
 
 def cmd_table(args):
-    spec = _spec(args, _single_omega(args))
+    spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
     window = th.thermalization_window(spec.n_nodes, spec.omega)
     steps = args.steps if args.steps is not None else math.floor(window.t_end)
     traj = th.simulate_trajectory(spec, steps)

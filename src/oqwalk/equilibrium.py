@@ -99,11 +99,16 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite, got {epsilon}")
 
 
+def _log_odds(omega: float) -> float:
+    """log a = log(omega/(1-omega)) = -beta*epsilon of one unchecked omega."""
+    return math.log(omega) - math.log1p(-omega)
+
+
 def beta_from_omega(omega: float, epsilon: float = 1.0) -> float:
     """Inverse temperature of the steady state reached at hop weight omega."""
     _check_omega(omega)
     _check_epsilon(epsilon)
-    return -(math.log(omega) - math.log1p(-omega)) / epsilon
+    return -_log_odds(omega) / epsilon
 
 
 def omega_from_beta(beta: float, epsilon: float = 1.0) -> float:
@@ -122,11 +127,8 @@ def equilibrium_temperature(omega: float, epsilon: float = 1.0) -> float:
     Positive for omega < 1/2, negative for omega > 1/2 (population inversion).
     Returns math.inf at omega = 1/2, where the temperature diverges.
     """
-    _check_omega(omega)
-    _check_epsilon(epsilon)
-    if omega == 0.5:
-        return math.inf
-    return 1.0 / beta_from_omega(omega, epsilon)
+    beta = beta_from_omega(omega, epsilon)
+    return math.inf if beta == 0.0 else 1.0 / beta
 
 
 @dataclass(frozen=True)

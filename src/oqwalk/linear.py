@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import OqwChannel
-from .equilibrium import _check_drift, _check_epsilon, _check_n_nodes, _check_omega
+from .equilibrium import _check_drift, _check_epsilon, _check_n_nodes, _check_omega, _log_odds
 
 __all__ = [
     "LinearWalkSpec",
@@ -25,6 +25,7 @@ __all__ = [
     "transition_matrix",
     "markov_evolve",
     "steady_state",
+    "steady_states",
     "boundary_mass_bound",
     "internal_state_at_node",
 ]
@@ -199,29 +200,42 @@ def markov_evolve(spec: LinearWalkSpec, p0: np.ndarray, steps: int) -> np.ndarra
     return p
 
 
-def steady_state(spec: LinearWalkSpec) -> np.ndarray:
-    """Stationary distribution pi_m = a^m (a-1)/(a^N - 1), a = omega/(1-omega).
+def steady_states(n_nodes: int, omegas) -> np.ndarray:
+    """Stationary distributions pi_m = a^m (a-1)/(a^N - 1), a = omega/(1-omega).
 
-    Evaluated in the log domain, normalized by a log-sum-exp anchored at the
-    dominant node, so it stays finite and normalized for N up to 1e6 and
-    omega in [1e-6, 1-1e-6]; the naive a^N overflows doubles already at
-    a = 2, N = 1100.  omega = 1/2 returns the uniform distribution (the
-    a -> 1 limit).
+    Row k of the (K, N) result is steady_state at omegas[k], bit for bit.  A
+    log-sum-exp anchored at the dominant node keeps each row finite and
+    normalized for N up to 1e6 and omega in [1e-6, 1-1e-6], where a^N
+    overflows; omega = 1/2 gives the uniform row.  Holds 16 K N bytes at once.
     """
-    n = spec.n_nodes
-    if spec.omega == 0.5:
-        return np.full(n, 1.0 / n)
-    log_a = math.log(spec.omega) - math.log1p(-spec.omega)
+    _check_n_nodes(n_nodes)
+    for omega in omegas:
+        _check_omega(omega)
+    return _steady_states(n_nodes, omegas)
+
+
+def _steady_states(n: int, omegas) -> np.ndarray:
+    # math.log and log1p per omega: np.log rounds a few percent of them differently
+    omegas = np.asarray(omegas, dtype=float)
+    log_a = np.fromiter(map(_log_odds, omegas.tolist()), float, len(omegas))[:, None]
     # Anchor the exponents at the dominant node so the heavy terms carry full
     # precision: for a > 1, m*log(a) alone reaches ~1e7 at N = 1e6, where
     # doubles only resolve ~2e-9 absolutely.
-    anchor = n - 1 if log_a > 0 else 0
+    anchor = np.where(log_a > 0, n - 1, 0)
     logs = (np.arange(n) - anchor) * log_a
     # logs[anchor] = 0 is the maximum, so log(sum exp(logs)) = log1p(sum of the
     # rest), which sums the same terms in the same order as a max-shifted logsumexp.
     rest = np.exp(logs)
-    rest[anchor] = 0.0
-    return np.exp(logs - np.log1p(rest.sum()))
+    np.put_along_axis(rest, anchor, 0.0, axis=1)
+    logs -= np.log1p(rest.sum(axis=1))[:, None]
+    pis = np.exp(logs, out=logs)
+    pis[omegas == 0.5] = 1.0 / n
+    return pis
+
+
+def steady_state(spec: LinearWalkSpec) -> np.ndarray:
+    """Stationary distribution of the walk: the one-row case of steady_states."""
+    return _steady_states(spec.n_nodes, [spec.omega])[0]
 
 
 def boundary_mass_bound(omega: float) -> float:

@@ -133,12 +133,13 @@ def thermalization_window(n_nodes: int, omega: float) -> ThermalizationWindow:
     t_end solves v t - 2 sqrt(t) = N (trailing edge arrives), giving
     t_therm = t_end - t_start = 4 sqrt(1 + v N)/v^2.
 
-    Requires omega > 1/2 (rightward drift); for omega < 1/2 apply the mirror
-    map omega -> 1-omega first.  The drift-free point omega = 1/2 has no
-    finite window and raises.
+    Requires 1/2 < omega < 1 (rightward drift); for omega < 1/2 apply the
+    mirror map omega -> 1-omega first.  The drift-free point omega = 1/2 has
+    no finite window and raises.
     """
     equilibrium._check_n_nodes(n_nodes)
     equilibrium._check_drift(omega)
+    equilibrium._check_omega(omega)
     v = 2.0 * omega - 1.0
     root = math.sqrt(1.0 + v * n_nodes)
     return ThermalizationWindow(
@@ -148,7 +149,10 @@ def thermalization_window(n_nodes: int, omega: float) -> ThermalizationWindow:
 
 
 def entropy_gaussian_regime(t):
-    """Entropy of the free drifting packet, (1/2) log(2 pi e t); valid t < t_start.
+    """Entropy (1/2) log(2 pi e t) of a Gaussian of variance t: the paper's free packet.
+
+    The exact chain spreads with variance 4 omega lambda t on one parity class,
+    so this exceeds its S(t) at t_start, N = 1000: by 0.17 nats at omega = 2/3, 0.88 at 0.9.
 
     Array-valued in t, like approx_entropy: a float for a scalar t.
     """
@@ -338,7 +342,7 @@ def approx_entropy(spec: LinearWalkSpec, t, params: ApproxEntropyParams | None =
 
 
 def shannon_entropy(p: np.ndarray) -> float | np.ndarray:
-    """Entropy -sum p log p in nats over the last axis (0 log 0 = 0).
+    """Entropy -sum p log p in nats over the last axis (0 log 0 = 0, and no -0.0).
 
     A 1-D distribution gives a float; a stack of distributions gives one
     entropy per row, each bit-identical to the 1-D call on that row.
@@ -347,7 +351,7 @@ def shannon_entropy(p: np.ndarray) -> float | np.ndarray:
     Neumann entropy of the full quantum state: every occupied block stays a
     rank-one projector, so the position marginal carries all the mixedness.
     """
-    s = -_xlogx(np.asarray(p, dtype=float)).sum(axis=-1)
+    s = 0.0 - _xlogx(np.asarray(p, dtype=float)).sum(axis=-1)
     return float(s) if s.ndim == 0 else s
 
 

@@ -170,6 +170,28 @@ def test_trajectory_columns_and_second_law(tmp_path):
     assert max(s) > s[-1]
 
 
+@pytest.mark.parametrize("omega", ["0.3", "0.5", "0.7"])
+def test_point_mass_start_writes_zero_entropy_without_a_sign(omega, capsys):
+    # S(0) of the walker at node 0 is exactly 0, and so is S_gen(0) = S(0) - 0/T_eq
+    argv = ["trajectory", "--n-nodes", "5", "--omega", omega, "--steps", "1"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out.splitlines()[1].split(",")
+    assert (first[1], first[4]) == ("0", "0")
+    assert main(argv + ["--format", "json"]) == 0
+    text = capsys.readouterr().out
+    assert '"S": 0.0,' in text and '"S_gen": 0.0\n' in text and "-0.0" not in text
+
+
+def test_empty_boltzmann_tail_writes_zero_without_a_sign(capsys):
+    # at omega = 0.99, n_prime = N - 2 sigma_ss lies above the last node: the
+    # tail-sum S_B is an empty sum, 0 at every t, also where w is 0 or 1
+    assert th.approx_entropy_params(100, 0.99).tail_start == 100
+    assert main(["approx-entropy", "--n-nodes", "100", "--omega", "0.99", "--steps", "20000"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert {row[3] for row in rows} == {"0"}
+    assert {"0", "1"} <= {row[4] for row in rows}
+
+
 def test_trajectory_distribution_dump(tmp_path):
     out = tmp_path / "traj.csv"
     dump = tmp_path / "dist.csv"
@@ -240,7 +262,9 @@ def test_rightward_drift_rule_has_one_owner_and_one_message(omega, capsys):
 
 def test_omega_of_one_is_refused_by_the_omega_rule():
     for refuse in (lambda: th.approx_entropy_params(100, 1.0),
-                   lambda: lin.boundary_mass_bound(1.0)):
+                   lambda: lin.boundary_mass_bound(1.0),
+                   lambda: th.thermalization_window(100, 1.0),
+                   lambda: th.dqc_step_estimates(100, 1.0)):
         with pytest.raises(ValueError, match=r"^omega must lie strictly inside \(0, 1\)"):
             refuse()
 
@@ -585,10 +609,11 @@ def as_rows(*columns):
             for row in zip(*columns)]
 
 
-def _steady_state_multi():
-    omegas = [0.1 + k * 0.2 for k in range(5)]          # the CLI's start + k*step
+def _steady_state_range(n_nodes, start, step, count):
+    omegas = [start + k * step for k in range(count)]   # the CLI's start + k*step
+    assert 0.5 in omegas                                 # the uniform row
     rows = [[omega, m, float(p)] for omega in omegas
-            for m, p in enumerate(lin.steady_state(LinearWalkSpec(7, omega)))]
+            for m, p in enumerate(lin.steady_state(LinearWalkSpec(n_nodes, omega)))]
     return ["omega", "m", "pi"], rows
 
 
@@ -648,7 +673,17 @@ WRITER_CASES = {
                      lambda: (["m", "pi"], as_rows(
                          range(30), lin.steady_state(LinearWalkSpec(30, 0.7))))),
     "steady-state-range": (["steady-state", "--n-nodes", "7", "--omega", "0.1:0.9:0.2"],
-                           _steady_state_multi),
+                           lambda: _steady_state_range(7, 0.1, 0.2, 5)),
+    # one block holds all 9 omegas at N = 100 and two omegas at N = 2000;
+    # at N = 5000 each omega's rows span two blocks
+    "steady-state-range-100": (["steady-state", "--n-nodes", "100", "--omega", "0.3:0.7:0.05"],
+                               lambda: _steady_state_range(100, 0.3, 0.05, 9)),
+    "steady-state-range-2000": (["steady-state", "--n-nodes", "2000", "--omega",
+                                 "0.45:0.55:0.05"],
+                                lambda: _steady_state_range(2000, 0.45, 0.05, 3)),
+    "steady-state-range-5000": (["steady-state", "--n-nodes", "5000", "--omega",
+                                 "0.48:0.52:0.02"],
+                                lambda: _steady_state_range(5000, 0.48, 0.02, 3)),
     # omega = 0.5 gives beta = -0, T = inf and F = -inf
     "equilibrium-half": (["equilibrium", "--n-nodes", "10", "--omega", "0.5"],
                          lambda: _equilibrium(10, [0.5])),
@@ -873,6 +908,13 @@ assert not any(name.startswith("scipy") for name in sys.modules if sys.modules[n
     # window passes epsilon to no library call; main checks it for every subcommand
     (["window", "--n-nodes", "100", "--omega", "0.7", "--epsilon", "nan"], None, 2,
      "epsilon must be positive, got nan"),
+    # omega >= 1 passes the drift rule, and the omega rule refuses it
+    (["window", "--n-nodes", "10", "--omega", "1.5"], None, 2,
+     "omega must lie strictly inside (0, 1), got 1.5"),
+    (["window", "--n-nodes", "10", "--omega", "1.0"], None, 2,
+     "omega must lie strictly inside (0, 1), got 1.0"),
+    (["window", "--n-nodes", "10", "--omega", "0.6:1.2:0.2"], None, 2,
+     "omega must lie strictly inside (0, 1), got 1.0"),
 ])
 def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, code, message,
                                                                tmp_path, capsys, monkeypatch):
@@ -966,6 +1008,25 @@ def test_small_json_chunks_are_written_in_full_blocks(monkeypatch):
             for m, p in enumerate(lin.steady_state(LinearWalkSpec(2, omega)))]
     assert out.getvalue() == render_reference(["omega", "m", "pi"], rows, "json")
     assert len(writes) == 1 + math.ceil(len(rows) / cli._BLOCK_ROWS)
+
+
+@pytest.mark.parametrize("fmt, row_end", [("csv", "\n"), ("json", "}")])
+def test_one_long_chunk_is_written_in_blocks(fmt, row_end, monkeypatch):
+    # eq-sweep's shape: one chunk of 19,997 rows goes out as 5 blocks, one
+    # write each, besides the CSV header or the closing JSON bracket
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    writes, out = [], Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["equilibrium", "--n-nodes", "50", "--omega", "0.0001:0.9999:0.00005",
+                 "--format", fmt]) == 0
+    body = writes[1:] if fmt == "csv" else writes[:-1]
+    assert [text.count(row_end) for text in body] == [cli._BLOCK_ROWS] * 4 + [3613]
+    if fmt == "json":
+        assert len(json.loads(out.getvalue())) == 19_997
 
 
 def test_steady_state_memory_does_not_grow_with_the_omega_count(tmp_path):

@@ -243,6 +243,52 @@ def test_steady_state_keeps_the_logsumexp_bits(n, omega):
                                   np.exp(logs - logsumexp(logs)))
 
 
+# 1/2 (the uniform row), its two neighbouring doubles, and both ends of the
+# documented range
+EDGE_OMEGAS = [0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 1e-6, 1 - 1e-6]
+
+
+def scalar_steady(n, omega):
+    """One pi at a time, as steady_state computed it before steady_states."""
+    if omega == 0.5:
+        return np.full(n, 1.0 / n)
+    log_a = math.log(omega) - math.log1p(-omega)
+    anchor = n - 1 if log_a > 0 else 0
+    logs = (np.arange(n) - anchor) * log_a
+    rest = np.exp(logs)
+    rest[anchor] = 0.0
+    return np.exp(logs - np.log1p(rest.sum()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 2500),   # K * N stays at most 20,000
+       omegas=st.lists(st.sampled_from(EDGE_OMEGAS) | st.floats(1e-6, 1 - 1e-6),
+                       min_size=1, max_size=8))
+@example(n=4097, omegas=EDGE_OMEGAS)
+def test_each_steady_states_row_is_the_one_omega_call(n, omegas):
+    pis = lin.steady_states(n, omegas)
+    assert pis.shape == (len(omegas), n)
+    for omega, row in zip(omegas, pis):
+        assert row.tobytes() == scalar_steady(n, omega).tobytes()
+        assert row.tobytes() == lin.steady_state(LinearWalkSpec(n, omega)).tobytes()
+    # a row depends on its omega only: reordered and repeated omegas give the same rows
+    again = lin.steady_states(n, omegas[::-1] + omegas)
+    assert again.tobytes() == np.concatenate([pis[::-1], pis]).tobytes()
+
+
+def test_steady_states_checks_n_and_every_omega_in_order():
+    with pytest.raises(ValueError, match=r"^n_nodes must be >= 2, got 1$"):
+        lin.steady_states(1, [1.5])
+    with pytest.raises(ValueError, match=r"^n_nodes must be an integer, got 12\.0$"):
+        lin.steady_states(12.0, [0.5])
+    for omegas, bad in (([0.3, 1.0, 1.5], "1.0"), ((0.2, 0.0), "0.0"),
+                        (np.array([0.7, math.nan]), "nan")):
+        message = rf"^omega must lie strictly inside \(0, 1\), got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            lin.steady_states(10, omegas)
+    assert lin.steady_states(10, []).shape == (0, 10)
+
+
 # ---------------------------------------------------------------- boundary bound
 
 def test_boundary_mass_bound_values():

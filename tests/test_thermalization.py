@@ -117,6 +117,15 @@ def test_entropy_gaussian_regime_tracks_simulation():
     assert max(devs) < 0.30
 
 
+@pytest.mark.parametrize("omega, excess", [(2 / 3, 0.17), (0.9, 0.88)])
+def test_entropy_gaussian_regime_lies_above_the_chain_at_t_start(omega, excess):
+    # the +-1 chain spreads with variance 4 omega lambda t on one parity class,
+    # so the variance-t form overshoots by a margin that grows with omega
+    t = math.floor(th.thermalization_window(1000, omega).t_start)
+    exact = th.simulate_trajectory(LinearWalkSpec(1000, omega), t).entropy[t]
+    assert th.entropy_gaussian_regime(t) - exact == pytest.approx(excess, abs=0.01)
+
+
 # ---------------------------------------------------------------- split params
 
 def test_approx_params_default_cutoff():
@@ -740,6 +749,16 @@ def test_shannon_entropy_empty_and_zero_rows():
     block = np.zeros((3, 4))
     block[1] = 0.25
     np.testing.assert_array_equal(th.shannon_entropy(block), [0.0, math.log(4), 0.0])
+
+
+def test_shannon_entropy_of_a_point_mass_is_plus_zero():
+    # 0.0 - sum, not -sum: a point mass, an empty and an all-zero row give +0.0
+    for p in (np.eye(1, 5)[0], np.array([1.0]), np.empty(0), np.zeros(7)):
+        assert math.copysign(1.0, th.shannon_entropy(p)) == 1.0
+    assert not np.signbit(th.shannon_entropy(np.eye(3))).any()
+    for omega in (0.3, 0.5, 0.7):
+        traj = th.simulate_trajectory(LinearWalkSpec(5, omega), 1)
+        assert not np.signbit([traj.entropy[0], traj.entropy_generated[0]]).any()
 
 
 # ---------------------------------------------------------------- temperature
