@@ -1,23 +1,44 @@
-"""CSV number text: the exact bytes of format(v, ".17g") for a whole array at once.
+"""Number text: the exact bytes of '%.17g' % v or repr(v) for a whole array at once.
 
-`text_matrix(column)` returns a uint8 matrix with one row per value, holding
-that value's text with NUL bytes in between; dropping the NULs leaves the
-text.  Floats get the text of format(v, ".17g"), integers that of str(v).
+`text_matrix(column, style)` returns a uint8 matrix with one row per value,
+holding that value's text with NUL bytes in between; dropping the NULs leaves
+the text.  Floats get the text of style % v, with style '%.17g' (CSV) or '%r'
+(JSON: Python's shortest round-trip repr); integers get str(v) in either.
 
-Float kernel.  For finite nonzero x take k = floor(log10|x|) and
-D = |x| * 10**(16 - k) in long double, with 10**q from a table of correctly
-rounded long doubles.  D carries at most two roundings, so it lies within
-D * eps of the exact product (eps of long double).  When rint(D) = R is in
-[1e16 + 1, 1e17 - 1] and D is more than that bound away from the nearest
-half-integer, R is the exact value rounded to 17 significant digits, and its
-digits, the '.', the '0.000' prefix of exponents -4..-1 and the e+XX suffix
-are written into fixed byte slots.  Every other value is formatted by
-CPython's own '%.17g': a rounding too close to call, a log10 off by one, a
-value in [1e16, 1e17), inf and nan, about 1% of random values.  ±0 is
-written directly.  Arrays shorter than _SMALL go to CPython whole.  Where long double is no wider than double the bound
-exceeds 1/2, so every value goes to CPython: the bytes stay the same and
-only the speed is lost.  So does every value on a double-double long double
-and on big-endian machines, which the byte layout below does not cover.
+One kernel serves both styles.  For finite nonzero x take k = floor(log10|x|)
+and D = |x| * 10**(16 - k) in long double, with 10**q from a table of
+correctly rounded long doubles.  D carries at most two roundings, so it lies
+within err = D * eps of the exact product (eps of long double).  When
+rint(D) = R17 is in [1e16 + 1, 1e17 - 1], k is exact and R17 has 17 digits.
+
+'%.17g' takes R17 when D is more than err away from the nearest
+half-integer: then R17 is the exact value rounded to 17 significant digits.
+
+'%r' takes the first of R15 = round(D/100)*100, R16 = round(D/10)*10 and R17
+that lies within half an ulp of x, scaled to D's units by 10**(16 - k) (in
+long double: that scale overflows a double for k < -292).  The rounding
+interval of x is narrower than the 15-digit grid, so it holds at most one
+point with 15 or fewer digits, R15, and R15 with its trailing zeros stripped
+is the shortest text when it is inside.  Up to three 16-digit points can be
+inside, and repr takes the nearest, R16; R17 is always inside.  A value is
+decided only when D is more than 2 * err from every rounding boundary and
+interval boundary that the choice depends on.  Powers of two, whose interval
+is asymmetric, and subnormals are left undecided.  A carry to 10**17 is
+written as 1 at k + 1.
+
+The chosen digits, padded to 17, the '.', the '0.000' prefix of exponents
+-4..-1 and the e+XX suffix are written into fixed byte slots, with trailing
+fraction zeros dropped.  '%.17g' writes fixed notation for -4 <= k < 17 and
+never '.0'; repr writes it for -4 <= k < 16, adds '.0' where no fraction
+digit is left, and writes 1e+16, 1e-05 and 1.5e+16 in scientific notation.
+Every value the kernel leaves undecided is formatted by CPython's own style
+% v: a rounding too close to call, a log10 off by one, a value in [1e16,
+1e17) under '%.17g', inf and nan, about 1% of random values in either style.
+±0 is written directly.  Arrays shorter than _SMALL go to CPython whole.
+Where long double is no wider than double the bound exceeds 1/2, so every
+value goes to CPython: the bytes stay the same and only the speed is lost.
+So does every value on a double-double long double and on big-endian
+machines, which the byte layout below does not cover.
 """
 
 from __future__ import annotations
@@ -45,6 +66,7 @@ _KERNEL = (_LD_BITS in (64, 113) and 1e17 * _REL_ERR < 0.25
 _SMALL = 256
 # Exponents k of finite nonzero doubles: 5e-324 .. 1.8e308.
 _K_LO, _K_HI = -324, 308
+_DBL_MIN = float(np.finfo(np.float64).smallest_normal)
 # A value's slot is 7 words of 8 bytes: integer digits (2), fraction digits
 # (2), sign, '.' and exponent.  The text takes them in the order of _ORDER,
 # and the bytes of a word from the lowest.
@@ -79,15 +101,18 @@ def _tables():
         pow10 += ((mant >> at) & 0xFFFFFFFF).astype(np.uint32).astype(_LD) * _LD(2) ** at
     pow10 = np.ldexp(pow10, -np.array(shift, dtype=np.int32))
     # Per k: the split of R into integer digits I and fraction digits F (as
-    # 10**(16 - split) and 10**split), the class c of the digit layout, and
-    # the exponent word.  Classes 0..15: k in 0..15 (fixed, k + 1 integer
-    # digits) or scientific (c = 0, one integer digit); 16..19: k = -1..-4.
+    # 10**(16 - split) and 10**split), the class c of the digit layout, the
+    # exponent word, and repr's '.0' where no fraction digit is left.
+    # Classes 0..15: k in 0..15 (fixed, k + 1 integer digits) or scientific
+    # (c = 0, one integer digit); 16..19: k = -1..-4.  k = 16 is scientific,
+    # as repr writes it ('%.17g' leaves it to CPython).
     k = np.arange(_K_LO, _K_HI + 1)
     fixed = (k >= 0) & (k <= 15)
     split = np.where(fixed, k, 0)
     cls = np.where((k >= -4) & (k < 0), 15 - k, split)
-    exp = [int.from_bytes(b"e%+03d" % v, "little") if not -4 <= v < 17 else 0
+    exp = [int.from_bytes(b"e%+03d" % v, "little") if not -4 <= v < 16 else 0
            for v in k.tolist()]
+    point_zero = np.where(fixed, _U(int.from_bytes(b".0", "little")), _U(0))
     # Per class: the masks keeping the integer digits of the 16-byte integer
     # field (its last split + 1 bytes), the '0.' + zeros prefix that class
     # 16..19 adds before its one digit, and the '.' that classes 0..15 put
@@ -106,19 +131,20 @@ def _tables():
         else:
             layout[c, 4] = ord(".")
     # Per (h, l), the counts of fraction words' bytes up to their last nonzero
-    # digit: the masks of the fraction words and the '.' flag.
+    # digit: the masks of the fraction words and of the '.' word (all ones
+    # where some fraction digit is left).
     h, l = np.divmod(np.arange(81), 9)
     keep = np.where(l > 0, 8 + l, h)
     tail = np.zeros((81, 3), dtype=_U)
     for i, n in enumerate(keep.tolist()):
         field = b"\xff" * n + bytes(16 - n)
         tail[i] = (int.from_bytes(field[:8], "little"), int.from_bytes(field[8:], "little"),
-                   0xFF if n else 0)
+                   2 ** 64 - 1 if n else 0)
     # the text of 0000..9999, four bytes each
     quads = np.arange(10 ** 4)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
     quads = quads.astype(np.uint8).view(np.uint32).ravel()
-    return (pow10, 10 ** (16 - split), 10 ** split, quads, layout[cls].T.copy(),
-            np.array(exp, dtype=_U), tail.T.copy())
+    return (pow10, 10 ** (16 - split), 10 ** split, quads,
+            np.vstack([layout[cls].T, point_zero]), np.array(exp, dtype=_U), tail.T.copy())
 
 
 def _cpython(values: np.ndarray, conversion: str) -> np.ndarray:
@@ -127,9 +153,39 @@ def _cpython(values: np.ndarray, conversion: str) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _float_text(x: np.ndarray) -> np.ndarray:
+def _shortest(ax, r, off, err, k, scale) -> np.ndarray:
+    """repr's digits: R15, R16 or R17, padded to 17 digits, in place of r.
+
+    R15 and R16 come from int64 divmod(R17, 100 | 10) plus the offset
+    D - R17.  A carry to 10**17 becomes 10**16 at k + 1.  Returns where the
+    choice is decided (see the module docstring).
+    """
+    m, e = np.frexp(ax)
+    # half an ulp of x, in D's units
+    half_ulp = np.ldexp(scale, e - 54).astype(np.float64)
+    margin = 2 * err
+    decided = (m != 0.5) & (ax >= _DBL_MIN)
+    taken = np.zeros(len(r), dtype=bool)
+    for unit in (100, 10):
+        q, rem = np.divmod(r, unit)
+        f = rem + off                       # D - q*unit
+        up = f > unit / 2
+        dist = np.abs(f - unit * up)
+        decided &= taken | ((np.abs(dist - half_ulp) > margin)
+                            & (np.abs(f - unit / 2) > margin))
+        take = ~taken & (dist < half_ulp)
+        np.copyto(r, (q + up) * unit, where=take)
+        taken |= take
+    decided &= taken | (np.abs(off) < 0.5 - margin)
+    carry = r == 10 ** 17
+    r[carry] = 10 ** 16
+    k[carry] += 1
+    return decided
+
+
+def _float_text(x: np.ndarray, style: str) -> np.ndarray:
     if not _KERNEL or len(x) < _SMALL:
-        return _cpython(x, "%.17g")
+        return _cpython(x, style)
     pow10, divisor, multiplier, quads, layout, exp, tail = _tables()
     n = len(x)
     ax = np.abs(x)
@@ -138,15 +194,21 @@ def _float_text(x: np.ndarray) -> np.ndarray:
         # of k = 0 writes as '0', and D = inf or nan fails the tests below
         k = np.floor(np.log10(np.where((ax > 0) & (ax < np.inf), ax, 1.0))).astype(np.intp)
         k -= _K_LO
-        d = ax.astype(_LD) * pow10[_K_HI - _K_LO - k]
+        scale = pow10[_K_HI - _K_LO - k]
+        d = ax.astype(_LD) * scale
         r = np.rint(d)
-        off = np.abs((d - r).astype(np.float64))
+        off = (d - r).astype(np.float64)
         r = r.astype(np.int64)
-    # decidable, R in [1e16 + 1, 1e17 - 1], and not k = 16, whose 17 integer
-    # digits the layout has no room for
-    ok = off + r * _REL_ERR < 0.5
-    ok &= (r - np.int64(10 ** 16 + 1)).view(_U) <= _U(9 * 10 ** 16 - 2)
-    ok &= k != 16 - _K_LO
+    err = r * _REL_ERR
+    # R in [1e16 + 1, 1e17 - 1], so k is exact
+    ok = (r - np.int64(10 ** 16 + 1)).view(_U) <= _U(9 * 10 ** 16 - 2)
+    if style == "%r":
+        ok &= _shortest(ax, r, off, err, k, scale)
+    else:
+        # decidable, and not k = 16, whose 17 integer digits the layout has
+        # no room for
+        ok &= np.abs(off) + err < 0.5
+        ok &= k != 16 - _K_LO
     ok |= ax == 0
     # The slots as 8-byte words, one row of `words` per word: two of
     # integer digits, two of fraction digits, the sign, the '.' and the
@@ -174,12 +236,17 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     words[0] |= layout[2][k]
     words[1] |= layout[3][k]
     np.multiply(np.signbit(x), _U(ord("-")), out=words[4])
-    np.bitwise_and(layout[4][k], tail[2][at], out=words[5])
+    has_fraction = tail[2][at]
+    np.bitwise_and(layout[4][k], has_fraction, out=words[5])
+    if style == "%r":           # '.0' in fixed notation without a fraction digit
+        words[5] |= layout[5][k] & ~has_fraction
     words[6] = exp[k]
     if not ok.all():
         # CPython's text, at most 24 bytes, in the last three words of the text
         bad = np.flatnonzero(~ok)
-        text = np.array(["%.17g" % v for v in x[bad].tolist()], dtype="S24")
+        cpython = _cpython(x[bad], style)
+        text = np.zeros((len(bad), 24), dtype=np.uint8)
+        text[:, :cpython.shape[1]] = cpython
         replace = np.zeros((_WORDS, len(bad)), dtype=_U)
         replace[_ORDER[-3:]] = text.view(_U).reshape(-1, 3).T
         words[:, bad] = replace
@@ -191,16 +258,17 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     return slots[:, _ORDER[word], byte]
 
 
-def text_matrix(column: np.ndarray) -> np.ndarray:
+def text_matrix(column: np.ndarray, style: str = "%.17g") -> np.ndarray:
     """Each value's text as a row of a uint8 matrix, with NULs in between.
 
     Dropping the NULs of row i leaves the text of column[i].  Integers are
-    written as str(v): by the float kernel on their float64 values when every
-    |v| < 2**53, where the two texts agree, else by '%d'.  Every other column
-    is written as format(float(v), ".17g").
+    written as str(v) in either style: by the float kernel's '%.17g' on their
+    float64 values when every |v| < 2**53, where the two texts agree, else by
+    '%d'.  Every other column is written as style % float(v), with style
+    '%.17g' or '%r'.
     """
     if column.dtype.kind in "iu":
         if len(column) and -2 ** 53 < int(column.min()) and int(column.max()) < 2 ** 53:
-            return _float_text(column.astype(np.float64))
+            return _float_text(column.astype(np.float64), "%.17g")
         return _cpython(column, "%d")
-    return _float_text(column.astype(np.float64, copy=False))
+    return _float_text(column.astype(np.float64, copy=False), style)

@@ -11,19 +11,21 @@ table           error metrics of the approximation against the exact run
 dqc             step-count estimates and energy bookkeeping for readout runs
 
 Everything is deterministic: identical invocations produce byte-identical
-files.  Floats are serialized with 17 significant digits; divergences are
-written as inf/-inf (CSV) or the strings "inf"/"-inf" (JSON).  Exit codes:
-0 success, 2 invalid parameters, 3 I/O failure.
+files.  CSV floats are serialized with 17 significant digits, JSON floats as
+Python's repr (the shortest text that reads back to the same double);
+divergences are written as inf/-inf (CSV) or the strings "inf"/"-inf"
+(JSON).  Exit codes: 0 success, 2 invalid parameters, 3 I/O failure.
 
 Output is streamed: results are computed first (so a failing computation
 writes nothing), then written in blocks of at most 4096 rows, one write each.
 CSV and JSON share the blocks: a column chunk is cut into blocks of rows,
 never merged with the next, and the distribution dump is cut into blocks of
-whole steps.  CSV numbers are formatted a block at a time by a numpy kernel
-(oqwalk._numtext) that gives the bytes of format(v, ".17g") and str(v),
-leaving the roundings it cannot decide (about 1%), inf, nan, integers beyond
-2**53 and arrays of fewer than 256 values to CPython's '%.17g' and '%d'; a
-JSON block fills a printf-style template of one row.  --dump-distributions
+whole steps.  Numbers are formatted a block at a time by a numpy kernel
+(oqwalk._numtext) that gives the bytes of format(v, ".17g") (CSV), repr(v)
+(JSON) and str(v), leaving the roundings it cannot decide (about 1%), inf,
+nan, integers beyond 2**53 and arrays of fewer than 256 values to CPython;
+the rows are assembled from those texts and constant pieces (CSV commas, JSON
+braces and member names).  --dump-distributions
 replays the chain one step at a time after the series is written, so its
 memory is O(N), not O(steps * N).  A steady-state omega range checks every
 omega first, then computes pi for one block of omegas at a time.  approx-entropy
@@ -79,16 +81,15 @@ class CliError(Exception):
 _BLOCK_ROWS = 4096
 
 
-def _csv_rows(columns: list[np.ndarray]) -> str:
-    """CSV rows from each column's text matrix (see _numtext.text_matrix)."""
-    widths = [c.shape[1] + 1 for c in columns]
-    rows = np.empty((len(columns[0]), sum(widths)), dtype=np.uint8)
+def _rows(pieces: list[np.ndarray], columns: list[np.ndarray]) -> str:
+    """Rows from each column's text matrix (see _numtext.text_matrix), with
+    the byte arrays pieces[i] before column i and pieces[-1] after the last."""
+    parts = [*chain.from_iterable(zip(pieces, columns)), pieces[-1]]
+    rows = np.empty((len(columns[0]), sum(p.shape[-1] for p in parts)), dtype=np.uint8)
     end = 0
-    for column, width in zip(columns, widths):
-        rows[:, end:end + width - 1] = column
-        end += width
-        rows[:, end - 1] = ord(",")
-    rows[:, -1] = ord("\n")
+    for part in parts:
+        rows[:, end:end + part.shape[-1]] = part
+        end += part.shape[-1]
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -119,40 +120,25 @@ def _step_pieces(chunk: _Steps) -> Iterator[tuple]:
             yield ns, nodes, np.concatenate([p_n[nodes.start:nodes.stop] for _, p_n in block])
 
 
-def _csv_columns(text_matrix, columns: list[np.ndarray]) -> str:
-    return _csv_rows([text_matrix(c) for c in columns])
+def _json_text(text_matrix, column: np.ndarray) -> np.ndarray:
+    """A column's JSON text: repr(float), str(int), and the strings
+    "inf"/"-inf"/"nan", since strict JSON has no such literals."""
+    text = text_matrix(column, "%r")
+    if column.dtype.kind == "f" and not np.isfinite(column).all():
+        quoted = np.zeros((len(text), text.shape[1] + 2), dtype=np.uint8)
+        quoted[:, 1:-1] = text
+        quoted[~np.isfinite(column), ::quoted.shape[1] - 1] = ord('"')
+        return quoted
+    return text
 
 
-def _csv_steps(text_matrix, labels: dict, piece: tuple) -> str:
+def _steps_text(column_text, labels: dict, piece: tuple) -> list[np.ndarray]:
     # labels keeps the text of the node labels, formatted once per run
     ns, nodes, p = piece
     if nodes not in labels:
-        labels[nodes] = text_matrix(np.array(nodes))
-    return _csv_rows([np.repeat(text_matrix(np.array(ns)), len(nodes), axis=0),
-                      np.tile(labels[nodes], (len(ns), 1)), text_matrix(p)])
-
-
-def _json_values(column: np.ndarray) -> list:
-    # Python scalars: repr(np.float64) is not the float's repr under numpy 2
-    values = column.tolist()
-    if column.dtype.kind == "f" and not np.isfinite(column).all():
-        # strict JSON has no inf/nan literals: write the strings "inf"/"-inf"/"nan"
-        values = [v if math.isfinite(v) else f'"{v:.17g}"' for v in values]
-    return values
-
-
-def _json_columns(fields: list[str], columns: list[np.ndarray]) -> str:
-    """The JSON records of one block, from a printf template of one row."""
-    members = ",\n".join(f"    {json.dumps(f)}: {'%d' if c.dtype.kind in 'iu' else '%s'}"
-                         for f, c in zip(fields, columns))
-    rows = ",\n".join(["  {\n" + members + "\n  }"] * len(columns[0]))
-    return rows % tuple(chain.from_iterable(zip(*map(_json_values, columns))))
-
-
-def _json_steps(fields: list[str], piece: tuple) -> str:
-    ns, nodes, p = piece
-    return _json_columns(fields, [np.repeat(ns, len(nodes)),
-                                  np.tile(np.arange(nodes.start, nodes.stop), len(ns)), p])
+        labels[nodes] = column_text(np.array(nodes))
+    return [np.repeat(column_text(np.array(ns)), len(nodes), axis=0),
+            np.tile(labels[nodes], (len(ns), 1)), column_text(p)]
 
 
 def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
@@ -165,32 +151,37 @@ def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
 
     One loop serves both formats: column chunks are cut into blocks of
     _BLOCK_ROWS rows by _column_blocks, and _Steps chunks into blocks of
-    whole steps by _step_pieces.  A format gives its header or brackets and
-    a renderer for each kind of block.  CSV formats columns with
-    _numtext.text_matrix (see its module), and the dump's node labels once
-    per run.  JSON fills a printf template of one row per block, floats as
-    repr(float), a shortest round trip that the kernel does not produce; a
-    step block goes through it as the columns n, m and p.
+    whole steps by _step_pieces, whose columns are n, m (the node labels,
+    formatted once per run) and p.  Each column of a block becomes a text
+    matrix of the _numtext kernel, '%.17g' for CSV and repr for JSON, and
+    _rows puts a format's constant pieces between them: ','s and a newline
+    for CSV, a record's braces and member names for JSON.  Each JSON record
+    ends in ",\n", which the writer drops after the last one.
     """
+    # imported on first use, so that start-up without a table does not load
+    # (or, without cached bytecode, compile) the kernel
+    from ._numtext import text_matrix
     if fmt == "csv":
-        # imported on first use, so that start-up without a CSV table does
-        # not load (or, without cached bytecode, compile) the kernel
-        from ._numtext import text_matrix
         fh.write(",".join(fields) + "\n")
+        pieces = ["", *[","] * (len(fields) - 1), "\n"]
         lead = sep = ""
-        columns_text = partial(_csv_columns, text_matrix)
-        steps_text = partial(_csv_steps, text_matrix, {})
+        column_text = text_matrix
     else:
+        names = [json.dumps(f) for f in fields]
+        pieces = [f"  {{\n    {names[0]}: ", *[f",\n    {name}: " for name in names[1:]],
+                  "\n  },\n"]
         lead, sep = "[\n", ",\n"
-        columns_text = partial(_json_columns, fields)
-        steps_text = partial(_json_steps, fields)
+        column_text = partial(_json_text, text_matrix)
+    pieces = [np.frombuffer(p.encode("ascii"), dtype=np.uint8) for p in pieces]
+    steps_text = partial(_steps_text, column_text, {})
     for chunk in chunks:
         if isinstance(chunk, _Steps):
             blocks = map(steps_text, _step_pieces(chunk))
         else:
-            blocks = map(columns_text, _column_blocks(chunk))
-        for text in blocks:
-            fh.write(lead + text)
+            blocks = ([column_text(c) for c in block] for block in _column_blocks(chunk))
+        for columns in blocks:
+            text = _rows(pieces, columns)
+            fh.write(lead + text[:len(text) - len(sep)])
             lead = sep
     if fmt == "json":
         fh.write("\n]\n" if lead == sep else "[]\n")

@@ -380,12 +380,14 @@ def thermo_points(n_nodes: int, beta, epsilon: float = 1.0) -> ThermoPoint:
     if not np.isfinite(x).all():
         raise ValueError("beta * epsilon must be finite")
     logz, e, var, s = _forms(n_nodes, x)
-    var = epsilon * epsilon * var
     zero = beta == 0.0
+    # C_V = beta^2 Var(E) = x^2 Var(E)/eps^2: at tiny eps, Var(E) underflows
+    # while beta^2 overflows
     with np.errstate(over="ignore", divide="ignore"):
         return ThermoPoint(Z=np.where(zero, float(n_nodes), np.exp(logz)), mean_E=epsilon * e,
-                           var_E=var, S=s, F=np.where(zero, -np.inf, -logz / beta),
-                           C_V=beta * beta * var, T=np.where(zero, np.inf, 1.0 / beta))
+                           var_E=epsilon * epsilon * var, S=s,
+                           F=np.where(zero, -np.inf, -logz / beta), C_V=x * x * var,
+                           T=np.where(zero, np.inf, 1.0 / beta))
 
 
 def thermo_point(point: EnsemblePoint) -> ThermoPoint:

@@ -709,6 +709,38 @@ WRITER_CASES = {
 }
 
 
+def _equilibrium_at(n_nodes, omegas, epsilon):
+    rows = []
+    for omega in omegas:
+        point = EnsemblePoint.from_omega(n_nodes, omega, epsilon)
+        tp = eq.thermo_point(point)
+        rows.append([omega, point.beta, tp.T, tp.Z, tp.mean_E, tp.var_E, tp.S, tp.F, tp.C_V])
+    return ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], rows
+
+
+# Tables of at least 256 values per column, which the kernel formats in both
+# styles: JSON's repr through scientific notation, subnormals, 0.0 and the
+# quoted "inf"/"-inf".
+WRITER_CASES.update({
+    # pi falls through every decade to 13 subnormals and 2746 zeros
+    "steady-state-scientific": (["steady-state", "--n-nodes", "3000", "--omega", "0.95"],
+                                lambda: (["m", "pi"], as_rows(
+                                    range(3000), lin.steady_state(LinearWalkSpec(3000, 0.95))))),
+    # Z overflows to inf above omega ~ 0.59; T = inf and F = -inf at 0.5
+    "equilibrium-overflow": (["equilibrium", "--n-nodes", "2000", "--omega", "0.3:0.7:0.001"],
+                             lambda: _equilibrium(2000, [0.3 + k * 0.001 for k in range(401)])),
+    "equilibrium-epsilon": (["equilibrium", "--n-nodes", "40", "--omega", "0.005:0.995:0.001",
+                             "--epsilon", "2.5"],
+                            lambda: _equilibrium_at(40, [0.005 + k * 0.001 for k in range(991)],
+                                                    2.5)),
+    # varE underflows to 0 while Cv stays finite
+    "equilibrium-tiny-epsilon": (["equilibrium", "--n-nodes", "30", "--omega", "0.1:0.9:0.002",
+                                  "--epsilon", "1e-300"],
+                                 lambda: _equilibrium_at(30, [0.1 + k * 0.002 for k in range(401)],
+                                                         1e-300)),
+})
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("case", sorted(WRITER_CASES))
 def test_writer_bytes_match_reference(case, fmt, tmp_path, capsys):
@@ -758,6 +790,7 @@ DUMP_CASES = {
     "single-step": (3, 0.7, 0),
     "partial-last-block": (2, 0.7, 4100),        # 8202 rows: two full blocks and a partial
     "half": (7, 0.5, 50),
+    "zeros-and-tails": (60, 0.9, 300),          # 0.0 ahead of the packet, tails to 4e-57
 }
 
 
@@ -946,14 +979,15 @@ def reference_rows(kind, case):
     return _REFERENCE_ROWS[kind, case]
 
 
-def csv_output(kind, case, tmp_path):
-    out = tmp_path / "out.csv"
+def table_output(kind, case, tmp_path, fmt="csv"):
+    out = tmp_path / f"out.{fmt}"
     if kind == "writer":
-        assert main(WRITER_CASES[case][0] + ["--out", str(out)]) == 0
+        assert main(WRITER_CASES[case][0] + ["--format", fmt, "--out", str(out)]) == 0
     else:
         n_nodes, omega, steps = DUMP_CASES[case]
         assert main(["trajectory", "--n-nodes", str(n_nodes), "--omega", str(omega),
-                     "--steps", str(steps), "--out", str(tmp_path / "series.csv"),
+                     "--steps", str(steps), "--format", fmt,
+                     "--out", str(tmp_path / f"series.{fmt}"),
                      "--dump-distributions", str(out)]) == 0
     return out.read_bytes()
 
@@ -971,7 +1005,18 @@ def test_csv_bytes_do_not_depend_on_who_formats(kind, case, mode, tmp_path, monk
     if mode == "fallback":
         monkeypatch.setattr(_numtext, "_REL_ERR", 1.0)
     fields, rows = reference_rows(kind, case)
-    assert csv_output(kind, case, tmp_path) == render_reference(fields, rows, "csv").encode()
+    assert table_output(kind, case, tmp_path) == render_reference(fields, rows, "csv").encode()
+
+
+@pytest.mark.parametrize("mode", ["fallback", "kernel"])
+@pytest.mark.parametrize("kind, case", KERNEL_CASES, ids=[c for _, c in KERNEL_CASES])
+def test_json_bytes_do_not_depend_on_who_formats(kind, case, mode, tmp_path, monkeypatch):
+    monkeypatch.setattr(_numtext, "_SMALL", 0)
+    if mode == "fallback":
+        monkeypatch.setattr(_numtext, "_REL_ERR", 1.0)
+    fields, rows = reference_rows(kind, case)
+    assert (table_output(kind, case, tmp_path, "json")
+            == render_reference(fields, rows, "json").encode())
 
 
 def test_small_chunks_are_written_in_full_blocks(monkeypatch):

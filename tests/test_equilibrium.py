@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -494,6 +495,29 @@ def test_thermo_points_equal_the_scalar_evaluators(n, epsilon):
             assert value.tobytes() == np.float64(f(p)).tobytes(), (name, beta)
             assert value.tobytes() == np.float64(getattr(point, name)).tobytes(), (name, beta)
         assert getattr(tp, "T")[i] == point.T
+
+
+@pytest.mark.parametrize("epsilon", [1e-300, 1e-155, 1e-3, 2.5, 1e3])
+def test_heat_capacity_at_any_level_spacing_against_mpmath(epsilon):
+    # C_V = x^2 Var with x = beta*eps: beta^2 (eps^2 Var) was nan (0 * inf)
+    # at eps = 1e-300 and inf near 1e-155.  Bound: the closed forms' 1e-14
+    # (test_closed_forms_across_the_seams_against_mpmath) plus the three
+    # roundings of x, x^2 and the product, and of x against the exact beta*eps.
+    mp = pytest.importorskip("mpmath")
+    n = 30
+    omegas = [0.1, 0.2, 0.3, 0.45, 0.55, 0.9]
+    betas = -np.array([eq._log_odds(w) for w in omegas]) / epsilon
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cv = eq.thermo_points(n, betas, epsilon).C_V
+    for beta, got in zip(betas.tolist(), cv.tolist()):
+        with mp.workdps(60):
+            x = mp.mpf(beta) * mp.mpf(epsilon)
+            terms = [mp.exp(-x * m) for m in range(n)]
+            z = mp.fsum(terms)
+            e = mp.fsum(m * t for m, t in enumerate(terms)) / z
+            ref = x * x * (mp.fsum(m * m * t for m, t in enumerate(terms)) / z - e * e)
+        assert abs(got - ref) <= 2e-14 * ref, (beta, got, ref)
 
 
 @pytest.mark.parametrize("n", ONE_PATH_N)

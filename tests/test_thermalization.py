@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
@@ -676,6 +676,74 @@ def test_trajectory_mirror_symmetry(n, omega, steps):
     # and (N-1) eps - E there carries the rounding of (N-1) eps
     scale = (n - 1) * traj.spec.epsilon
     assert np.abs((scale - mirror.energy) - traj.energy).max() <= 1e-13 * scale
+
+
+_U = 2.0 ** -53      # unit roundoff of a double
+
+
+@st.composite
+def _walks_with_starts(draw):
+    """A walk on either side of omega = 1/2, its steps, and a start: node 0
+    (None) or a random distribution."""
+    n = draw(st.integers(2, 60))
+    spec = LinearWalkSpec(n, draw(st.floats(0.01, 0.99)), draw(st.sampled_from([1.0, 0.3, 2.5])))
+    weights = draw(st.none() | st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+                   .filter(lambda w: math.fsum(w) > 0.0))
+    p0 = None if weights is None else np.array(weights) / math.fsum(weights)
+    return spec, draw(st.integers(0, 300)), p0
+
+
+@settings(max_examples=80, deadline=None)
+@given(_walks_with_starts())
+@example((LinearWalkSpec(30, 0.5), 200, None))
+@example((LinearWalkSpec(30, 0.2), 200, None))
+@example((LinearWalkSpec(40, 0.9, 2.5), 300, None))
+def test_trajectory_first_law(walk):
+    # E(n+1) - E(n) = eps [(2 omega - 1) M + lam p_n(0) - omega p_n(N-1)], the
+    # exact first moment of the stencil, with the mass M = 1 up to rounding.
+    # Bound, fixed from the arithmetic: each E is a dot product of N
+    # nonnegative terms scaled by eps, within (gamma_N + u) E; a stencil entry
+    # is two roundings, gamma_2 of E(n+1); the right side is some ten
+    # roundings of terms whose magnitudes add to at most 2, and lam = 1 - omega
+    # is rounded by u/2.  Together at most (2N + 24) u eps max(1, E/eps).
+    spec, steps, p0 = walk
+    n, omega, eps = spec.n_nodes, spec.omega, spec.epsilon
+    energy = th.simulate_trajectory(spec, steps, p0=p0).energy
+    p = np.array(list(th.iter_distributions(spec, steps, p0)))[:-1]
+    mass = np.array([math.fsum(row) for row in p])
+    balance = eps * ((2 * omega - 1) * mass + (1.0 - omega) * p[:, 0] - omega * p[:, -1])
+    scale = np.maximum(1.0, np.maximum(energy[:-1], energy[1:]) / eps)
+    assert (np.abs(np.diff(energy) - balance) <= (2 * n + 24) * _U * eps * scale).all()
+
+
+def _log_z(n: int, x: float) -> float:
+    """log sum_m exp(-x m), m = 0..n-1, shifted by its largest exponent."""
+    top = max(0.0, -x * (n - 1))
+    return top + math.log(math.fsum(math.exp(-x * m - top) for m in range(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_walks_with_starts())
+@example((LinearWalkSpec(30, 0.5), 200, None))
+@example((LinearWalkSpec(20, 0.3), 300, None))
+@example((LinearWalkSpec(20, 0.8), 300, None))
+def test_generated_entropy_is_bounded_by_log_z(walk):
+    # D(p_n || pi) = log Z - S_gen(n) >= 0 for pi ~ exp(-x m) at any x, so the
+    # bound holds at the x = eps/T_eq that S_gen uses.  The rounded chain
+    # keeps the mass M_n = 1 only to rounding, and for p_n = M_n q,
+    # S_gen(p_n) = M_n (log Z - D(q || pi) - log M_n) <= M_n (log Z - log M_n).
+    # Bound, fixed from the arithmetic: gamma_(N+3) of S (N terms p log p),
+    # gamma_N + 4u of x E/eps, and about 4u (|log Z| + N) from the exp, fsum
+    # and log of the reference.
+    spec, steps, p0 = walk
+    n = spec.n_nodes
+    traj = th.simulate_trajectory(spec, steps, p0=p0)
+    mass = np.array([math.fsum(p) for p in th.iter_distributions(spec, steps, p0)])
+    x = spec.epsilon / traj.equilibrium_temperature
+    log_z = _log_z(n, x)
+    heat = np.abs(x * traj.energy / spec.epsilon)
+    tol = (n + 16) * _U * (1.0 + traj.entropy + heat + abs(log_z))
+    assert (traj.entropy_generated <= mass * (log_z - np.log(mass)) + tol).all()
 
 
 def test_trajectory_invariant_residuals():
