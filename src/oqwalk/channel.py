@@ -6,10 +6,20 @@ requires, for every source node i, sum_j B[i,j]^dagger B[i,j] = identity.
 Graph coherences vanish after one application, so states are block-diagonal.
 
 A channel holds its E edges as arrays `src`, `dst` (E,) and `ops` (E, d, d);
-a state holds `rho` (N, d, d), traces summing to one.  Checks run once, at
-construction (completeness; Hermiticity, positivity, trace), and `step` only
-reads the stored report, since a complete CP map keeps a valid state valid.
+a state holds `rho` (N, d, d), traces summing to one.  Both ways to build a
+channel, from a {(i, j): B} mapping and from edge arrays (`build_channel`),
+end in one array core that checks the edges and derives the stored arrays.
+Checks run once, at construction (completeness; finiteness, Hermiticity,
+positivity, trace), and `step` only reads the stored report, since a complete
+CP map keeps a valid state valid.
 All arrays are read-only, so both objects are immutable and `step` is pure.
+
+`step` forms each edge's term B rho[src] B^dagger in one of two ways, chosen
+at construction from d.  Up to `_SUPEROP_MAX_DIM`, the channel holds the
+per-edge superoperator `superop` (E, d^2, d^2), K_e = B_e (x) conj(B_e) in
+row-major vec, so vec(B X B^dagger) = K_e vec(X) is one batched matrix-vector
+product.  Above it, K's d^4 cost per edge (time and memory) outgrows the d^3 of
+two batched matmuls, which `step` uses instead.
 
 Sums over edges (the completeness check and `step`) go through one scatter,
 `_scatter`: a 1-D float `np.add.at` over the real and imaginary parts of the
@@ -46,6 +56,13 @@ __all__ = [
 # normalization.
 STRUCTURAL_TOL = 1e-10
 _HERMITIAN_TOL = 1e-12
+
+# Largest internal dimension d whose channels step through `superop`.  Timed in
+# a 250-step loop of `step` and `position_marginal` (N=64, Haar unitaries, a
+# 2-core Xeon with numpy 2.4), the superoperator path takes 0.27-0.94x the
+# time of the two matmuls for d <= 5 and 1.2-2.8x for d = 6..8.  K takes
+# 16 d^4 bytes per edge: 10 kB at d = 5.
+_SUPEROP_MAX_DIM = 5
 
 
 class ChannelStructureError(ValueError):
@@ -106,7 +123,7 @@ class ValidationReport:
         return ValidationReport, (self.ok, dict(self.defects))
 
     def offending_nodes(self) -> dict[int, float]:
-        return {i: d for i, d in self.defects.items() if d > STRUCTURAL_TOL}
+        return {i: d for i, d in self.defects.items() if not d <= STRUCTURAL_TOL}  # NaN too
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,6 +131,8 @@ class OqwChannel:
     """Sparse family of per-edge operators {(source, target): B} on a graph.
 
     Absent pairs are zero operators; `transitions` is a read-only view of `ops`.
+    `superop` holds each edge's B (x) conj(B), (E, d^2, d^2), when d is at most
+    `_SUPEROP_MAX_DIM`, and is None above it.
     `==` and `hash` go by identity: to compare two channels' contents, compare
     `src`, `dst` and `ops` with `np.array_equal`.
     """
@@ -124,14 +143,11 @@ class OqwChannel:
     src: np.ndarray = field(init=False, repr=False)
     dst: np.ndarray = field(init=False, repr=False)
     ops: np.ndarray = field(init=False, repr=False)
+    superop: np.ndarray | None = field(init=False, repr=False)
     report: ValidationReport = field(init=False, repr=False)
     _dst_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n, d = self.node_count, self.internal_dim
-        for name, value in [("node_count", n), ("internal_dim", d)]:
-            if value < 1:
-                raise ChannelStructureError(f"{name} must be >= 1, got {value}")
         edges = []
         for key in self.transitions:
             try:
@@ -139,19 +155,46 @@ class OqwChannel:
             except (TypeError, ValueError):
                 raise ChannelStructureError(
                     f"transition key {key!r} is not a pair of integer node indices") from None
-            if not (0 <= i < n and 0 <= j < n):
-                raise ChannelStructureError(f"transition {key} outside node range")
             edges.append((i, j))
-        ops = [_as_operator(op, d) for op in self.transitions.values()]
-        ops = _frozen(np.array(ops, dtype=complex).reshape(-1, d, d))
-        src, dst = _frozen(np.array(edges, dtype=np.intp).reshape(-1, 2)).T
+        self._set_edges(*np.array(edges, dtype=np.intp).reshape(-1, 2).T,
+                        [_as_operator(op, self.internal_dim) for op in self.transitions.values()])
+
+    @classmethod
+    def _from_edges(cls, node_count: int, src: np.ndarray, dst: np.ndarray,
+                    ops: np.ndarray) -> "OqwChannel":
+        """The channel with operator ops[e] on edge src[e] -> dst[e], in this edge order."""
+        channel = object.__new__(cls)
+        object.__setattr__(channel, "node_count", node_count)
+        object.__setattr__(channel, "internal_dim", ops.shape[-1])
+        channel._set_edges(src, dst, ops)
+        return channel
+
+    def _set_edges(self, src: np.ndarray, dst: np.ndarray,
+                   ops: np.ndarray | list[np.ndarray]) -> None:
+        """Check the edges and derive every stored array; both constructors end here."""
+        n, d = self.node_count, self.internal_dim
+        for name, value in [("node_count", n), ("internal_dim", d)]:
+            if value < 1:
+                raise ChannelStructureError(f"{name} must be >= 1, got {value}")
+        outside = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+        if outside.size:
+            e = outside[0]
+            raise ChannelStructureError(
+                f"transition {(int(src[e]), int(dst[e]))} outside node range")
+        ops = _frozen(np.array(ops, dtype=complex).reshape(len(src), d, d))
+        src, dst = _frozen(np.array(src, dtype=np.intp)), _frozen(np.array(dst, dtype=np.intp))
         acc = _scatter(np.zeros((n, d, d), dtype=complex), _flat_index(src, d),
                        _dagger(ops) @ ops)
         defects = np.abs(acc - np.eye(d)).max(axis=(1, 2))
         report = ValidationReport(ok=bool(defects.max() <= STRUCTURAL_TOL),
                                   defects=dict(enumerate(defects.tolist())))
-        for name, value in [("transitions", MappingProxyType(dict(zip(edges, ops)))),
-                            ("src", src), ("dst", dst), ("ops", ops), ("report", report),
+        superop = None
+        if d <= _SUPEROP_MAX_DIM:
+            superop = _frozen(np.einsum("eij,elk->eiljk", ops, ops.conj())
+                              .reshape(-1, d * d, d * d))
+        transitions = MappingProxyType(dict(zip(zip(src.tolist(), dst.tolist()), ops)))
+        for name, value in [("transitions", transitions), ("src", src), ("dst", dst),
+                            ("ops", ops), ("superop", superop), ("report", report),
                             ("_dst_index", _frozen(_flat_index(dst, d)))]:
             object.__setattr__(self, name, value)
 
@@ -195,6 +238,8 @@ class BlockState:
             nodes.append(node)
         dim = _as_operator(next(iter(self.blocks.values()))).shape[0]
         b = np.array([_as_operator(m, dim) for m in self.blocks.values()])
+        if not np.isfinite(b).all():
+            raise ValueError("state block has non-finite entries")
         if np.abs(b - _dagger(b)).max() > _HERMITIAN_TOL:
             raise ValueError("state block is not Hermitian")
         if np.linalg.eigvalsh(b).min() < -STRUCTURAL_TOL:
@@ -246,10 +291,11 @@ class BlockState:
 def step(channel: OqwChannel, state: BlockState) -> BlockState:
     """One application of the walk: rho'[j] = sum_i B[i,j] rho[i] B[i,j]^dagger.
 
-    Two batched matmuls give the (E, d, d) terms, which `_scatter` adds into
-    rho' in edge order at the flat `dst` index the channel built at
-    construction; the result is then made exactly Hermitian.  No mapping is
-    built: the new state's `blocks` is indexed on first read.
+    The channel's `superop` gives the (E, d, d) terms as one batched
+    matrix-vector product, or two batched matmuls when it has none; `_scatter`
+    adds them into rho' in edge order at the flat `dst` index the channel built
+    at construction, and the result is then made exactly Hermitian.  No
+    mapping is built: the new state's `blocks` is indexed on first read.
     Refuses channels whose stored report failed, as they do not preserve trace.
     """
     report = channel.report
@@ -262,8 +308,13 @@ def step(channel: OqwChannel, state: BlockState) -> BlockState:
     if state.rho.shape[:2] != (channel.node_count, channel.internal_dim):
         raise ValueError(f"state of shape {state.rho.shape} fed to channel on "
                          f"{channel.node_count} nodes with internal dim {channel.internal_dim}")
-    rho = _scatter(np.zeros_like(state.rho), channel._dst_index,
-                   channel.ops @ state.rho[channel.src] @ _dagger(channel.ops))
+    blocks = state.rho[channel.src]
+    if channel.superop is None:
+        terms = channel.ops @ blocks @ _dagger(channel.ops)
+    else:
+        d = channel.internal_dim
+        terms = channel.superop @ blocks.reshape(-1, d * d, 1)
+    rho = _scatter(np.zeros_like(state.rho), channel._dst_index, terms)
     # Kill roundoff asymmetry so the PSD/Hermitian invariants stay exact.
     return BlockState._trusted(0.5 * (rho + _dagger(rho)))
 

@@ -58,10 +58,14 @@ class LinearWalkSpec:
                 raise ValueError(
                     f"expected {self.n_nodes - 1} unitaries, got {len(us)}"
                 )
+            if us[0].ndim != 2:
+                raise ValueError(f"unitary 0 has shape {us[0].shape}, expected a square matrix")
             d = us[0].shape[0]
             for k, u in enumerate(us):
                 if u.shape != (d, d):
                     raise ValueError(f"unitary {k} has shape {u.shape}, expected {(d, d)}")
+                if not np.isfinite(u).all():
+                    raise ValueError(f"unitary {k} has non-finite entries")
                 if np.abs(u.conj().T @ u - np.eye(d)).max() > _UNITARY_TOL:
                     raise ValueError(f"operator {k} is not unitary")
             object.__setattr__(self, "unitaries", us)
@@ -101,20 +105,18 @@ def build_channel(spec: LinearWalkSpec) -> OqwChannel:
     hops, sqrt(lambda) U_{i-1}^dagger left hops, sqrt(omega) I self-loop at
     node N-1; everything else is the zero operator.
     """
-    n = spec.n_nodes
-    d = spec.internal_dim
+    n, d = spec.n_nodes, spec.internal_dim
     sw = math.sqrt(spec.omega)
     sl = math.sqrt(spec.lam)
     eye = np.eye(d, dtype=complex)
-
-    transitions: dict[tuple[int, int], np.ndarray] = {}
-    transitions[(0, 0)] = sl * eye
-    transitions[(n - 1, n - 1)] = sw * eye
-    for i in range(n - 1):
-        u = spec.unitary(i)
-        transitions[(i, i + 1)] = sw * u
-        transitions[(i + 1, i)] = sl * u.conj().T
-    return OqwChannel(node_count=n, internal_dim=d, transitions=transitions)
+    us = np.broadcast_to(eye, (n - 1, d, d)) if spec.unitaries is None else np.array(spec.unitaries)
+    # edge order (0, 0), (N-1, N-1), then (i, i+1) and (i+1, i) for each i:
+    # the scatter in `step` adds a node's terms in this order
+    hops = np.stack([sw * us, sl * us.conj().swapaxes(1, 2)], axis=1).reshape(-1, d, d)
+    i = np.arange(n - 1)
+    src = np.concatenate([[0, n - 1], np.stack([i, i + 1], axis=1).ravel()])
+    dst = np.concatenate([[0, n - 1], np.stack([i + 1, i], axis=1).ravel()])
+    return OqwChannel._from_edges(n, src, dst, np.concatenate([[sl * eye, sw * eye], hops]))
 
 
 def transition_matrix(spec: LinearWalkSpec) -> np.ndarray:

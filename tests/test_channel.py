@@ -3,10 +3,11 @@
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqwalk import channel as ch
@@ -100,6 +101,16 @@ def test_block_state_validation():
     BlockState(2, {0: np.diag([1.0 + eps, -eps]).astype(complex)})
 
 
+def test_block_state_refuses_non_finite_entries():
+    # NaN fails every comparison, so it passed the Hermitian, PSD and trace checks
+    with pytest.raises(ValueError) as exc:
+        BlockState.localized(3, 0, np.array([np.nan, 1.0]))
+    assert str(exc.value) == "state block has non-finite entries"
+    for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            BlockState(3, {0: 0.5 * np.eye(2), 2: bad})
+
+
 def test_localized_state_marginal():
     state = BlockState.localized(5, 3)
     np.testing.assert_array_equal(ch.position_marginal(state), [0, 0, 0, 1, 0])
@@ -120,6 +131,18 @@ def test_step_refuses_incomplete_channel():
     bad = OqwChannel(3, 1, transitions)
     with pytest.raises(ch.ChannelCompletenessError, match="node"):
         ch.step(bad, BlockState.localized(3, 0))
+
+
+def test_step_names_the_node_of_a_non_finite_operator():
+    # a NaN defect passed `defect > STRUCTURAL_TOL`, so the message named no node
+    transitions = dict(linear_channel().transitions)
+    transitions[(1, 2)] = np.full((1, 1), np.nan)
+    bad = OqwChannel(3, 1, transitions)
+    assert not bad.report.ok
+    assert list(bad.report.offending_nodes()) == [1]
+    with pytest.raises(ch.ChannelCompletenessError) as exc:
+        ch.step(bad, BlockState.localized(3, 0))
+    assert str(exc.value) == "channel fails completeness at nodes [1]: 1: defect nan"
 
 
 def test_long_run_reaches_steady_state():
@@ -176,6 +199,8 @@ def test_engine_arrays_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         chan.transitions[(0, 0)][0, 0] = 2.0
     with pytest.raises(ValueError, match="read-only"):
+        chan.superop[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
         state.rho[0] = 0.0
     with pytest.raises(TypeError):
         state.blocks[3] = np.eye(2)
@@ -191,7 +216,10 @@ def test_engine_arrays_are_read_only():
     clone = pickle.loads(pickle.dumps(state))
     np.testing.assert_array_equal(clone.rho, state.rho)
     assert not clone.rho.flags.writeable
-    assert not pickle.loads(pickle.dumps(chan)).ops.flags.writeable
+    chan_clone = pickle.loads(pickle.dumps(chan))
+    assert not chan_clone.ops.flags.writeable
+    assert not chan_clone.superop.flags.writeable
+    assert chan_clone.superop.tobytes() == chan.superop.tobytes()
 
 
 @pytest.mark.parametrize("unitaries,psi", [(None, None), ((H, X), np.array([0.6, 0.8]))],
@@ -245,10 +273,13 @@ def random_state(rng, n, d):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), d=st.integers(1, 3),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), d=st.integers(1, 6),
        steps=st.integers(1, 6))
+@example(seed=0, n=7, d=ch._SUPEROP_MAX_DIM, steps=3)
+@example(seed=1, n=7, d=ch._SUPEROP_MAX_DIM + 1, steps=3)
 def test_step_keeps_the_complex_add_at_bits(seed, n, d, steps):
-    # reference: the complex (E, d, d) scatter, edge by edge in index order
+    # reference: the complex (E, d, d) scatter, edge by edge in index order, of
+    # the terms of the path the channel steps through (d = 1..6 runs both)
     rng = np.random.default_rng(seed)
     chan = random_complete_channel(rng, n, d)
     clone = pickle.loads(pickle.dumps(chan))
@@ -266,14 +297,100 @@ def test_step_keeps_the_complex_add_at_bits(seed, n, d, steps):
 
     state = random_state(rng, n, d)
     for _ in range(steps):
+        blocks = state.rho[chan.src]
+        if d <= ch._SUPEROP_MAX_DIM:
+            terms = (chan.superop @ blocks.reshape(-1, d * d, 1)).reshape(-1, d, d)
+        else:
+            assert chan.superop is None
+            terms = chan.ops @ blocks @ chan.ops.conj().swapaxes(1, 2)
         ref = np.zeros_like(state.rho)
-        np.add.at(ref, chan.dst,
-                  chan.ops @ state.rho[chan.src] @ chan.ops.conj().swapaxes(1, 2))
+        np.add.at(ref, chan.dst, terms)
         ref = 0.5 * (ref + ref.conj().swapaxes(1, 2))
         new = ch.step(chan, state)
         assert same_bits(new.rho, ref)
         assert same_bits(ch.step(clone, state).rho, ref)
         state = new
+
+
+def haar_unitaries(rng, count, d):
+    """Haar-random unitaries: QR of complex Ginibre matrices with the phases of R fixed."""
+    g = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
+def exact_step(chan, rho):
+    """0.5 (S + S^dagger) with S[j] = sum_{i -> j} B rho[i] B^dagger, in exact rationals.
+
+    Complex arrays are (real, imaginary) pairs of object arrays of Fractions,
+    which hold every float input exactly.
+    """
+    exact = np.frompyfunc(Fraction, 1, 1)
+
+    def mul(x, y):
+        return x[0] @ y[0] - x[1] @ y[1], x[0] @ y[1] + x[1] @ y[0]
+
+    n, d = rho.shape[:2]
+    s = [[np.full((d, d), Fraction(0), dtype=object) for _ in range(2)] for _ in range(n)]
+    for i, j, b in zip(chan.src, chan.dst, chan.ops):
+        b = exact(b.real), exact(b.imag)
+        term = mul(mul(b, (exact(rho[i].real), exact(rho[i].imag))), (b[0].T, -b[1].T))
+        s[j] = [s[j][0] + term[0], s[j][1] + term[1]]
+    return [((re + re.T) / 2, (im - im.T) / 2) for re, im in s]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_step_is_accurate_against_exact_arithmetic(d):
+    # Bound, per element, with u the unit roundoff and gamma_k = k u / (1 - k u).
+    # A = sum over the m = 2 edges into the node of (|B| |rho[src]| |B|^T).
+    # - The superoperator path (d <= 5) rounds each K entry, a complex product,
+    #   by sqrt(2) gamma_2 relative.  Each term is then a complex inner product
+    #   of d^2 entries: with real and imaginary parts summed as 2 d^2 real
+    #   products, that adds at most sqrt(2) gamma_{2 d^2} A.
+    # - The matmul path (d = 6) runs two such inner products of length d:
+    #   2 sqrt(2) gamma_{2d} A.
+    # - The scatter adds m terms per element, gamma_{m} relative.
+    # Both paths stay inside 3 gamma_{2 d^2 + m + 6} A, where 3 > 2 sqrt(2)
+    # also covers the rounding of A itself.  The symmetrisation 0.5 (S + S^H)
+    # averages two such errors and rounds its sum once more: u |ref|.
+    u = np.finfo(float).eps / 2
+    gamma = lambda k: k * u / (1 - k * u)  # noqa: E731
+    rng = np.random.default_rng(d)
+    n, m = 4, 2
+    unitaries = tuple(haar_unitaries(rng, n - 1, d))
+    chan = lin.build_channel(LinearWalkSpec(n, 0.63, unitaries=unitaries))
+    assert (chan.superop is None) == (d > ch._SUPEROP_MAX_DIM)
+    state = random_state(rng, n, d)
+    exact = np.frompyfunc(Fraction, 1, 1)
+    for _ in range(3):
+        ref = exact_step(chan, state.rho)
+        a = np.zeros((n, d, d))
+        for i, j, b in zip(chan.src, chan.dst, chan.ops):
+            a[j] += np.abs(b) @ np.abs(state.rho[i]) @ np.abs(b).T
+        new = ch.step(chan, state)
+        err = np.array([np.hypot((exact(new.rho[j].real) - re).astype(float),
+                                 (exact(new.rho[j].imag) - im).astype(float))
+                        for j, (re, im) in enumerate(ref)])
+        ref_abs = np.array([np.hypot(re.astype(float), im.astype(float)) for re, im in ref])
+        bound = 3 * gamma(2 * d * d + m + 6) * a + u * ref_abs
+        assert (err <= bound).all(), float((err / bound).max())
+        state = new
+
+
+@pytest.mark.parametrize("d", [2, 5, 6])
+def test_trace_drift_over_ten_thousand_steps(d):
+    # the same 1e-12 per-step bound as test_trace_preserved_each_step, on the
+    # superoperator path at its smallest and largest d and on the matmul path
+    rng = np.random.default_rng(10 + d)
+    chan = lin.build_channel(LinearWalkSpec(5, 0.7, unitaries=tuple(haar_unitaries(rng, 4, d))))
+    assert (chan.superop is None) == (d > ch._SUPEROP_MAX_DIM)
+    state = random_state(rng, 5, d)
+    traces = [state.total_trace()]
+    for _ in range(10_000):
+        state = ch.step(chan, state)
+        traces.append(state.total_trace())
+    assert np.abs(np.diff(traces)).max() <= 1e-12
 
 
 def test_blocks_index_rho_on_first_read():

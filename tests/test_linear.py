@@ -82,6 +82,36 @@ def test_built_channels_are_complete(omega, unitaries):
     assert max(report.defects.values()) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("d", [None, 1, 2, 6])
+def test_build_channel_keeps_the_mapping_constructors_arrays(n, d):
+    # the mapping the channel was built from before it built its edge arrays
+    rng = np.random.default_rng(n)
+    unitaries = None
+    if d is not None:
+        g = rng.standard_normal((n - 1, d, d)) + 1j * rng.standard_normal((n - 1, d, d))
+        unitaries = tuple(np.linalg.qr(g)[0])
+    spec = LinearWalkSpec(n, 0.37, unitaries=unitaries)
+    sw, sl, eye = math.sqrt(spec.omega), math.sqrt(spec.lam), np.eye(spec.internal_dim)
+    transitions = {(0, 0): sl * eye, (n - 1, n - 1): sw * eye}
+    for i in range(n - 1):
+        transitions[(i, i + 1)] = sw * spec.unitary(i)
+        transitions[(i + 1, i)] = sl * spec.unitary(i).conj().T
+    built = lin.build_channel(spec)
+    ref = ch.OqwChannel(n, spec.internal_dim, transitions)
+    assert list(built.transitions) == list(ref.transitions)
+    assert all(type(i) is int for key in built.transitions for i in key)
+    assert (built.superop is None) == (ref.superop is None) == (d == 6)
+    for name in ["src", "dst", "ops", "_dst_index"] + ["superop"] * (d != 6):
+        a, b = getattr(built, name), getattr(ref, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert not a.flags.writeable
+    for key, op in built.transitions.items():
+        assert np.shares_memory(op, built.ops)
+        assert op.tobytes() == ref.transitions[key].tobytes()
+    assert dict(built.report.defects) == dict(ref.report.defects)
+
+
 # ---------------------------------------------------------------- transition matrix
 
 def test_transition_matrix_n3():
@@ -423,6 +453,20 @@ def test_spec_refuses_a_unitary_of_another_shape():
     with pytest.raises(ValueError) as exc:
         LinearWalkSpec(3, 0.5, unitaries=(H, np.eye(3)))
     assert str(exc.value) == "unitary 1 has shape (3, 3), expected (2, 2)"
+
+
+@pytest.mark.parametrize("unitaries, message", [
+    ((1.0,), "unitary 0 has shape (), expected a square matrix"),
+    ((np.ones(2),), "unitary 0 has shape (2,), expected a square matrix"),
+    ((np.ones((2, 3)),), "unitary 0 has shape (2, 3), expected (2, 2)"),
+    ((np.nan * np.eye(2),) * 2, "unitary 0 has non-finite entries"),
+    ((X, np.array([[np.inf, 0], [0, 1]])), "unitary 1 has non-finite entries"),
+])
+def test_spec_refuses_non_finite_and_non_matrix_unitaries(unitaries, message):
+    # NaN passed the unitarity check, and a 0-d operator raised IndexError
+    with pytest.raises(ValueError) as exc:
+        LinearWalkSpec(len(unitaries) + 1, 0.6, unitaries=unitaries)
+    assert str(exc.value) == message
 
 
 def test_internal_state_refuses_psi_of_another_dimension():
