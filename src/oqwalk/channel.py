@@ -282,6 +282,8 @@ class BlockState:
     def localized(cls, node_count: int, node: int, psi: np.ndarray | None = None) -> "BlockState":
         """Pure state |psi><psi| sitting at a single node (psi defaults to dim 1)."""
         v = np.ones(1) if psi is None else np.asarray(psi, dtype=complex).reshape(-1)
+        if not np.isfinite(v).all():  # before np.outer, where inf * 0 would warn
+            raise ValueError("state block has non-finite entries")
         return cls(node_count=node_count, blocks={node: np.outer(v, v.conj())})
 
     def total_trace(self) -> float:

@@ -23,14 +23,15 @@ never merged with the next, and the distribution dump is cut into blocks of
 whole steps.  Numbers are formatted a block at a time by a numpy kernel
 (oqwalk._numtext) that gives the bytes of format(v, ".17g") (CSV), repr(v)
 (JSON) and str(v), leaving the roundings it cannot decide (about 1%), inf,
-nan, integers beyond 2**53 and arrays of fewer than 256 values to CPython;
-the rows are assembled from those texts and constant pieces (CSV commas, JSON
-braces and member names).  --dump-distributions
-replays the chain one step at a time after the series is written, so its
-memory is O(N), not O(steps * N).  A steady-state omega range checks every
-omega first, then computes pi for one block of omegas at a time.  approx-entropy
-computes its series one block of t at a time as it writes, once the first
-block has checked its inputs, so its memory does not grow with --steps.
+nan, integers beyond 2**53 and arrays of fewer than 256 values to CPython; the
+rows are assembled from those texts and constant pieces (CSV commas, JSON
+braces and member names).  --dump-distributions replays the chain after the
+series is written, one writer block of steps at a time, through the series'
+band generator at its exact floor: O(N) memory, not O(steps * N).  A
+steady-state omega range checks every omega first, then computes pi for one
+block of omegas at a time.  approx-entropy computes its series one block of t
+at a time as it writes, once the first block has checked its inputs, so its
+memory does not grow with --steps.
 
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag, each value read with that flag's type; explicit command-line flags win.
@@ -47,7 +48,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -101,23 +102,22 @@ def _column_blocks(chunk: tuple) -> Iterator[list[np.ndarray]]:
 
 
 class _Steps(NamedTuple):
-    """A table chunk of rows (n, m, p[m]): each node m of each distribution p_n."""
+    """A table chunk of rows (n, m, p[m]): each node m of each distribution p_n,
+    from _chain_blocks' (start, block) pairs of max(1, _BLOCK_ROWS // N) steps."""
 
     n_nodes: int
-    distributions: Iterator[np.ndarray]
+    blocks: Iterator[tuple[int, np.ndarray]]
 
 
 def _step_pieces(chunk: _Steps) -> Iterator[tuple]:
-    """(ns, nodes, p): blocks of whole steps of at most _BLOCK_ROWS rows, with
-    p the concatenated p_n[nodes] of steps ns; a step of more nodes is split
-    into pieces of that many."""
+    """(ns, nodes, p): each block's steps ns, with p the flattened p_n[nodes];
+    a step of more than _BLOCK_ROWS nodes is split into pieces of that many."""
     pieces = [range(lo, min(lo + _BLOCK_ROWS, chunk.n_nodes))
               for lo in range(0, chunk.n_nodes, _BLOCK_ROWS)]
-    steps = enumerate(chunk.distributions)
-    while block := list(islice(steps, max(1, _BLOCK_ROWS // chunk.n_nodes))):
-        ns = [n for n, _ in block]
+    for start, block in chunk.blocks:
+        ns = range(start, start + len(block))
         for nodes in pieces:
-            yield ns, nodes, np.concatenate([p_n[nodes.start:nodes.stop] for _, p_n in block])
+            yield ns, nodes, block[:, nodes.start:nodes.stop].ravel()
 
 
 def _json_text(text_matrix, column: np.ndarray) -> np.ndarray:
@@ -295,8 +295,7 @@ def cmd_steady_state(args):
 def cmd_equilibrium(args):
     omegas = _parse_omegas(args.omega)
     for omega in omegas:
-        if not 0.0 < omega < 1.0:
-            raise CliError(EXIT_VALIDATION, f"omega {omega} outside (0, 1)")
+        eq._check_omega(omega)
     betas = -np.fromiter(map(eq._log_odds, omegas), float, len(omegas)) / args.epsilon
     tp = eq.thermo_points(args.n_nodes, betas, args.epsilon)
     columns = (omegas, betas, tp.T, tp.Z, tp.mean_E, tp.var_E, tp.S, tp.F, tp.C_V)
@@ -310,9 +309,9 @@ def cmd_trajectory(args):
               traj.temperature_estimate, traj.entropy_generated)
     yield args.out, ["n", "S", "E", "T_est", "S_gen"], [series]
     if args.dump_distributions is not None:
-        # Replay the deterministic chain step by step (bit-identical to the
-        # series run) so the dump holds one distribution at a time: O(N) memory.
-        chunk = _Steps(spec.n_nodes, th.iter_distributions(spec, args.steps))
+        # Replay the exact chain one writer block of steps at a time: O(N) memory.
+        rows = max(1, _BLOCK_ROWS // spec.n_nodes)
+        chunk = _Steps(spec.n_nodes, th._exact_blocks(spec, args.steps, None, rows))
         yield args.dump_distributions, ["n", "m", "p"], [chunk]
 
 

@@ -11,7 +11,6 @@ geometric distribution.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,25 +179,18 @@ def _check_steps(steps: int) -> None:
 
 
 def _start(spec: LinearWalkSpec, steps: int, p0: np.ndarray | None) -> np.ndarray:
-    """A new copy of the start of a steps-long run; p0=None is the walker at node 0."""
+    """A new array holding the start of a steps-long run (p0=None: node 0), -0.0 as +0.0."""
     _check_steps(steps)
     if p0 is None:
         p0 = np.eye(1, spec.n_nodes)[0]
-    return _check_distribution(p0, spec.n_nodes).copy()
-
-
-def _evolve(p: np.ndarray, omega: float, steps: int) -> Iterator[np.ndarray]:
-    """p and the steps distributions after it, each a new array."""
-    yield p
-    for _ in range(steps):
-        p = markov_step(p, omega)
-        yield p
+    return _check_distribution(p0, spec.n_nodes) + 0.0
 
 
 def markov_evolve(spec: LinearWalkSpec, p0: np.ndarray, steps: int) -> np.ndarray:
     """steps applications of the chain to p0 (matrix-free, O(N) per step)."""
-    for p in _evolve(_start(spec, steps, p0), spec.omega, steps):
-        pass
+    p = _start(spec, steps, p0)
+    for _ in range(steps):
+        p = markov_step(p, spec.omega)
     return p
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import equilibrium
 from .equilibrium import EnsemblePoint
-from .linear import LinearWalkSpec, _evolve, _start, markov_step, steady_state
+from .linear import LinearWalkSpec, _start, markov_step, steady_state
 
 __all__ = [
     "GaussianProfile",
@@ -62,9 +62,10 @@ _FLAT_ENTROPY_TOL = 1e-12
 # many steps, few enough that the block and its temporaries stay in cache.
 _BLOCK_BYTES = 256 * 1024
 
-# DBL_MIN, the smallest normal double: the band of simulate_trajectory's chain
-# runs from the first to the last entry at or above it.
+# Band floors of _chain_blocks: DBL_MIN for the series, the smallest subnormal
+# for the exact chain.
 _TINY = np.finfo(float).tiny
+_EXACT = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -369,10 +370,8 @@ class TrajectoryRecord:
     Arrays are indexed by step 0..steps.  temperature_estimate holds the
     smoothed finite-difference dE/dS, with +-inf where the entropy is flat
     (divergence sentinel) and nan where both increments vanish.
-    final_distribution is p_steps of simulate_trajectory's band chain: exact
-    0.0 where the exact chain holds subnormal tail entries, within
-    (N + 2 steps) DBL_MIN of it in L1.  distributions, when kept, are the
-    exact chain's.
+    final_distribution is p_steps of the series' chain (see
+    simulate_trajectory); distributions, when kept, are the exact chain's.
 
     Invariant residuals of the run: mass_drift is max_n |sum p_n - sum p_0|
     (sum p_0 is 1 up to the 1e-12 the start is checked to, so this is the
@@ -417,16 +416,70 @@ def _temperature_estimate(energy: np.ndarray, ent: np.ndarray, half_width: int) 
     return out
 
 
+def _chain_blocks(p: np.ndarray, omega: float, steps: int, rows: int,
+                  floor: float) -> Iterator[tuple[int, np.ndarray]]:
+    """The chain p_0 = p, ..., p_steps as (start, block), block holding p_start,
+    p_start+1, ... (rows steps, fewer at the end) in a view of a reused ring
+    buffer that the next block overwrites.
+
+    From p_1 on, a band [lo, hi] with edge entries >= floor is kept, with 0.0
+    outside it.  Each step runs the stencil on [lo-1, hi+1] only, in place,
+    then moves each edge inward past entries below floor, setting them to
+    0.0: at _TINY this flushes subnormal tails; at _EXACT it passes exact
+    zeros only, so from a start without -0.0 (as _start gives) every row is
+    the two-argument markov_step loop's, bit for bit.
+    """
+    n = len(p)
+    # Step k is written in place into slot k % slots of the buffer, from slot
+    # (k-1) % slots (index slot - 1, which wraps at 0); with two slots at
+    # least, a step never writes the row it reads.
+    slots = min(max(rows, 2), steps + 1)
+    buffer = np.zeros((slots, n))
+    buffer[0] = p
+    extent = [(0, n - 1)] + [(n, -1)] * (slots - 1)  # nonzero span of each slot
+    band = np.flatnonzero(p >= floor)
+    lo, hi = int(band[0]), int(band[-1])
+    slot_rows = list(buffer)
+    for start in range(0, steps + 1, rows):
+        stop = min(start + rows, steps + 1)
+        for k in range(max(start, 1), stop):
+            slot = k % slots
+            row = slot_rows[slot]
+            a = lo - 1 if lo else 0
+            b = hi + 1 if hi < n - 1 else hi
+            old_lo, old_hi = extent[slot]
+            if old_lo < a:
+                row[old_lo:a] = 0.0
+            if old_hi > b:
+                row[b + 1:old_hi + 1] = 0.0
+            markov_step(slot_rows[slot - 1], omega, row, a, b + 1)
+            while row[a] < floor:
+                row[a] = 0.0
+                a += 1
+            while row[b] < floor:
+                row[b] = 0.0
+                b -= 1
+            lo, hi = a, b
+            extent[slot] = (a, b)
+        offset = start % slots
+        yield start, buffer[offset:offset + stop - start]
+
+
+def _exact_blocks(spec: LinearWalkSpec, steps: int, p0: np.ndarray | None,
+                  rows: int) -> Iterator[tuple[int, np.ndarray]]:
+    """_chain_blocks of the exact chain from p0 (default: node 0), checked at the call."""
+    return _chain_blocks(_start(spec, steps, p0), spec.omega, steps, rows, _EXACT)
+
+
 def iter_distributions(
     spec: LinearWalkSpec, steps: int, p0: np.ndarray | None = None
 ) -> Iterator[np.ndarray]:
     """Yield the exact distributions p_0, ..., p_steps of the chain, one at a time.
 
-    p0 defaults to the walker localized at node 0.  Only the current step is
-    held, so memory is O(N) however long the run; every yielded array is new
-    and never written again.
+    p0 defaults to the walker localized at node 0.  Each is a new copy of a row
+    of _chain_blocks at its exact floor, one step per block: O(N) memory.
     """
-    return _evolve(_start(spec, steps, p0), spec.omega, steps)
+    return (block[0].copy() for _, block in _exact_blocks(spec, steps, p0, 1))
 
 
 def _generated_entropy(entropy: np.ndarray, energy: np.ndarray, t_eq: float) -> np.ndarray:
@@ -451,76 +504,29 @@ def simulate_trajectory(
     over +-t_est_half_width steps: the raw pointwise dE/dS is too noisy near
     the entropy maximum where dS crosses zero.
 
-    The series come from a band chain.  From p_1 on, it keeps a band
-    [lo, hi] whose edge entries are normal doubles (>= DBL_MIN) and holds
-    exact 0.0 outside it; p_0 is used as given.
-    Each step runs the stencil only on [lo-1, hi+1], written in place into
-    the next row of a reused block, and then moves each edge inward past the
-    entries below DBL_MIN, setting them to 0.0.  The reductions (entropy,
-    energy, mass) run over full rows, once per block of steps, so a flushed
-    entry changes them only through terms far below the rounding of the row
-    sums: S, E, T_est and S_gen equal the reductions of the exact chain
-    (iter_distributions) bit for bit on every case the tests check.
-    final_distribution is the band chain's p_steps, within (N + 2 steps)
-    DBL_MIN in L1 of the exact one.
-
-    keep_distributions stores every exact p_n, a (steps+1) x N array, by
-    replaying iter_distributions, which yields the same arrays in O(N) memory.
+    The series reduce (entropy, energy, mass) the full rows of _chain_blocks
+    at floor DBL_MIN, a block of steps at a time.  A flushed subnormal moves
+    them only by terms far below the rounding of the row sums: they equal the
+    exact chain's bit for bit on every case the tests check, and
+    final_distribution is within (N + 2 steps) DBL_MIN of it in L1.
+    keep_distributions holds every exact p_n (_chain_blocks at its exact
+    floor) in a (steps+1) x N array.
     """
-    n = spec.n_nodes
-    omega = spec.omega
     p = _start(spec, steps, p0)
+    n = spec.n_nodes
     sites = np.arange(n, dtype=float)
-    ent = np.empty(steps + 1)
-    energy = np.empty(steps + 1)
-    mass = np.empty(steps + 1)
-    # Step k is written in place into slot k % slots of the reused block
-    # buffer, from slot (k-1) % slots (index slot - 1, which wraps at 0); with
-    # two slots at least, a step never writes the row it reads.
+    ent, energy, mass = np.empty((3, steps + 1))
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    slots = min(max(rows, 2), steps + 1)
-    buffer = np.zeros((slots, n))
-    buffer[0] = p
-    extent = [(0, n - 1)] + [(n, -1)] * (slots - 1)  # nonzero span of each slot
-    normal = np.flatnonzero(p >= _TINY)
-    lo, hi = int(normal[0]), int(normal[-1])
-    slot_rows = list(buffer)
-    for start in range(0, steps + 1, rows):
-        stop = min(start + rows, steps + 1)
-        for k in range(max(start, 1), stop):
-            slot = k % slots
-            row = slot_rows[slot]
-            a = lo - 1 if lo else 0
-            b = hi + 1 if hi < n - 1 else hi
-            old_lo, old_hi = extent[slot]
-            if old_lo < a:
-                row[old_lo:a] = 0.0
-            if old_hi > b:
-                row[b + 1:old_hi + 1] = 0.0
-            markov_step(slot_rows[slot - 1], omega, row, a, b + 1)
-            while row[a] < _TINY:
-                row[a] = 0.0
-                a += 1
-            while row[b] < _TINY:
-                row[b] = 0.0
-                b -= 1
-            lo, hi = a, b
-            extent[slot] = (a, b)
-        # The reductions run once per block of rows, so their per-call cost is
-        # paid ~(steps+1)/rows times.
-        offset = start % slots
-        block = buffer[offset:offset + stop - start]
+    for start, block in _chain_blocks(p, spec.omega, steps, rows, _TINY):
+        stop = start + len(block)
         ent[start:stop] = shannon_entropy(block)
         energy[start:stop] = block @ sites
         mass[start:stop] = block.sum(axis=-1)
     energy *= spec.epsilon
-    p = buffer[steps % slots].copy()
+    p = block[-1].copy()
 
-    dists = None
-    if keep_distributions:
-        dists = np.empty((steps + 1, n))
-        for k, q in enumerate(iter_distributions(spec, steps, p0)):
-            dists[k] = q
+    # one block of steps + 1 rows is the exact chain's whole ring buffer
+    dists = next(_exact_blocks(spec, steps, p0, steps + 1))[1] if keep_distributions else None
 
     t_eq = equilibrium.equilibrium_temperature(spec.omega, spec.epsilon)
     s_gen = _generated_entropy(ent, energy, t_eq)

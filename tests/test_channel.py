@@ -103,9 +103,11 @@ def test_block_state_validation():
 
 def test_block_state_refuses_non_finite_entries():
     # NaN fails every comparison, so it passed the Hermitian, PSD and trace checks
-    with pytest.raises(ValueError) as exc:
-        BlockState.localized(3, 0, np.array([np.nan, 1.0]))
-    assert str(exc.value) == "state block has non-finite entries"
+    # inf * 0 inside np.outer gave NaN and a RuntimeWarning before the refusal
+    for psi in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError) as exc:
+            BlockState.localized(3, 0, np.array(psi))
+        assert str(exc.value) == "state block has non-finite entries"
     for bad in (np.full((2, 2), np.nan), np.diag([np.inf, 0.0])):
         with pytest.raises(ValueError, match="non-finite"):
             BlockState(3, {0: 0.5 * np.eye(2), 2: bad})

@@ -23,6 +23,8 @@ from oqwalk.cli import main
 from oqwalk.equilibrium import EnsemblePoint
 from oqwalk.linear import LinearWalkSpec
 
+from chain_reference import markov_rows
+
 
 def read_csv(path):
     with open(path) as fh:
@@ -791,6 +793,7 @@ DUMP_CASES = {
     "partial-last-block": (2, 0.7, 4100),        # 8202 rows: two full blocks and a partial
     "half": (7, 0.5, 50),
     "zeros-and-tails": (60, 0.9, 300),          # 0.0 ahead of the packet, tails to 4e-57
+    "subnormal-tails": (300, 0.05, 260),        # 189 subnormal entries
 }
 
 
@@ -799,7 +802,7 @@ DUMP_CASES = {
 def test_dump_bytes_match_reference(case, fmt, tmp_path):
     n_nodes, omega, steps = DUMP_CASES[case]
     rows = [[n, m, float(p[m])] for n, p in
-            enumerate(th.iter_distributions(LinearWalkSpec(n_nodes, omega), steps))
+            enumerate(markov_rows(LinearWalkSpec(n_nodes, omega), steps))
             for m in range(n_nodes)]
     dump = tmp_path / f"dump.{fmt}"
     assert main(["trajectory", "--n-nodes", str(n_nodes), "--omega", str(omega),
@@ -814,7 +817,7 @@ def test_dump_bytes_match_reference(case, fmt, tmp_path):
 def test_dump_writes_at_most_block_rows_at_once(n_nodes, most_rows, monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
     spec = LinearWalkSpec(n_nodes, 0.7)
-    rows = [[n, m, float(p[m])] for n, p in enumerate(th.iter_distributions(spec, 4))
+    rows = [[n, m, float(p[m])] for n, p in enumerate(markov_rows(spec, 4))
             for m in range(n_nodes)]
     class Recorder(io.StringIO):
         def write(self, text):
@@ -823,11 +826,14 @@ def test_dump_writes_at_most_block_rows_at_once(n_nodes, most_rows, monkeypatch)
 
     for fmt, row_end in (("csv", "\n"), ("json", "}")):
         writes, fh = [], Recorder()
-        chunk = cli._Steps(n_nodes, th.iter_distributions(spec, 4))
+        # the dump's blocks: one writer block of steps each
+        chunk = cli._Steps(n_nodes, th._exact_blocks(spec, 4, None, max(1, 4 // n_nodes)))
         cli._write_table(fh, ["n", "m", "p"], [chunk], fmt)
         assert fh.getvalue() == render_reference(["n", "m", "p"], rows, fmt)
         body = writes[1:] if fmt == "csv" else writes[:-1]      # header / closing bracket
         assert max(text.count(row_end) for text in body) == most_rows
+        if n_nodes <= 4:                                        # whole steps
+            assert all(text.count(row_end) % n_nodes == 0 for text in body)
 
 
 def test_dump_written_after_series_and_io_failure_exit(tmp_path, capsys):
@@ -931,9 +937,9 @@ assert not any(name.startswith("scipy") for name in sys.modules if sys.modules[n
     (["trajectory", "--n-nodes", "5", "--omega", "0.5", "--config", "run.cfg"],
      "# steps\nsteps = 2.5\n", 2, "run.cfg:2: bad value for steps"),
     (["equilibrium", "--n-nodes", "30", "--omega", "0.5:1.5:0.5"], None, 2,
-     "omega 1.0 outside (0, 1)"),
+     "omega must lie strictly inside (0, 1), got 1.0"),
     (["equilibrium", "--n-nodes", "30", "--omega", "0:0.5:0.25"], None, 2,
-     "omega 0.0 outside (0, 1)"),
+     "omega must lie strictly inside (0, 1), got 0.0"),
     (["steady-state", "--n-nodes", "3", "--omega", "0.5", "--epsilon", "0"], None, 2,
      "epsilon must be positive, got 0.0"),
     (["table", "--n-nodes", "100", "--omega", "0.7", "--epsilon", "0"], None, 2,
@@ -974,7 +980,7 @@ def reference_rows(kind, case):
             n_nodes, omega, steps = DUMP_CASES[case]
             spec = LinearWalkSpec(n_nodes, omega)
             _REFERENCE_ROWS[kind, case] = (["n", "m", "p"], [
-                [n, m, float(p[m])] for n, p in enumerate(th.iter_distributions(spec, steps))
+                [n, m, float(p[m])] for n, p in enumerate(markov_rows(spec, steps))
                 for m in range(n_nodes)])
     return _REFERENCE_ROWS[kind, case]
 

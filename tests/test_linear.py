@@ -142,6 +142,20 @@ def test_markov_evolve_zero_steps_identity():
     np.testing.assert_array_equal(lin.markov_evolve(spec, p0, 0), p0)
 
 
+def test_every_chain_starts_from_positive_zeros():
+    # -0.0 in a start is kept as +0.0, so no chain carries the sign of a zero:
+    # a plain stencil loop from this start would keep 10, 9, 8, ... -0.0 entries
+    spec = LinearWalkSpec(12, 0.6)
+    p0 = np.r_[1.0, [-0.0] * 11]
+    p = lin.markov_evolve(spec, p0, 0)
+    assert p is not p0 and not np.signbit(p).any()
+    np.testing.assert_array_equal(p, p0)
+    assert np.signbit(p0[1:]).all()                 # the caller's array is left as it was
+    for steps in (1, 2, 5):
+        assert not np.signbit(lin.markov_evolve(spec, p0, steps)).any()
+        assert not np.signbit(list(th.iter_distributions(spec, steps, p0))).any()
+
+
 def test_markov_evolve_single_step():
     spec = LinearWalkSpec(3, 2 / 3)
     np.testing.assert_allclose(

@@ -18,6 +18,8 @@ from oqwalk import thermalization as th
 from oqwalk.equilibrium import EnsemblePoint
 from oqwalk.linear import LinearWalkSpec
 
+from chain_reference import markov_rows
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
@@ -469,8 +471,9 @@ def test_iter_distributions_replays_the_trajectory():
     traj = th.simulate_trajectory(spec, 12, keep_distributions=True)
     replay = list(th.iter_distributions(spec, 12))
     assert len(replay) == 13
-    for n, p in enumerate(replay):
+    for n, (p, q) in enumerate(zip(replay, markov_rows(spec, 12))):
         np.testing.assert_array_equal(p, traj.distributions[n])  # bit for bit
+        assert p.tobytes() == q.tobytes()
     p0 = lin.steady_state(spec)
     custom = list(th.iter_distributions(spec, 0, p0=p0))
     assert len(custom) == 1 and custom[0] is not p0
@@ -543,7 +546,7 @@ def test_trajectory_block_reductions_match_per_step(n, where, custom_start, keep
     else:
         assert traj.distributions is None
     sites = np.arange(n)
-    for k, p in enumerate(th.iter_distributions(spec, steps, p0)):
+    for k, p in enumerate(markov_rows(spec, steps, p0)):
         assert traj.entropy[k] == th.shannon_entropy(p)  # bit for bit
         assert abs(traj.entropy[k] - float(-xlogy(p, p).sum())) <= 1e-14
         assert traj.energy[k] == pytest.approx(float(p @ sites), rel=1e-15, abs=0.0)
@@ -557,7 +560,7 @@ def _exact_chain_series(spec, steps, p0=None):
     n = spec.n_nodes
     rows = _block_rows(n)
     sites = np.arange(n, dtype=float)
-    chain = th.iter_distributions(spec, steps, p0)
+    chain = markov_rows(spec, steps, p0)
     ent, energy = [], []
     for start in range(0, steps + 1, rows):
         block = np.array([next(chain) for _ in range(min(rows, steps + 1 - start))])
@@ -646,6 +649,55 @@ def test_band_chain_rows_are_zero_outside_their_band(monkeypatch):
     assert lo > 0  # the left edge has moved in, flushing entries the exact chain keeps
     assert (lin.markov_evolve(spec, _localized(400, 0), 3000)[:lo] > 0).any()
     assert traj.final_distribution[:lo].tolist() == [0.0] * lo
+
+
+def _assert_exact_rows(spec, steps, p0, rows):
+    """The exact-floor band chain in blocks of `rows` steps gives markov_step's rows."""
+    reference = markov_rows(spec, steps, p0)
+    k = 0
+    for start, block in th._exact_blocks(spec, steps, p0, rows):
+        assert start == k and len(block) == min(rows, steps + 1 - start)
+        for row in block:
+            assert row.tobytes() == next(reference).tobytes()  # bit for bit, zeros' signs too
+            k += 1
+    assert k == steps + 1
+
+
+_TINY = np.finfo(float).tiny
+
+
+@st.composite
+def _exact_chain_walks(draw):
+    """A walk, its steps, a block height, and a start whose normal entries sit
+    among interior zeros, -0.0 entries and subnormal entries."""
+    n = draw(st.integers(2, 60))
+    entry = (st.floats(0.01, 1.0) | st.sampled_from([0.0, -0.0])
+             | st.floats(5e-324, _TINY, exclude_max=True))
+    p0 = np.array(draw(st.lists(entry, min_size=n, max_size=n).filter(lambda w: max(w) >= 0.01)))
+    normal = p0 >= _TINY
+    p0[normal] /= p0[normal].sum()
+    spec = LinearWalkSpec(n, draw(st.floats(0.01, 0.99)))
+    return spec, draw(st.integers(0, 200)), p0, draw(st.integers(1, 40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_chain_walks())
+@example((LinearWalkSpec(12, 0.6), 40, np.r_[1.0, [-0.0] * 11], 7))
+@example((LinearWalkSpec(9, 0.3), 30, np.r_[0.0, 5e-324, 1.0, -0.0, 0.0, 1e-310, 0.0, 0.0, 0.0], 1))
+def test_exact_band_chain_is_the_markov_step_loop(walk):
+    _assert_exact_rows(*walk)
+
+
+@pytest.mark.parametrize("start", [None, "subnormal"])
+def test_exact_band_chain_in_single_row_blocks(start):
+    n = 40_000
+    assert _block_rows(n) == 1                  # as at every N > 16384
+    p0 = None
+    if start is not None:
+        p0 = _subnormal_start(n)
+        zeros = np.flatnonzero(p0 == 0.0)
+        p0[zeros[::2]] = -0.0
+    _assert_exact_rows(LinearWalkSpec(n, 0.6), 300, p0, 1)
 
 
 _WALKS = dict(n=st.integers(2, 400), omega=st.floats(0.05, 0.95), steps=st.integers(0, 1500))
