@@ -19,19 +19,21 @@ divergences are written as inf/-inf (CSV) or the strings "inf"/"-inf"
 Output is streamed: results are computed first (so a failing computation
 writes nothing), then written in blocks of at most 4096 rows, one write each.
 CSV and JSON share the blocks: a column chunk is cut into blocks of rows,
-never merged with the next, and the distribution dump is cut into blocks of
-whole steps.  Numbers are formatted a block at a time by a numpy kernel
-(oqwalk._numtext) that gives the bytes of format(v, ".17g") (CSV), repr(v)
-(JSON) and str(v), leaving the roundings it cannot decide (about 1%), inf,
-nan, integers beyond 2**53 and arrays of fewer than 256 values to CPython; the
-rows are assembled from those texts and constant pieces (CSV commas, JSON
-braces and member names).  --dump-distributions replays the chain after the
-series is written, one writer block of steps at a time, through the series'
-band generator at its exact floor: O(N) memory, not O(steps * N).  A
-steady-state omega range checks every omega first, then computes pi for one
-block of omegas at a time.  approx-entropy computes its series one block of t
-at a time as it writes, once the first block has checked its inputs, so its
-memory does not grow with --steps.
+never merged with the next.  The two long (label, m, value) tables, a
+steady-state omega range and the distribution dump, take one grid path: the
+writer asks for as many whole labels (omegas or steps) as fill a block, or
+for one label, written in pieces of 4096 nodes, when N is larger.  Numbers
+are formatted a block at a time by a numpy kernel (oqwalk._numtext) that
+gives the bytes of format(v, ".17g") (CSV), repr(v) (JSON) and str(v),
+leaving the roundings it cannot decide (about 1%), inf, nan, integers beyond
+2**53 and arrays of fewer than 256 values to CPython; the rows are assembled
+from those texts and constant pieces (CSV commas, JSON braces and member
+names).  --dump-distributions replays the chain after the series is
+written, through the series' band generator at its exact floor: O(N)
+memory, not O(steps * N).  A steady-state omega range checks every omega
+first, then computes pi a block at a time.  approx-entropy computes its
+series one block of t at a time as it writes, once the first block has
+checked its inputs, so its memory does not grow with --steps.
 
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag, each value read with that flag's type; explicit command-line flags win.
@@ -46,8 +48,7 @@ import json
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Iterator
-from functools import partial
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain
 from typing import NamedTuple
 
@@ -56,6 +57,7 @@ import numpy as np
 from . import equilibrium as eq
 from . import linear as lin
 from . import thermalization as th
+from ._numtext import text_matrix
 from .equilibrium import EnsemblePoint
 from .linear import LinearWalkSpec
 
@@ -101,26 +103,16 @@ def _column_blocks(chunk: tuple) -> Iterator[list[np.ndarray]]:
         yield [c[start:start + _BLOCK_ROWS] for c in columns]
 
 
-class _Steps(NamedTuple):
-    """A table chunk of rows (n, m, p[m]): each node m of each distribution p_n,
-    from _chain_blocks' (start, block) pairs of max(1, _BLOCK_ROWS // N) steps."""
+class _Grid(NamedTuple):
+    """A table chunk of rows (label, m, value): each node m of each row of the
+    (len(labels), n_nodes) matrix that blocks(rows) yields rows labels at a time."""
 
+    labels: Sequence
     n_nodes: int
-    blocks: Iterator[tuple[int, np.ndarray]]
+    blocks: Callable[[int], Iterator[np.ndarray]]
 
 
-def _step_pieces(chunk: _Steps) -> Iterator[tuple]:
-    """(ns, nodes, p): each block's steps ns, with p the flattened p_n[nodes];
-    a step of more than _BLOCK_ROWS nodes is split into pieces of that many."""
-    pieces = [range(lo, min(lo + _BLOCK_ROWS, chunk.n_nodes))
-              for lo in range(0, chunk.n_nodes, _BLOCK_ROWS)]
-    for start, block in chunk.blocks:
-        ns = range(start, start + len(block))
-        for nodes in pieces:
-            yield ns, nodes, block[:, nodes.start:nodes.stop].ravel()
-
-
-def _json_text(text_matrix, column: np.ndarray) -> np.ndarray:
+def _json_text(column: np.ndarray) -> np.ndarray:
     """A column's JSON text: repr(float), str(int), and the strings
     "inf"/"-inf"/"nan", since strict JSON has no such literals."""
     text = text_matrix(column, "%r")
@@ -132,35 +124,38 @@ def _json_text(text_matrix, column: np.ndarray) -> np.ndarray:
     return text
 
 
-def _steps_text(column_text, labels: dict, piece: tuple) -> list[np.ndarray]:
-    # labels keeps the text of the node labels, formatted once per run
-    ns, nodes, p = piece
-    if nodes not in labels:
-        labels[nodes] = column_text(np.array(nodes))
-    return [np.repeat(column_text(np.array(ns)), len(nodes), axis=0),
-            np.tile(labels[nodes], (len(ns), 1)), column_text(p)]
+def _grid_text(column_text, grid: _Grid) -> Iterator[list[np.ndarray]]:
+    """The text columns (label, m, value) of a _Grid in writer blocks: whole
+    labels when N <= _BLOCK_ROWS, else pieces of _BLOCK_ROWS nodes.  The node
+    labels are formatted once per table, and each block's labels once."""
+    n = grid.n_nodes
+    nodes = [(lo, column_text(np.arange(lo, min(lo + _BLOCK_ROWS, n))))
+             for lo in range(0, n, _BLOCK_ROWS)]
+    start = 0
+    for block in grid.blocks(max(1, _BLOCK_ROWS // n)):
+        labels = column_text(np.asarray(grid.labels[start:start + len(block)]))
+        start += len(block)
+        for lo, text in nodes:
+            yield [np.repeat(labels, len(text), axis=0), np.tile(text, (len(block), 1)),
+                   column_text(block[:, lo:lo + len(text)].ravel())]
 
 
 def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
     """Write a table to the text stream `fh`, one block of rows at a time.
 
-    Each chunk is a tuple of equal-length columns, one per field, or a _Steps.
+    Each chunk is a tuple of equal-length columns, one per field, or a _Grid.
     The output equals ",".join(format(v, ".17g")) per CSV row (str(v) for
     integers) and json.dumps(records, indent=2) plus a newline for JSON, with
     non-finite floats as "inf"/"-inf"/"nan".
 
     One loop serves both formats: column chunks are cut into blocks of
-    _BLOCK_ROWS rows by _column_blocks, and _Steps chunks into blocks of
-    whole steps by _step_pieces, whose columns are n, m (the node labels,
-    formatted once per run) and p.  Each column of a block becomes a text
+    _BLOCK_ROWS rows by _column_blocks, and _grid_text asks a _Grid for as
+    many whole labels as fill a block.  Each column of a block becomes a text
     matrix of the _numtext kernel, '%.17g' for CSV and repr for JSON, and
     _rows puts a format's constant pieces between them: ','s and a newline
     for CSV, a record's braces and member names for JSON.  Each JSON record
     ends in ",\n", which the writer drops after the last one.
     """
-    # imported on first use, so that start-up without a table does not load
-    # (or, without cached bytecode, compile) the kernel
-    from ._numtext import text_matrix
     if fmt == "csv":
         fh.write(",".join(fields) + "\n")
         pieces = ["", *[","] * (len(fields) - 1), "\n"]
@@ -171,12 +166,11 @@ def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
         pieces = [f"  {{\n    {names[0]}: ", *[f",\n    {name}: " for name in names[1:]],
                   "\n  },\n"]
         lead, sep = "[\n", ",\n"
-        column_text = partial(_json_text, text_matrix)
+        column_text = _json_text
     pieces = [np.frombuffer(p.encode("ascii"), dtype=np.uint8) for p in pieces]
-    steps_text = partial(_steps_text, column_text, {})
     for chunk in chunks:
-        if isinstance(chunk, _Steps):
-            blocks = map(steps_text, _step_pieces(chunk))
+        if isinstance(chunk, _Grid):
+            blocks = _grid_text(column_text, chunk)
         else:
             blocks = ([column_text(c) for c in block] for block in _column_blocks(chunk))
         for columns in blocks:
@@ -279,17 +273,14 @@ def cmd_steady_state(args):
     eq._check_n_nodes(n)
     for omega in omegas:
         eq._check_omega(omega)
-    m = np.arange(n)
-    per_block = max(1, _BLOCK_ROWS // n)
-
-    def block(start: int) -> tuple:
-        ws = omegas[start:start + per_block]
-        return np.repeat(ws, n), np.tile(m, len(ws)), lin._steady_states(n, ws).ravel()
-
     if len(omegas) == 1:        # a single omega's table has no omega column
-        yield args.out, ["m", "pi"], [block(0)[1:]]
+        yield args.out, ["m", "pi"], [(np.arange(n), lin._steady_states(n, omegas)[0])]
     else:
-        yield args.out, ["omega", "m", "pi"], map(block, range(0, len(omegas), per_block))
+        def blocks(rows: int) -> Iterator[np.ndarray]:
+            for start in range(0, len(omegas), rows):
+                yield lin._steady_states(n, omegas[start:start + rows])
+
+        yield args.out, ["omega", "m", "pi"], [_Grid(omegas, n, blocks)]
 
 
 def cmd_equilibrium(args):
@@ -310,9 +301,11 @@ def cmd_trajectory(args):
     yield args.out, ["n", "S", "E", "T_est", "S_gen"], [series]
     if args.dump_distributions is not None:
         # Replay the exact chain one writer block of steps at a time: O(N) memory.
-        rows = max(1, _BLOCK_ROWS // spec.n_nodes)
-        chunk = _Steps(spec.n_nodes, th._exact_blocks(spec, args.steps, None, rows))
-        yield args.dump_distributions, ["n", "m", "p"], [chunk]
+        def blocks(rows: int) -> Iterator[np.ndarray]:
+            return (block for _, block in th._exact_blocks(spec, args.steps, None, rows))
+
+        yield args.dump_distributions, ["n", "m", "p"], [
+            _Grid(range(args.steps + 1), spec.n_nodes, blocks)]
 
 
 def cmd_window(args):

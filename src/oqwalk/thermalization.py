@@ -401,13 +401,15 @@ class TrajectoryRecord:
         return len(self.entropy) - 1
 
 
+def _centred_difference(x: np.ndarray, w: int) -> np.ndarray:
+    """x[min(i + w, n - 1)] - x[max(i - w, 0)] for each i, from x padded with its ends."""
+    p = np.pad(x, w, mode="edge")
+    return p[2 * w:] - p[:len(x)]
+
+
 def _temperature_estimate(energy: np.ndarray, ent: np.ndarray, half_width: int) -> np.ndarray:
-    n = len(ent)
-    i = np.arange(n)
-    lo = np.maximum(i - half_width, 0)
-    hi = np.minimum(i + half_width, n - 1)
-    d_e = energy[hi] - energy[lo]
-    d_s = ent[hi] - ent[lo]
+    d_e = _centred_difference(energy, half_width)
+    d_s = _centred_difference(ent, half_width)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = d_e / d_s
     flat = np.abs(d_s) < _FLAT_ENTROPY_TOL
@@ -501,8 +503,9 @@ def simulate_trajectory(
     p0 defaults to the walker localized at node 0, for which S(0) = E(0) = 0.
     S_gen(n) = S(n) - E(n)/T_eq; at omega = 1/2 (infinite T_eq) the heat term
     drops and S_gen = S.  The temperature estimate uses centered differences
-    over +-t_est_half_width steps: the raw pointwise dE/dS is too noisy near
-    the entropy maximum where dS crosses zero.
+    over +-t_est_half_width steps (a nonnegative integer, checked before the
+    chain runs): the raw pointwise dE/dS is too noisy near the entropy maximum
+    where dS crosses zero.
 
     The series reduce (entropy, energy, mass) the full rows of _chain_blocks
     at floor DBL_MIN, a block of steps at a time.  A flushed subnormal moves
@@ -513,6 +516,9 @@ def simulate_trajectory(
     floor) in a (steps+1) x N array.
     """
     p = _start(spec, steps, p0)
+    if not isinstance(t_est_half_width, (int, np.integer)) or t_est_half_width < 0:
+        raise ValueError("t_est_half_width must be a nonnegative integer, "
+                         f"got {t_est_half_width!r}")
     n = spec.n_nodes
     sites = np.arange(n, dtype=float)
     ent, energy, mass = np.empty((3, steps + 1))

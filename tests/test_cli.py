@@ -811,14 +811,29 @@ def test_dump_bytes_match_reference(case, fmt, tmp_path):
     assert dump.read_bytes() == render_reference(["n", "m", "p"], rows, fmt).encode()
 
 
-# with 4-row blocks: two 2-node steps per block, one 3-node step per block,
-# and a 9-node step in pieces of 4, 4 and 1 nodes
+def grid_table(producer, n_nodes):
+    """The (fields, chunks) of a grid table as its handler yields it, and its
+    reference rows: a dump of 4 steps, or a steady-state range of 5 omegas."""
+    if producer == "dump":
+        argv = ["trajectory", "--omega", "0.7", "--steps", "4", "--dump-distributions", "d"]
+        rows = [[n, m, float(p[m])] for n, p in
+                enumerate(markov_rows(LinearWalkSpec(n_nodes, 0.7), 4)) for m in range(n_nodes)]
+    else:
+        argv = ["steady-state", "--omega", "0.1:0.9:0.2"]
+        rows = [[omega, m, float(p)] for omega in cli._parse_omegas("0.1:0.9:0.2")
+                for m, p in enumerate(lin.steady_state(LinearWalkSpec(n_nodes, omega)))]
+    args = cli._build_parser().parse_args(argv + ["--n-nodes", str(n_nodes)])
+    _, fields, chunks = list(cli._COMMANDS[args.command].handler(args))[-1]
+    return fields, chunks, rows
+
+
+# with 4-row blocks: two 2-node labels per block, one 3-node label per block,
+# and a 9-node label in pieces of 4, 4 and 1 nodes
 @pytest.mark.parametrize("n_nodes, most_rows", [(2, 4), (3, 3), (9, 4)])
-def test_dump_writes_at_most_block_rows_at_once(n_nodes, most_rows, monkeypatch):
+@pytest.mark.parametrize("producer", ["dump", "omega-range"])
+def test_dump_writes_at_most_block_rows_at_once(producer, n_nodes, most_rows, monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
-    spec = LinearWalkSpec(n_nodes, 0.7)
-    rows = [[n, m, float(p[m])] for n, p in enumerate(markov_rows(spec, 4))
-            for m in range(n_nodes)]
+    fields, chunks, rows = grid_table(producer, n_nodes)
     class Recorder(io.StringIO):
         def write(self, text):
             writes.append(text)
@@ -826,13 +841,11 @@ def test_dump_writes_at_most_block_rows_at_once(n_nodes, most_rows, monkeypatch)
 
     for fmt, row_end in (("csv", "\n"), ("json", "}")):
         writes, fh = [], Recorder()
-        # the dump's blocks: one writer block of steps each
-        chunk = cli._Steps(n_nodes, th._exact_blocks(spec, 4, None, max(1, 4 // n_nodes)))
-        cli._write_table(fh, ["n", "m", "p"], [chunk], fmt)
-        assert fh.getvalue() == render_reference(["n", "m", "p"], rows, fmt)
+        cli._write_table(fh, fields, chunks, fmt)
+        assert fh.getvalue() == render_reference(fields, rows, fmt)
         body = writes[1:] if fmt == "csv" else writes[:-1]      # header / closing bracket
         assert max(text.count(row_end) for text in body) == most_rows
-        if n_nodes <= 4:                                        # whole steps
+        if n_nodes <= 4:                                        # whole labels
             assert all(text.count(row_end) % n_nodes == 0 for text in body)
 
 
@@ -927,6 +940,22 @@ assert not any(name.startswith("scipy") for name in sys.modules if sys.modules[n
     assert len(list(tmp_path.glob("*.csv"))) == len(ALL_SUBCOMMANDS) + 1
 
 
+def test_module_runs_as_a_script(capsys):
+    # python -m oqwalk.cli goes through the __main__ guard and entrypoint
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = [sys.executable, "-m", "oqwalk.cli", "steady-state", "--n-nodes", "3"]
+    done = subprocess.run(script + ["--omega", "0.5"], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert main(["steady-state", "--n-nodes", "3", "--omega", "0.5"]) == 0
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+    refused = subprocess.run(script + ["--omega", "1.5"], env=env, capture_output=True,
+                             text=True, timeout=120)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr == "oqwalk: error: omega must lie strictly inside (0, 1), got 1.5\n"
+
+
 @pytest.mark.parametrize("argv, config, code, message", [
     (["steady-state", "--config", "missing.cfg"], None, 3,
      "cannot read config missing.cfg: [Errno 2] No such file or directory: 'missing.cfg'"),
@@ -954,6 +983,11 @@ assert not any(name.startswith("scipy") for name in sys.modules if sys.modules[n
      "omega must lie strictly inside (0, 1), got 1.0"),
     (["window", "--n-nodes", "10", "--omega", "0.6:1.2:0.2"], None, 2,
      "omega must lie strictly inside (0, 1), got 1.0"),
+    # a range has exactly three parts
+    (["steady-state", "--n-nodes", "3", "--omega", "0.1:0.2"], None, 2,
+     "cannot parse omega '0.1:0.2'"),
+    (["steady-state", "--n-nodes", "3", "--omega", "0.1:0.2:0.3:0.4"], None, 2,
+     "cannot parse omega '0.1:0.2:0.3:0.4'"),
 ])
 def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, code, message,
                                                                tmp_path, capsys, monkeypatch):

@@ -945,6 +945,17 @@ def test_temperature_estimate_matches_loop_definition(n, omega, steps, half_widt
     assert np.signbit(traj.temperature_estimate).tolist() == np.signbit(expected).tolist()
 
 
+@pytest.mark.parametrize("half_width", [-1, 2.5])
+def test_bad_half_width_is_refused_before_the_chain_runs(half_width, monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("the chain ran")
+
+    monkeypatch.setattr(th, "_chain_blocks", no_chain)
+    with pytest.raises(ValueError, match=rf"^t_est_half_width must be a nonnegative "
+                                         rf"integer, got {half_width}$"):
+        th.simulate_trajectory(LinearWalkSpec(10, 0.7), 20, t_est_half_width=half_width)
+
+
 def test_temperature_estimate_signed_infinities():
     ent = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     energy = np.array([0.0, 1.0, -1.0, 2.0, 3.0, 3.0])
