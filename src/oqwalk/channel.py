@@ -14,19 +14,20 @@ positivity, trace), and `step` only reads the stored report, since a complete
 CP map keeps a valid state valid.
 All arrays are read-only, so both objects are immutable and `step` is pure.
 
-`step` forms each edge's term B rho[src] B^dagger in one of two ways, chosen
-at construction from d.  Up to `_SUPEROP_MAX_DIM`, the channel holds the
-per-edge superoperator `superop` (E, d^2, d^2), K_e = B_e (x) conj(B_e) in
-row-major vec, so vec(B X B^dagger) = K_e vec(X) is one batched matrix-vector
-product.  Above it, K's d^4 cost per edge (time and memory) outgrows the d^3 of
-two batched matmuls, which `step` uses instead.
-
-Sums over edges (the completeness check and `step`) go through one scatter,
-`_scatter`: a 1-D float `np.add.at` over the real and imaginary parts of the
-(E, d, d) terms, in edge order, at a flat index built from the edges' nodes.
-A channel builds the index of `dst` once, at construction.  Complex addition
-is componentwise and `add.at` adds in index order, so each element receives
-the same sums as a complex `np.add.at(out, nodes, terms)`, bit for bit.
+`step` sums each node's incoming terms B rho[src] B^dagger inside one batched
+product.  At construction a channel places every node's incoming edges side by
+side, in edge order, and pads nodes of smaller in-degree with zero operators
+up to the largest in-degree k: `_in_src` (N, k) holds the slots' sources.  Up
+to `_SUPEROP_MAX_DIM` the operator of node j is [K_1 ... K_k] (d^2, k d^2),
+with K = B (x) conj(B) in row-major vec, so vec(B X B^dagger) = K vec(X) and
+the node's new block is one matrix-vector product with its k gathered
+blocks.  Above it, K's d^4 cost per edge (time and memory) outgrows the d^3 of
+two batched matmuls: W_s = X_s B_s^dagger, then [B_1 ... B_k] @ [W_1; ...; W_k].
+Padding costs N k slots, which the linear walk (k = 2 at every node) does not
+pay; the per-node operators take the memory a per-edge layout would, and the
+per-edge `superop` is derived from `ops` when it is read.  The completeness
+check stacks each source node's outgoing operators into C_i the same way and
+forms every C_i^dagger C_i in one batched product.
 A state's `blocks` mapping is indexed from `rho` the first time it is read,
 so `step` does array work only.
 """
@@ -57,11 +58,11 @@ __all__ = [
 STRUCTURAL_TOL = 1e-10
 _HERMITIAN_TOL = 1e-12
 
-# Largest internal dimension d whose channels step through `superop`.  Timed in
-# a 250-step loop of `step` and `position_marginal` (N=64, Haar unitaries, a
-# 2-core Xeon with numpy 2.4), the superoperator path takes 0.27-0.94x the
-# time of the two matmuls for d <= 5 and 1.2-2.8x for d = 6..8.  K takes
-# 16 d^4 bytes per edge: 10 kB at d = 5.
+# Largest internal dimension d whose channels step through superoperators.
+# Timed in a 250-step loop of `step` and `position_marginal` (N=64, Haar
+# unitaries, a 2-core Xeon with numpy 2.4), the superoperator path takes
+# 0.26-0.74x the time of the two matmuls for d <= 5 and 1.4-4.6x for d = 6..8.
+# K takes 16 d^4 bytes per edge: 10 kB at d = 5.
 _SUPEROP_MAX_DIM = 5
 
 
@@ -91,19 +92,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _flat_index(nodes: np.ndarray, dim: int) -> np.ndarray:
-    """Float offsets of the blocks at `nodes` in a flat (N, dim, dim) complex array."""
-    width = 2 * dim * dim
-    return (nodes[:, None] * width + np.arange(width)).ravel()
-
-
-def _scatter(out: np.ndarray, index: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """out[nodes[e]] += terms[e] for each edge e in order, `index` = _flat_index(nodes).
-
-    A 1-D float `np.add.at`, which numpy (>= 1.25) runs on its fast path.
+def _by_node(nodes: np.ndarray, n: int, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's slot among the edges at its node, in edge order, and the
+    (n, k, d, d) operators by node and slot, zero in the slots past a node's degree.
     """
-    np.add.at(out.reshape(-1).view(float), index, terms.reshape(-1).view(float))
-    return out
+    counts = np.bincount(nodes, minlength=n)
+    order = np.argsort(nodes, kind="stable")
+    slot = np.empty_like(nodes)
+    slot[order] = np.arange(len(nodes)) - (np.cumsum(counts) - counts)[nodes[order]]
+    grouped = np.zeros((n, counts.max(initial=0)) + ops.shape[1:], dtype=complex)
+    grouped[nodes, slot] = ops
+    return slot, grouped
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,8 @@ class OqwChannel:
     """Sparse family of per-edge operators {(source, target): B} on a graph.
 
     Absent pairs are zero operators; `transitions` is a read-only view of `ops`.
-    `superop` holds each edge's B (x) conj(B), (E, d^2, d^2), when d is at most
-    `_SUPEROP_MAX_DIM`, and is None above it.
+    `superop` is each edge's B (x) conj(B), (E, d^2, d^2), derived from `ops` on
+    every read when d is at most `_SUPEROP_MAX_DIM`, and None above it.
     `==` and `hash` go by identity: to compare two channels' contents, compare
     `src`, `dst` and `ops` with `np.array_equal`.
     """
@@ -143,9 +142,13 @@ class OqwChannel:
     src: np.ndarray = field(init=False, repr=False)
     dst: np.ndarray = field(init=False, repr=False)
     ops: np.ndarray = field(init=False, repr=False)
-    superop: np.ndarray | None = field(init=False, repr=False)
     report: ValidationReport = field(init=False, repr=False)
-    _dst_index: np.ndarray = field(init=False, repr=False)
+    # step's per-node layout (module docstring): the k slot sources (N, k); the
+    # superoperators (N, d^2, k d^2), or [B_1 ... B_k] (N, d, k d) with the
+    # B_s^dagger (N, k, d, d) in _in_adj on the matmul path (None otherwise)
+    _in_src: np.ndarray = field(init=False, repr=False)
+    _in_op: np.ndarray = field(init=False, repr=False)
+    _in_adj: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         edges = []
@@ -183,20 +186,35 @@ class OqwChannel:
                 f"transition {(int(src[e]), int(dst[e]))} outside node range")
         ops = _frozen(np.array(ops, dtype=complex).reshape(len(src), d, d))
         src, dst = _frozen(np.array(src, dtype=np.intp)), _frozen(np.array(dst, dtype=np.intp))
-        acc = _scatter(np.zeros((n, d, d), dtype=complex), _flat_index(src, d),
-                       _dagger(ops) @ ops)
-        defects = np.abs(acc - np.eye(d)).max(axis=(1, 2))
+        out_ops = _by_node(src, n, ops)[1].reshape(n, -1, d)
+        defects = np.abs(_dagger(out_ops) @ out_ops - np.eye(d)).max(axis=(1, 2))
         report = ValidationReport(ok=bool(defects.max() <= STRUCTURAL_TOL),
                                   defects=dict(enumerate(defects.tolist())))
-        superop = None
+        slot, in_ops = _by_node(dst, n, ops)
+        k = in_ops.shape[1]
+        in_src = np.zeros((n, k), dtype=np.intp)
+        in_src[dst, slot] = src
+        in_adj = None
         if d <= _SUPEROP_MAX_DIM:
-            superop = _frozen(np.einsum("eij,elk->eiljk", ops, ops.conj())
-                              .reshape(-1, d * d, d * d))
+            in_op = np.einsum("nsij,nslk->nilsjk", in_ops, in_ops.conj(),
+                              out=np.empty((n, d, d, k, d, d), dtype=complex))
+            in_op = in_op.reshape(n, d * d, k * d * d)
+        else:
+            in_op = in_ops.swapaxes(1, 2).reshape(n, d, k * d)
+            in_adj = _frozen(np.ascontiguousarray(_dagger(in_ops)))
         transitions = MappingProxyType(dict(zip(zip(src.tolist(), dst.tolist()), ops)))
         for name, value in [("transitions", transitions), ("src", src), ("dst", dst),
-                            ("ops", ops), ("superop", superop), ("report", report),
-                            ("_dst_index", _frozen(_flat_index(dst, d)))]:
+                            ("ops", ops), ("report", report), ("_in_src", _frozen(in_src)),
+                            ("_in_op", _frozen(in_op)), ("_in_adj", in_adj)]:
             object.__setattr__(self, name, value)
+
+    @property
+    def superop(self) -> np.ndarray | None:
+        d = self.internal_dim
+        if d > _SUPEROP_MAX_DIM:
+            return None
+        return _frozen(np.einsum("eij,elk->eiljk", self.ops, self.ops.conj())
+                       .reshape(-1, d * d, d * d))
 
     def __reduce__(self):  # unpickle through the checks, which re-freeze the arrays
         return OqwChannel, (self.node_count, self.internal_dim, dict(self.transitions))
@@ -293,10 +311,10 @@ class BlockState:
 def step(channel: OqwChannel, state: BlockState) -> BlockState:
     """One application of the walk: rho'[j] = sum_i B[i,j] rho[i] B[i,j]^dagger.
 
-    The channel's `superop` gives the (E, d, d) terms as one batched
-    matrix-vector product, or two batched matmuls when it has none; `_scatter`
-    adds them into rho' in edge order at the flat `dst` index the channel built
-    at construction, and the result is then made exactly Hermitian.  No
+    Gathers the blocks at every node's incoming slots once, rho[_in_src], and
+    forms each node's new block, its sum over edges included, in one batched
+    product through the per-node operator the channel built at construction
+    (module docstring); the result is then made exactly Hermitian.  No
     mapping is built: the new state's `blocks` is indexed on first read.
     Refuses channels whose stored report failed, as they do not preserve trace.
     """
@@ -307,20 +325,23 @@ def step(channel: OqwChannel, state: BlockState) -> BlockState:
             f"channel fails completeness at nodes {sorted(bad)}: "
             + ", ".join(f"{i}: defect {d:.3e}" for i, d in sorted(bad.items()))
         )
-    if state.rho.shape[:2] != (channel.node_count, channel.internal_dim):
+    n, d = channel.node_count, channel.internal_dim
+    if state.rho.shape[:2] != (n, d):
         raise ValueError(f"state of shape {state.rho.shape} fed to channel on "
-                         f"{channel.node_count} nodes with internal dim {channel.internal_dim}")
-    blocks = state.rho[channel.src]
-    if channel.superop is None:
-        terms = channel.ops @ blocks @ _dagger(channel.ops)
+                         f"{n} nodes with internal dim {d}")
+    x = np.take(state.rho, channel._in_src, axis=0)
+    if channel._in_adj is None:
+        rho = channel._in_op @ x.reshape(n, -1, 1)
     else:
-        d = channel.internal_dim
-        terms = channel.superop @ blocks.reshape(-1, d * d, 1)
-    rho = _scatter(np.zeros_like(state.rho), channel._dst_index, terms)
+        rho = channel._in_op @ (x @ channel._in_adj).reshape(n, -1, d)
+    rho = rho.reshape(n, d, d)
     # Kill roundoff asymmetry so the PSD/Hermitian invariants stay exact.
-    return BlockState._trusted(0.5 * (rho + _dagger(rho)))
+    rho = rho + _dagger(rho)
+    rho *= 0.5
+    return BlockState._trusted(rho)
 
 
 def position_marginal(state: BlockState) -> np.ndarray:
     """Node-occupation probabilities p_i = trace(rho[i]); sums to 1."""
-    return np.trace(state.rho, axis1=1, axis2=2).real
+    n, d = state.rho.shape[:2]
+    return state.rho.reshape(n, -1)[:, ::d + 1].real.sum(axis=1)

@@ -63,10 +63,18 @@ class LinearWalkSpec:
             for k, u in enumerate(us):
                 if u.shape != (d, d):
                     raise ValueError(f"unitary {k} has shape {u.shape}, expected {(d, d)}")
-                if not np.isfinite(u).all():
-                    raise ValueError(f"unitary {k} has non-finite entries")
-                if np.abs(u.conj().T @ u - np.eye(d)).max() > _UNITARY_TOL:
-                    raise ValueError(f"operator {k} is not unitary")
+            # checked stacked; the message names the first unitary that fails,
+            # and its first failing check (finite, then unitary)
+            stack = np.array(us)
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            first_bad = len(us) if finite.all() else int(np.argmin(finite))
+            head = stack[:first_bad]
+            unitary = np.abs(head.conj().swapaxes(1, 2) @ head - np.eye(d)).max(axis=(1, 2))
+            unitary = unitary <= _UNITARY_TOL
+            if not unitary.all():
+                raise ValueError(f"operator {int(np.argmin(unitary))} is not unitary")
+            if first_bad < len(us):
+                raise ValueError(f"unitary {first_bad} has non-finite entries")
             object.__setattr__(self, "unitaries", us)
 
     def __eq__(self, other: object) -> bool:
@@ -110,7 +118,8 @@ def build_channel(spec: LinearWalkSpec) -> OqwChannel:
     eye = np.eye(d, dtype=complex)
     us = np.broadcast_to(eye, (n - 1, d, d)) if spec.unitaries is None else np.array(spec.unitaries)
     # edge order (0, 0), (N-1, N-1), then (i, i+1) and (i+1, i) for each i:
-    # the scatter in `step` adds a node's terms in this order
+    # a node's incoming edges take their slots in the channel's per-node layout
+    # in this order
     hops = np.stack([sw * us, sl * us.conj().swapaxes(1, 2)], axis=1).reshape(-1, d, d)
     i = np.arange(n - 1)
     src = np.concatenate([[0, n - 1], np.stack([i, i + 1], axis=1).ravel()])

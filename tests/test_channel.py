@@ -15,6 +15,8 @@ from oqwalk import linear as lin
 from oqwalk.channel import BlockState, OqwChannel
 from oqwalk.linear import LinearWalkSpec
 
+from chain_reference import markov_rows
+
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 SHIFT3 = np.roll(np.eye(3, dtype=complex), 1, axis=0)
@@ -274,14 +276,46 @@ def random_state(rng, n, d):
     return BlockState(n, {int(i): b / total for i, b in blocks.items()})
 
 
+U = np.finfo(float).eps / 2
+U_LONG = np.finfo(np.longdouble).eps / 2
+
+
+def gamma(k, unit=U):
+    """gamma_k = k u / (1 - k u), the bound on k roundings at unit roundoff u."""
+    return k * unit / (1 - k * unit)
+
+
+def edge_sum_reference(chan, rho):
+    """S[j] = sum over the edges e into j of B_e rho[src] B_e^dagger, edge by edge
+    in clongdouble, symmetrised as `step` does; and A[j] = sum_e |B_e| |rho[src]| |B_e|^T."""
+    n, d = rho.shape[:2]
+    s = np.zeros((n, d, d), dtype=np.clongdouble)
+    a = np.zeros((n, d, d), dtype=np.longdouble)
+    for i, j, b in zip(chan.src, chan.dst, chan.ops):
+        b, x = b.astype(np.clongdouble), rho[i].astype(np.clongdouble)
+        s[j] += b @ x @ b.conj().T
+        a[j] += np.abs(b) @ np.abs(x) @ np.abs(b).T
+    return 0.5 * (s + s.conj().swapaxes(1, 2)), a
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), d=st.integers(1, 6),
        steps=st.integers(1, 6))
 @example(seed=0, n=7, d=ch._SUPEROP_MAX_DIM, steps=3)
 @example(seed=1, n=7, d=ch._SUPEROP_MAX_DIM + 1, steps=3)
-def test_step_keeps_the_complex_add_at_bits(seed, n, d, steps):
-    # reference: the complex (E, d, d) scatter, edge by edge in index order, of
-    # the terms of the path the channel steps through (d = 1..6 runs both)
+def test_step_matches_the_edge_sum_in_long_double(seed, n, d, steps):
+    # Ragged channels (in-degrees 0-4, so padded slots) on both paths (d = 1..6).
+    # Per element of node j, with m its in-degree and A, S from edge_sum_reference:
+    # - superoperator path: each K entry is one complex product, sqrt(2) gamma_2
+    #   relative, and the node's fused sum is one complex inner product of m d^2
+    #   nonzero terms (padded slots add exact zeros), sqrt(2) gamma_{2 m d^2};
+    #   together within sqrt(2) gamma_{2 m d^2 + 3} A.
+    # - matmul path: W = X B^dagger, inner length d, then [B_1 ... B_k] W, inner
+    #   length m d: within sqrt(2) gamma_{2 (m + 1) d + 1} A.
+    # - the symmetrisation rounds once: u |S|, on an average of two errors.
+    # - the reference itself, in long double (unit u'): two products of inner
+    #   length d and m terms, sqrt(2) gamma'_{4d + m + 1} A, then u' |S|; A is
+    #   computed in long double too, within gamma'_{2d + m + 3} relative.
     rng = np.random.default_rng(seed)
     chan = random_complete_channel(rng, n, d)
     clone = pickle.loads(pickle.dumps(chan))
@@ -291,27 +325,61 @@ def test_step_keeps_the_complex_add_at_bits(seed, n, d, steps):
         return (np.array_equal(a, b) and np.array_equal(np.signbit(a.real), np.signbit(b.real))
                 and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
 
+    # The report's defects: C_i^dagger C_i is a complex inner product of length
+    # m_out d per element, sqrt(2) gamma_{2 m_out d} M with M = |C_i|^T |C_i|;
+    # subtracting I and taking the modulus round twice more, 3 u |defect|.
     for c in (chan, OqwChannel(n, d, {k: 1.01 * b for k, b in chan.transitions.items()})):
-        acc = np.zeros((n, d, d), dtype=complex)
-        np.add.at(acc, c.src, c.ops.conj().swapaxes(1, 2) @ c.ops)
-        defects = np.abs(acc - np.eye(d)).max(axis=(1, 2))
-        assert dict(c.report.defects) == dict(enumerate(defects.tolist()))
+        acc = np.zeros((n, d, d), dtype=np.clongdouble)
+        mag = np.zeros((n, d, d), dtype=np.longdouble)
+        for i, b in zip(c.src, c.ops):
+            b = b.astype(np.clongdouble)
+            acc[i] += b.conj().T @ b
+            mag[i] += np.abs(b).T @ np.abs(b)
+        ref = np.abs(acc - np.eye(d)).max(axis=(1, 2))
+        m_out = np.bincount(c.src, minlength=n)
+        tol = (math.sqrt(2) * (gamma(2 * m_out * d + 1) + gamma(2 * m_out * d + m_out + 1, U_LONG))
+               * mag.max(axis=(1, 2)) + 3 * U * ref)
+        got = np.array([c.report.defects[i] for i in range(n)], dtype=np.longdouble)
+        assert list(c.report.defects) == list(range(n))
+        assert (np.abs(got - ref) <= tol).all()
 
+    m = np.bincount(chan.dst, minlength=n)[:, None, None]
+    if d <= ch._SUPEROP_MAX_DIM:
+        path = math.sqrt(2) * gamma(2 * m * d * d + 3)
+    else:
+        assert chan.superop is None
+        path = math.sqrt(2) * gamma(2 * (m + 1) * d + 1)
     state = random_state(rng, n, d)
     for _ in range(steps):
-        blocks = state.rho[chan.src]
-        if d <= ch._SUPEROP_MAX_DIM:
-            terms = (chan.superop @ blocks.reshape(-1, d * d, 1)).reshape(-1, d, d)
-        else:
-            assert chan.superop is None
-            terms = chan.ops @ blocks @ chan.ops.conj().swapaxes(1, 2)
-        ref = np.zeros_like(state.rho)
-        np.add.at(ref, chan.dst, terms)
-        ref = 0.5 * (ref + ref.conj().swapaxes(1, 2))
+        ref, a = edge_sum_reference(chan, state.rho)
         new = ch.step(chan, state)
-        assert same_bits(new.rho, ref)
-        assert same_bits(ch.step(clone, state).rho, ref)
+        bound = ((path * (1 + U) + math.sqrt(2) * gamma(4 * d + m + 1, U_LONG))
+                 * a * (1 + gamma(2 * d + m + 3, U_LONG)) + (U + U_LONG) * np.abs(ref))
+        err = np.abs(new.rho.astype(np.clongdouble) - ref)
+        assert (err <= bound).all(), float((err / np.where(bound > 0, bound, 1)).max())
+        assert np.array_equal(new.rho, new.rho.conj().swapaxes(1, 2))
+        assert same_bits(ch.step(clone, state).rho, new.rho)
         state = new
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_position_marginal_sums_the_real_diagonal(d):
+    # Bit-identical to the trace form np.trace(rho).real up to d = 3.  From
+    # d = 4 numpy's complex reduction groups the interleaved real and imaginary
+    # parts pairwise, so the two sums of the same d reals can differ by their
+    # rounding, each within gamma_{d-1} sum |Re rho_ii|.
+    rng = np.random.default_rng(40 + d)
+    chan = random_complete_channel(rng, 8, d)
+    for state in [random_state(rng, 8, d) for _ in range(20)]:
+        for _ in range(3):
+            trace_form = np.trace(state.rho, axis1=1, axis2=2).real
+            got = ch.position_marginal(state)
+            assert got.shape == (8,) and got.dtype == float
+            if d <= 3:
+                assert np.array_equal(got, trace_form)
+            size = np.abs(np.diagonal(state.rho, axis1=1, axis2=2).real).sum(axis=1)
+            assert (np.abs(got - trace_form) <= 2 * gamma(d - 1) * size).all()
+            state = ch.step(chan, state)
 
 
 def haar_unitaries(rng, count, d):
@@ -347,15 +415,17 @@ def test_step_is_accurate_against_exact_arithmetic(d):
     # Bound, per element, with u the unit roundoff and gamma_k = k u / (1 - k u).
     # A = sum over the m = 2 edges into the node of (|B| |rho[src]| |B|^T).
     # - The superoperator path (d <= 5) rounds each K entry, a complex product,
-    #   by sqrt(2) gamma_2 relative.  Each term is then a complex inner product
-    #   of d^2 entries: with real and imaginary parts summed as 2 d^2 real
-    #   products, that adds at most sqrt(2) gamma_{2 d^2} A.
-    # - The matmul path (d = 6) runs two such inner products of length d:
-    #   2 sqrt(2) gamma_{2d} A.
-    # - The scatter adds m terms per element, gamma_{m} relative.
-    # Both paths stay inside 3 gamma_{2 d^2 + m + 6} A, where 3 > 2 sqrt(2)
-    # also covers the rounding of A itself.  The symmetrisation 0.5 (S + S^H)
-    # averages two such errors and rounds its sum once more: u |ref|.
+    #   by sqrt(2) gamma_2 relative.  The node's m terms are then summed inside
+    #   one complex inner product of m d^2 entries: with real and imaginary
+    #   parts summed as 2 m d^2 real products, that adds at most
+    #   sqrt(2) gamma_{2 m d^2} A.  Total sqrt(2) (gamma_2 + gamma_{2 m d^2}) A.
+    # - The matmul path (d = 6) runs W = X B^dagger, an inner product of length
+    #   d, then [B_1 ... B_m] W, one of length m d, which holds the edge sum:
+    #   sqrt(2) (gamma_{2d} + gamma_{2 m d}) A.
+    # Both stay inside 3 gamma_{2 d^2 + m + 6} A for m = 2 and d <= 6, and the
+    # slack covers the rounding of A itself and the second-order terms.  The
+    # symmetrisation 0.5 (S + S^H) averages two such errors and rounds its sum
+    # once more: u |ref|.
     u = np.finfo(float).eps / 2
     gamma = lambda k: k * u / (1 - k * u)  # noqa: E731
     rng = np.random.default_rng(d)
@@ -393,6 +463,59 @@ def test_trace_drift_over_ten_thousand_steps(d):
         state = ch.step(chan, state)
         traces.append(state.total_trace())
     assert np.abs(np.diff(traces)).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), d=st.integers(1, 8),
+       omega=st.floats(0.05, 0.95), steps=st.integers(1, 300))
+@example(seed=0, n=12, d=ch._SUPEROP_MAX_DIM, omega=0.63, steps=300)
+@example(seed=1, n=12, d=8, omega=0.63, steps=300)
+def test_engine_blocks_are_the_chain_times_the_transported_state(seed, n, d, omega, steps):
+    # A right hop applies U_i and a left hop U_i^dagger, so from a pure start
+    # psi at node 0 every block is p_n(m) phi_m phi_m^dagger, phi_m = U_{m-1}..U_0 psi.
+    # Bound on sum_m max |rho_n[m] - p_n(m) Phi_m| (each max is at most that
+    # block's trace norm), derived from the per-step bound, with m = 2 edges
+    # into every node and eta the largest ||U^dagger U - I||_2 of the inputs:
+    # - one step rounds node j's block by c A_j per element (c as in
+    #   test_step_matches_the_edge_sum_in_long_double, plus gamma_5 for
+    #   rounding sqrt(w) U into B), and sum_ab A_j summed over j is at most
+    #   d^2 ||rho||_1; the symmetrisation adds u sum_ab |rho_ab| <= u d ||rho||_1;
+    #   and with U^dagger U = I + eta, a left hop moves the transported state
+    #   by at most 3 eta.  The map is CP with trace-norm gain (1 + u)(1 + eta)
+    #   per step, so these add up over the n steps, on top of the start's
+    #   rounding sqrt(2) gamma_2 d.
+    # - the chain rows p_n (chain_reference) round by gamma_2 per step in L1;
+    #   each |Phi_m| entry is at most ||P_m||^2 <= 2.
+    # - internal_state_at_node forms Phi_m with m - 1 products of unitaries and
+    #   two more with the rank-one psi psi^dagger, sqrt(2) gamma_{2d} d each in
+    #   norm, and psi psi^dagger itself rounds by sqrt(2) gamma_2.
+    # - forming p Phi and the difference round by u each.
+    # The factor 2 covers every growth factor (1 + O(u + eta))^n and the state's
+    # norm 1 + bound, while the bound stays below 1e-6, which is asserted too.
+    rng = np.random.default_rng(seed)
+    unitaries = haar_unitaries(rng, n - 1, d)
+    psi = haar_unitaries(rng, 1, d)[0][:, 0]
+    spec = LinearWalkSpec(n, omega, unitaries=tuple(unitaries))
+    chan = lin.build_channel(spec)
+    eta = max(np.linalg.norm(u.conj().T @ u - np.eye(d), 2) for u in unitaries)
+    eta += math.sqrt(2) * gamma(2 * d) * d  # the rounding of eta's own product
+    if d <= ch._SUPEROP_MAX_DIM:
+        c = math.sqrt(2) * (gamma(2) + gamma(4 * d * d))
+    else:
+        c = math.sqrt(2) * (gamma(2 * d) + gamma(4 * d))
+    per_step = (c + gamma(5)) * d * d + U * d + 3 * eta + 2 * gamma(2)
+    fixed = (math.sqrt(2) * gamma(2) * d + math.sqrt(2) * (2 * n * d * gamma(2 * d) + gamma(2))
+             + 4 * U)
+    phis = np.array([lin.internal_state_at_node(spec, psi, m) for m in range(n)])
+    state = BlockState.localized(n, 0, psi)
+    rows = markov_rows(spec, steps)
+    next(rows)
+    for k, p in enumerate(rows, start=1):
+        state = ch.step(chan, state)
+        bound = 2 * (k * per_step + fixed)
+        assert bound < 1e-6
+        err = np.abs(state.rho - p[:, None, None] * phis).max(axis=(1, 2)).sum()
+        assert err <= bound, (k, err, bound)
 
 
 def test_blocks_index_rho_on_first_read():

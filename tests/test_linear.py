@@ -102,7 +102,8 @@ def test_build_channel_keeps_the_mapping_constructors_arrays(n, d):
     assert list(built.transitions) == list(ref.transitions)
     assert all(type(i) is int for key in built.transitions for i in key)
     assert (built.superop is None) == (ref.superop is None) == (d == 6)
-    for name in ["src", "dst", "ops", "_dst_index"] + ["superop"] * (d != 6):
+    assert (built._in_adj is None) == (ref._in_adj is None) == (d != 6)
+    for name in ["src", "dst", "ops", "_in_src", "_in_op"] + (["_in_adj"] if d == 6 else ["superop"]):
         a, b = getattr(built, name), getattr(ref, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert not a.flags.writeable
@@ -478,6 +479,20 @@ def test_spec_refuses_a_unitary_of_another_shape():
 ])
 def test_spec_refuses_non_finite_and_non_matrix_unitaries(unitaries, message):
     # NaN passed the unitarity check, and a 0-d operator raised IndexError
+    with pytest.raises(ValueError) as exc:
+        LinearWalkSpec(len(unitaries) + 1, 0.6, unitaries=unitaries)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("unitaries, message", [
+    ((X, 2 * H, np.nan * X, H), "operator 1 is not unitary"),
+    ((X, np.nan * X, 2 * H, H), "unitary 1 has non-finite entries"),
+    ((X, H, X, 1.5 * X), "operator 3 is not unitary"),
+    ((X, H, np.diag([1.0, np.inf]), np.ones((3, 3))), "unitary 3 has shape (3, 3), expected (2, 2)"),
+])
+def test_spec_names_the_first_unitary_that_fails_a_check(unitaries, message):
+    # the checks run on the stacked unitaries; the message names the first
+    # failing unitary in index order, and its first failing check
     with pytest.raises(ValueError) as exc:
         LinearWalkSpec(len(unitaries) + 1, 0.6, unitaries=unitaries)
     assert str(exc.value) == message
