@@ -426,8 +426,6 @@ def test_step_is_accurate_against_exact_arithmetic(d):
     # slack covers the rounding of A itself and the second-order terms.  The
     # symmetrisation 0.5 (S + S^H) averages two such errors and rounds its sum
     # once more: u |ref|.
-    u = np.finfo(float).eps / 2
-    gamma = lambda k: k * u / (1 - k * u)  # noqa: E731
     rng = np.random.default_rng(d)
     n, m = 4, 2
     unitaries = tuple(haar_unitaries(rng, n - 1, d))
@@ -445,7 +443,7 @@ def test_step_is_accurate_against_exact_arithmetic(d):
                                  (exact(new.rho[j].imag) - im).astype(float))
                         for j, (re, im) in enumerate(ref)])
         ref_abs = np.array([np.hypot(re.astype(float), im.astype(float)) for re, im in ref])
-        bound = 3 * gamma(2 * d * d + m + 6) * a + u * ref_abs
+        bound = 3 * gamma(2 * d * d + m + 6) * a + U * ref_abs
         assert (err <= bound).all(), float((err / bound).max())
         state = new
 
