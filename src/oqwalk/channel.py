@@ -5,8 +5,13 @@ directed edge i -> j; absent edges mean the zero operator.  Trace preservation
 requires, for every source node i, sum_j B[i,j]^dagger B[i,j] = identity.
 Graph coherences vanish after one application, so states are block-diagonal.
 
-A channel holds its E edges as arrays `src`, `dst` (E,) and `ops` (E, d, d);
-a state holds `rho` (N, d, d), traces summing to one.  Both ways to build a
+A channel holds its E edges as arrays `src`, `dst` (E,) and `ops` (E, d, d).
+A state's N blocks are Hermitian, so it holds each as d^2 real coordinates:
+the diagonal, then the real and then the imaginary parts of the strict upper
+triangle in row-major order, one read-only (N, d^2) float array.  Its `rho`
+(N, d, d) is built from them on first read, exactly Hermitian; a state built
+from blocks keeps those blocks as its `rho`, bit for bit, and holds the
+coordinates of their Hermitian part (X + X^dagger) / 2.  Both ways to build a
 channel, from a {(i, j): B} mapping and from edge arrays (`build_channel`),
 end in one array core that checks the edges and derives the stored arrays.
 Checks run once, at construction (completeness; finiteness, Hermiticity,
@@ -14,26 +19,30 @@ positivity, trace), and `step` only reads the stored report, since a complete
 CP map keeps a valid state valid.
 All arrays are read-only, so both objects are immutable and `step` is pure.
 
-`step` sums each node's incoming terms B rho[src] B^dagger inside one batched
+`step` sums each node's incoming terms B X B^dagger inside one batched
 product.  At construction a channel places every node's incoming edges side by
 side, in edge order, and pads nodes of smaller in-degree with zero operators
 up to the largest in-degree k: `_in_src` (N, k) holds the slots' sources.  Up
-to `_SUPEROP_MAX_DIM` the operator of node j is [K_1 ... K_k] (d^2, k d^2),
-with K = B (x) conj(B) in row-major vec, so vec(B X B^dagger) = K vec(X) and
-the node's new block is one matrix-vector product with its k gathered
-blocks.  Above it, K's d^4 cost per edge (time and memory) outgrows the d^3 of
-two batched matmuls: W_s = X_s B_s^dagger, then [B_1 ... B_k] @ [W_1; ...; W_k].
-Padding costs N k slots, which the linear walk (k = 2 at every node) does not
-pay; the per-node operators take the memory a per-edge layout would, and the
-per-edge `superop` is derived from `ops` when it is read.  The completeness
-check stacks each source node's outgoing operators into C_i the same way and
-forms every C_i^dagger C_i in one batched product.
+to `_SUPEROP_MAX_DIM` the operator of node j is [R_1 ... R_k] (d^2, k d^2),
+with R the real matrix of X -> B X B^dagger on coordinates, and the node's new
+coordinates are one real matrix-vector product with its k gathered ones; the
+result is Hermitian by construction.  Above it, R's d^4 cost per edge (time
+and memory) outgrows the d^3 of two batched matmuls on the gathered blocks:
+W_s = X_s B_s^dagger, then [B_1 ... B_k] @ [W_1; ...; W_k], of which the step
+keeps the coordinates of the Hermitian part.  Padding costs N k slots, which
+the linear walk (k = 2 at every node) does not pay.  The per-edge `superop`
+is derived from `ops` on every read, and the `transitions` mapping and the
+report's `defects` mapping on the first.  The completeness check stacks each
+source node's outgoing operators into C_i the same way and forms every
+C_i^dagger C_i in one batched product.
 A state's `blocks` mapping is indexed from `rho` the first time it is read,
 so `step` does array work only.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -58,12 +67,12 @@ __all__ = [
 STRUCTURAL_TOL = 1e-10
 _HERMITIAN_TOL = 1e-12
 
-# Largest internal dimension d whose channels step through superoperators.
+# Largest internal dimension d whose channels step through coordinate operators.
 # Timed in a 250-step loop of `step` and `position_marginal` (N=64, Haar
-# unitaries, a 2-core Xeon with numpy 2.4), the superoperator path takes
-# 0.26-0.74x the time of the two matmuls for d <= 5 and 1.4-4.6x for d = 6..8.
-# K takes 16 d^4 bytes per edge: 10 kB at d = 5.
-_SUPEROP_MAX_DIM = 5
+# unitaries, a 2-core Xeon with numpy 2.4), the coordinate path takes
+# 0.14-0.74x the time of the two matmuls for d <= 7 and 1.3-1.4x at d = 8.
+# R takes 8 d^4 bytes per edge: 19 kB at d = 7.
+_SUPEROP_MAX_DIM = 7
 
 
 class ChannelStructureError(ValueError):
@@ -92,6 +101,64 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps between a block's d^2 coordinates and its 2 d^2 interleaved floats.
+
+    The coordinates of the Hermitian part are (f[first] + sign f[second]) / 2
+    with f the block's (re, im) floats; the floats are e[gather] with e the
+    coordinates followed by the negated imaginary ones and a zero.
+    """
+    iu, ju = np.triu_indices(d, 1)
+    p = len(iu)
+    diag, up, low = np.arange(d) * (d + 1), iu * d + ju, ju * d + iu
+    first = np.concatenate([2 * diag, 2 * up, 2 * up + 1])
+    second = np.concatenate([2 * diag, 2 * low, 2 * low + 1])
+    sign = np.concatenate([np.ones(d + p), -np.ones(p)])
+    gather = np.empty(2 * d * d, dtype=np.intp)
+    gather[2 * diag], gather[2 * diag + 1] = np.arange(d), d * d + p
+    gather[2 * up] = gather[2 * low] = d + np.arange(p)
+    gather[2 * up + 1], gather[2 * low + 1] = d + p + np.arange(p), d * d + np.arange(p)
+    return tuple(_frozen(a) for a in (first, second, sign, gather))
+
+
+def _coords(x: np.ndarray) -> np.ndarray:
+    """The (..., d^2) coordinates of the Hermitian part (X + X^dagger) / 2 of (..., d, d) X.
+
+    Exact, bit for bit, on an exactly Hermitian X.
+    """
+    first, second, sign, _ = _layout(x.shape[-1])
+    f = np.ascontiguousarray(x).view(float).reshape(x.shape[:-2] + (-1,))
+    return (np.take(f, first, axis=-1) + np.take(f, second, axis=-1) * sign) * 0.5
+
+
+def _blocks(c: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian (..., d, d) blocks of (..., d^2) coordinates."""
+    d = math.isqrt(c.shape[-1])
+    # 0 - im, where -im would turn +0 into -0: a zero block keeps the bits of
+    # the fresh zeros a state built from blocks has, so pickling keeps them too
+    e = np.concatenate([c, 0.0 - c[..., (d * d + d) // 2:], np.zeros(c.shape[:-1] + (1,))],
+                       axis=-1)
+    return np.take(e, _layout(d)[3], axis=-1).view(complex).reshape(c.shape[:-1] + (d, d))
+
+
+def _coordinate_operator(b: np.ndarray) -> np.ndarray:
+    """(..., d^2, d^2) real R with coords(B X B^dagger) = R coords(X) for Hermitian X.
+
+    Output entry (i, l) of B X B^dagger takes B_ij conj(B_lj) from diagonal
+    coordinate j, and from the pair j < k with X_jk = a + i b
+    (B_ij conj(B_lk) + B_ik conj(B_lj)) a + i (B_ij conj(B_lk) - B_ik conj(B_lj)) b.
+    """
+    d = b.shape[-1]
+    iu, ju = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    bi = b[..., np.concatenate([diag, iu]), :]
+    bl = b[..., np.concatenate([diag, ju]), :].conj()
+    p, q = bi[..., iu] * bl[..., ju], bi[..., ju] * bl[..., iu]
+    rows = np.concatenate([bi * bl, p + q, 1j * (p - q)], axis=-1)  # entries (i, i), (i < l)
+    return np.concatenate([rows.real, rows[..., d:, :].imag], axis=-2)
+
+
 def _by_node(nodes: np.ndarray, n: int, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each edge's slot among the edges at its node, in edge order, and the
     (n, k, d, d) operators by node and slot, zero in the slots past a node's degree.
@@ -118,6 +185,21 @@ class ValidationReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "defects", MappingProxyType(dict(self.defects)))
 
+    @classmethod
+    def _of_nodes(cls, defects: np.ndarray) -> "ValidationReport":
+        """The report on node defects (N,), whose mapping is built on first read."""
+        report = object.__new__(cls)
+        object.__setattr__(report, "ok", bool(defects.max() <= STRUCTURAL_TOL))
+        object.__setattr__(report, "_node_defects", defects)
+        return report
+
+    def __getattr__(self, name: str):
+        if name != "defects" or "_node_defects" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        defects = MappingProxyType(dict(enumerate(self._node_defects.tolist())))
+        object.__setattr__(self, "defects", defects)
+        return defects
+
     def __reduce__(self):  # a mapping proxy does not pickle
         return ValidationReport, (self.ok, dict(self.defects))
 
@@ -129,9 +211,10 @@ class ValidationReport:
 class OqwChannel:
     """Sparse family of per-edge operators {(source, target): B} on a graph.
 
-    Absent pairs are zero operators; `transitions` is a read-only view of `ops`.
-    `superop` is each edge's B (x) conj(B), (E, d^2, d^2), derived from `ops` on
-    every read when d is at most `_SUPEROP_MAX_DIM`, and None above it.
+    Absent pairs are zero operators; `transitions` is a read-only mapping of
+    views of `ops`, built on first read.  `superop` is each edge's B (x) conj(B),
+    (E, d^2, d^2), derived from `ops` on every read when d is at most
+    `_SUPEROP_MAX_DIM`, and None above it.
     `==` and `hash` go by identity: to compare two channels' contents, compare
     `src`, `dst` and `ops` with `np.array_equal`.
     """
@@ -144,8 +227,8 @@ class OqwChannel:
     ops: np.ndarray = field(init=False, repr=False)
     report: ValidationReport = field(init=False, repr=False)
     # step's per-node layout (module docstring): the k slot sources (N, k); the
-    # superoperators (N, d^2, k d^2), or [B_1 ... B_k] (N, d, k d) with the
-    # B_s^dagger (N, k, d, d) in _in_adj on the matmul path (None otherwise)
+    # real coordinate operators (N, d^2, k d^2), or [B_1 ... B_k] (N, d, k d)
+    # with the B_s^dagger (N, k, d, d) in _in_adj on the matmul path (None otherwise)
     _in_src: np.ndarray = field(init=False, repr=False)
     _in_op: np.ndarray = field(init=False, repr=False)
     _in_adj: np.ndarray | None = field(init=False, repr=False)
@@ -188,25 +271,33 @@ class OqwChannel:
         src, dst = _frozen(np.array(src, dtype=np.intp)), _frozen(np.array(dst, dtype=np.intp))
         out_ops = _by_node(src, n, ops)[1].reshape(n, -1, d)
         defects = np.abs(_dagger(out_ops) @ out_ops - np.eye(d)).max(axis=(1, 2))
-        report = ValidationReport(ok=bool(defects.max() <= STRUCTURAL_TOL),
-                                  defects=dict(enumerate(defects.tolist())))
+        report = ValidationReport._of_nodes(defects)
         slot, in_ops = _by_node(dst, n, ops)
         k = in_ops.shape[1]
         in_src = np.zeros((n, k), dtype=np.intp)
         in_src[dst, slot] = src
         in_adj = None
         if d <= _SUPEROP_MAX_DIM:
-            in_op = np.einsum("nsij,nslk->nilsjk", in_ops, in_ops.conj(),
-                              out=np.empty((n, d, d, k, d, d), dtype=complex))
+            in_op = np.empty((n, d * d, k, d * d))
+            for s in range(k):  # a slot at a time, which bounds the temporaries
+                in_op[:, :, s] = _coordinate_operator(in_ops[:, s])
             in_op = in_op.reshape(n, d * d, k * d * d)
         else:
             in_op = in_ops.swapaxes(1, 2).reshape(n, d, k * d)
             in_adj = _frozen(np.ascontiguousarray(_dagger(in_ops)))
-        transitions = MappingProxyType(dict(zip(zip(src.tolist(), dst.tolist()), ops)))
-        for name, value in [("transitions", transitions), ("src", src), ("dst", dst),
-                            ("ops", ops), ("report", report), ("_in_src", _frozen(in_src)),
-                            ("_in_op", _frozen(in_op)), ("_in_adj", in_adj)]:
+        vars(self).pop("transitions", None)  # built from ops on first read, in __getattr__
+        for name, value in [("src", src), ("dst", dst), ("ops", ops), ("report", report),
+                            ("_in_src", _frozen(in_src)), ("_in_op", _frozen(in_op)),
+                            ("_in_adj", in_adj)]:
             object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        if name != "transitions" or "ops" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        transitions = MappingProxyType(
+            dict(zip(zip(self.src.tolist(), self.dst.tolist()), self.ops)))
+        object.__setattr__(self, "transitions", transitions)
+        return transitions
 
     @property
     def superop(self) -> np.ndarray | None:
@@ -233,14 +324,18 @@ def validate_channel(channel: OqwChannel) -> ValidationReport:
 class BlockState:
     """Block-diagonal walk state: read-only `rho` (N, d, d); `blocks` maps nonzero nodes.
 
-    `blocks` is a read-only mapping of views of `rho`, indexed on first read.
-    `==` and `hash` go by identity: to compare two states, compare `rho` with
-    `np.array_equal` (or `np.allclose`).
+    The state is held as the blocks' read-only (N, d^2) Hermitian coordinates
+    (module docstring); `rho` is built from them on first read, exactly
+    Hermitian, unless the state was built from blocks, whose `rho` is those
+    blocks.  `blocks` is a read-only mapping of views of `rho`, indexed on first
+    read.  `==` and `hash` go by identity: to compare two states, compare `rho`
+    with `np.array_equal` (or `np.allclose`).
     """
 
     node_count: int
     blocks: Mapping[int, np.ndarray]
     rho: np.ndarray = field(init=False, repr=False)
+    _coords: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.blocks:
@@ -267,26 +362,32 @@ class BlockState:
             raise ValueError(f"block traces sum to {total}, not 1")
         rho = np.zeros((self.node_count, dim, dim), dtype=complex)
         rho[nodes] = b
-        self._store(rho)
-
-    def _store(self, rho: np.ndarray) -> None:
-        object.__setattr__(self, "node_count", rho.shape[0])
+        self._store(_coords(rho))
         object.__setattr__(self, "rho", _frozen(rho))
-        vars(self).pop("blocks", None)  # indexed from rho on first read, in __getattr__
+        vars(self).pop("blocks")  # indexed from rho on first read, in __getattr__
+
+    def _store(self, coords: np.ndarray) -> None:
+        object.__setattr__(self, "node_count", coords.shape[0])
+        object.__setattr__(self, "_coords", _frozen(coords))
 
     def __getattr__(self, name: str):
-        if name != "blocks" or "rho" not in vars(self):
+        if "_coords" not in vars(self):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        occupied = np.flatnonzero(self.rho.any(axis=(1, 2)))
-        blocks = MappingProxyType({int(i): self.rho[i] for i in occupied})
-        object.__setattr__(self, "blocks", blocks)
-        return blocks
+        if name == "rho":
+            value = _frozen(_blocks(self._coords))
+        elif name == "blocks":
+            occupied = np.flatnonzero(self.rho.any(axis=(1, 2)))
+            value = MappingProxyType({int(i): self.rho[i] for i in occupied})
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
     @classmethod
-    def _trusted(cls, rho: np.ndarray) -> "BlockState":
-        """Wrap an (N, d, d) array known to be a valid state, without re-checking."""
+    def _trusted(cls, coords: np.ndarray) -> "BlockState":
+        """Wrap (N, d^2) coordinates known to be a valid state, without re-checking."""
         state = object.__new__(cls)
-        state._store(rho)
+        state._store(coords)
         return state
 
     def __reduce__(self):  # unpickle through the checks, which re-freeze the arrays
@@ -294,7 +395,7 @@ class BlockState:
 
     @property
     def internal_dim(self) -> int:
-        return self.rho.shape[1]
+        return math.isqrt(self._coords.shape[1])
 
     @classmethod
     def localized(cls, node_count: int, node: int, psi: np.ndarray | None = None) -> "BlockState":
@@ -305,18 +406,21 @@ class BlockState:
         return cls(node_count=node_count, blocks={node: np.outer(v, v.conj())})
 
     def total_trace(self) -> float:
-        return float(np.trace(self.rho, axis1=1, axis2=2).real.sum())
+        return float(position_marginal(self).sum())
 
 
 def step(channel: OqwChannel, state: BlockState) -> BlockState:
     """One application of the walk: rho'[j] = sum_i B[i,j] rho[i] B[i,j]^dagger.
 
-    Gathers the blocks at every node's incoming slots once, rho[_in_src], and
-    forms each node's new block, its sum over edges included, in one batched
-    product through the per-node operator the channel built at construction
-    (module docstring); the result is then made exactly Hermitian.  No
-    mapping is built: the new state's `blocks` is indexed on first read.
-    Refuses channels whose stored report failed, as they do not preserve trace.
+    Gathers the coordinates at every node's incoming slots once,
+    coords[_in_src], and forms each node's new coordinates, its sum over edges
+    included, in one real batched product through the per-node operator the
+    channel built at construction (module docstring).  Above
+    `_SUPEROP_MAX_DIM` the gathered coordinates are expanded to blocks for the
+    two matmuls, and the step keeps the coordinates of (Y + Y^dagger) / 2.
+    Neither `rho` nor `blocks` is built: the new state derives them on first
+    read.  Refuses channels whose stored report failed, as they do not
+    preserve trace.
     """
     report = channel.report
     if not report.ok:
@@ -326,22 +430,18 @@ def step(channel: OqwChannel, state: BlockState) -> BlockState:
             + ", ".join(f"{i}: defect {d:.3e}" for i, d in sorted(bad.items()))
         )
     n, d = channel.node_count, channel.internal_dim
-    if state.rho.shape[:2] != (n, d):
+    if state._coords.shape != (n, d * d):
         raise ValueError(f"state of shape {state.rho.shape} fed to channel on "
                          f"{n} nodes with internal dim {d}")
-    x = np.take(state.rho, channel._in_src, axis=0)
     if channel._in_adj is None:
-        rho = channel._in_op @ x.reshape(n, -1, 1)
+        x = np.take(state._coords, channel._in_src, axis=0)
+        coords = (channel._in_op @ x.reshape(n, -1, 1)).reshape(n, -1)
     else:
-        rho = channel._in_op @ (x @ channel._in_adj).reshape(n, -1, d)
-    rho = rho.reshape(n, d, d)
-    # Kill roundoff asymmetry so the PSD/Hermitian invariants stay exact.
-    rho = rho + _dagger(rho)
-    rho *= 0.5
-    return BlockState._trusted(rho)
+        x = np.take(_blocks(state._coords), channel._in_src, axis=0)
+        coords = _coords(channel._in_op @ (x @ channel._in_adj).reshape(n, -1, d))
+    return BlockState._trusted(coords)
 
 
 def position_marginal(state: BlockState) -> np.ndarray:
     """Node-occupation probabilities p_i = trace(rho[i]); sums to 1."""
-    n, d = state.rho.shape[:2]
-    return state.rho.reshape(n, -1)[:, ::d + 1].real.sum(axis=1)
+    return state._coords[:, :state.internal_dim].sum(axis=1)

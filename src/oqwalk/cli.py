@@ -466,6 +466,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"oqwalk: error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else EXIT_VALIDATION
+    except MemoryError as exc:  # a run too large for this host is refused like a bad parameter
+        print(f"oqwalk: error: not enough memory for this run: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def entrypoint() -> None:

@@ -206,6 +206,8 @@ def test_engine_arrays_are_read_only():
         chan.superop[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         state.rho[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        state._coords[0] = 0.0
     with pytest.raises(TypeError):
         state.blocks[3] = np.eye(2)
     with pytest.raises(ValueError, match="read-only"):
@@ -304,15 +306,22 @@ def edge_sum_reference(chan, rho):
 @example(seed=0, n=7, d=ch._SUPEROP_MAX_DIM, steps=3)
 @example(seed=1, n=7, d=ch._SUPEROP_MAX_DIM + 1, steps=3)
 def test_step_matches_the_edge_sum_in_long_double(seed, n, d, steps):
-    # Ragged channels (in-degrees 0-4, so padded slots) on both paths (d = 1..6).
+    # Ragged channels (in-degrees 0-4, so padded slots), d = 1..6 on the
+    # coordinate path and the examples on either side of the crossover.
     # Per element of node j, with m its in-degree and A, S from edge_sum_reference:
-    # - superoperator path: each K entry is one complex product, sqrt(2) gamma_2
-    #   relative, and the node's fused sum is one complex inner product of m d^2
-    #   nonzero terms (padded slots add exact zeros), sqrt(2) gamma_{2 m d^2};
-    #   together within sqrt(2) gamma_{2 m d^2 + 3} A.
-    # - matmul path: W = X B^dagger, inner length d, then [B_1 ... B_k] W, inner
-    #   length m d: within sqrt(2) gamma_{2 (m + 1) d + 1} A.
-    # - the symmetrisation rounds once: u |S|, on an average of two errors.
+    # - coordinate path: each R entry is the real or imaginary part of one
+    #   complex product or of a sum of two, within gamma_3 of its |B| |B| terms,
+    #   and the node's fused sum is one real inner product of m d^2 nonzero
+    #   terms (padded slots add exact zeros), gamma_{m d^2}.  As |a| + |b| <=
+    #   sqrt(2) |X_jk| for a pair's two coordinates, the real and the imaginary
+    #   part are each within sqrt(2) gamma_{m d^2 + 3} A: 2 gamma_{m d^2 + 3} A
+    #   in modulus (gamma_{m + 2} A at d = 1, which has no pairs).  The start,
+    #   built from blocks, holds their Hermitian part rounded once: u A more.
+    #   All of it is within sqrt(2) gamma_{2 m d^2 + 3} A once m d^2 >= 4.
+    # - matmul path: the blocks expand from the coordinates exactly; W = X B^dagger,
+    #   inner length d, then [B_1 ... B_k] W, inner length m d, plus u A for the
+    #   start's Hermitian part: within sqrt(2) gamma_{2 (m + 1) d + 1} A.  The
+    #   Hermitian part of the result rounds once: u |S|, on an average of two errors.
     # - the reference itself, in long double (unit u'): two products of inner
     #   length d and m terms, sqrt(2) gamma'_{4d + m + 1} A, then u' |S|; A is
     #   computed in long double too, within gamma'_{2d + m + 3} relative.
@@ -410,22 +419,23 @@ def exact_step(chan, rho):
     return [((re + re.T) / 2, (im - im.T) / 2) for re, im in s]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_step_is_accurate_against_exact_arithmetic(d):
     # Bound, per element, with u the unit roundoff and gamma_k = k u / (1 - k u).
     # A = sum over the m = 2 edges into the node of (|B| |rho[src]| |B|^T).
-    # - The superoperator path (d <= 5) rounds each K entry, a complex product,
-    #   by sqrt(2) gamma_2 relative.  The node's m terms are then summed inside
-    #   one complex inner product of m d^2 entries: with real and imaginary
-    #   parts summed as 2 m d^2 real products, that adds at most
-    #   sqrt(2) gamma_{2 m d^2} A.  Total sqrt(2) (gamma_2 + gamma_{2 m d^2}) A.
-    # - The matmul path (d = 6) runs W = X B^dagger, an inner product of length
-    #   d, then [B_1 ... B_m] W, one of length m d, which holds the edge sum:
-    #   sqrt(2) (gamma_{2d} + gamma_{2 m d}) A.
-    # Both stay inside 3 gamma_{2 d^2 + m + 6} A for m = 2 and d <= 6, and the
-    # slack covers the rounding of A itself and the second-order terms.  The
-    # symmetrisation 0.5 (S + S^H) averages two such errors and rounds its sum
-    # once more: u |ref|.
+    # - The coordinate path (d <= 7) rounds each R entry, the real or imaginary
+    #   part of one complex product or of a sum of two, by gamma_3 of its
+    #   |B| |B| terms.  The node's m terms are then summed inside one real inner
+    #   product of m d^2 entries, gamma_{m d^2}, on sum |R| |c| <= sqrt(2) A for
+    #   the real and for the imaginary part: 2 gamma_{2 d^2 + 3} A in modulus.
+    # - The matmul path (d = 8) expands the coordinates to blocks exactly, runs
+    #   W = X B^dagger, an inner product of length d, then [B_1 ... B_m] W, one
+    #   of length m d, which holds the edge sum: sqrt(2) (gamma_{2d} + gamma_{2 m d}) A.
+    # The first step also reads the start's Hermitian part, rounded once: u A.
+    # Both stay inside 3 gamma_{2 d^2 + m + 6} A for m = 2 and d <= 8, and the
+    # slack covers the rounding of A itself and the second-order terms.  On the
+    # matmul path the Hermitian part 0.5 (Y + Y^H) of the result averages two
+    # such errors and rounds its sum once more: u |ref|.
     rng = np.random.default_rng(d)
     n, m = 4, 2
     unitaries = tuple(haar_unitaries(rng, n - 1, d))
@@ -448,10 +458,10 @@ def test_step_is_accurate_against_exact_arithmetic(d):
         state = new
 
 
-@pytest.mark.parametrize("d", [2, 5, 6])
+@pytest.mark.parametrize("d", [2, 5, 6, 7, 8])
 def test_trace_drift_over_ten_thousand_steps(d):
     # the same 1e-12 per-step bound as test_trace_preserved_each_step, on the
-    # superoperator path at its smallest and largest d and on the matmul path
+    # coordinate path up to its largest d (7) and on the matmul path (8)
     rng = np.random.default_rng(10 + d)
     chan = lin.build_channel(LinearWalkSpec(5, 0.7, unitaries=tuple(haar_unitaries(rng, 4, d))))
     assert (chan.superop is None) == (d > ch._SUPEROP_MAX_DIM)
@@ -475,9 +485,11 @@ def test_engine_blocks_are_the_chain_times_the_transported_state(seed, n, d, ome
     # block's trace norm), derived from the per-step bound, with m = 2 edges
     # into every node and eta the largest ||U^dagger U - I||_2 of the inputs:
     # - one step rounds node j's block by c A_j per element (c as in
-    #   test_step_matches_the_edge_sum_in_long_double, plus gamma_5 for
-    #   rounding sqrt(w) U into B), and sum_ab A_j summed over j is at most
-    #   d^2 ||rho||_1; the symmetrisation adds u sum_ab |rho_ab| <= u d ||rho||_1;
+    #   test_step_matches_the_edge_sum_in_long_double, with m = 2 and the
+    #   coordinate path's 2 gamma_{2 d^2 + 3} within sqrt(2) (gamma_2 + gamma_{4 d^2});
+    #   plus gamma_5 for rounding sqrt(w) U into B), and sum_ab A_j summed over
+    #   j is at most d^2 ||rho||_1; the matmul path's Hermitian part adds
+    #   u sum_ab |rho_ab| <= u d ||rho||_1;
     #   and with U^dagger U = I + eta, a left hop moves the transported state
     #   by at most 3 eta.  The map is CP with trace-norm gain (1 + u)(1 + eta)
     #   per step, so these add up over the n steps, on top of the start's
@@ -514,6 +526,67 @@ def test_engine_blocks_are_the_chain_times_the_transported_state(seed, n, d, ome
         assert bound < 1e-6
         err = np.abs(state.rho - p[:, None, None] * phis).max(axis=(1, 2)).sum()
         assert err <= bound, (k, err, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), d=st.integers(1, 8),
+       steps=st.integers(1, 4))
+@example(seed=0, n=6, d=ch._SUPEROP_MAX_DIM, steps=2)
+@example(seed=1, n=6, d=ch._SUPEROP_MAX_DIM + 1, steps=2)
+def test_coordinates_round_trip_through_rho(seed, n, d, steps):
+    # Any coordinates, signed zeros and subnormals included, give an exactly
+    # Hermitian rho whose coordinates are the same bits.  So does every state
+    # that step returns, and a pickled clone, rebuilt from blocks through the
+    # checks, has the same coordinates and rho, bit for bit.
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([1.0, 1e-310, 0.0, -0.0], size=(n, d * d))
+    for coords in (rng.standard_normal((n, d * d)) * scale, np.zeros((n, d * d))):
+        rho = BlockState._trusted(coords.copy()).rho
+        assert np.array_equal(rho, rho.conj().swapaxes(1, 2))
+        assert ch._coords(rho).tobytes() == coords.tobytes()
+    chan = random_complete_channel(rng, n, d)
+    state = random_state(rng, n, d)
+    for _ in range(steps):
+        state = ch.step(chan, state)
+        rho = state.rho
+        assert np.array_equal(rho, rho.conj().swapaxes(1, 2))
+        assert ch._coords(rho).tobytes() == state._coords.tobytes()
+        clone = pickle.loads(pickle.dumps(state))
+        assert clone._coords.tobytes() == state._coords.tobytes()
+        assert clone.rho.tobytes() == rho.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, ch._SUPEROP_MAX_DIM + 1])
+def test_step_leaves_rho_and_blocks_to_the_first_read(d):
+    # step, position_marginal and total_trace work on the coordinates alone
+    rng = np.random.default_rng(d)
+    chan = lin.build_channel(LinearWalkSpec(5, 0.7, unitaries=tuple(haar_unitaries(rng, 4, d))))
+    state = ch.step(chan, BlockState.localized(5, 0, haar_unitaries(rng, 1, d)[0][:, 0]))
+    ch.step(chan, state)
+    ch.position_marginal(state)
+    state.total_trace()
+    assert state.internal_dim == d
+    assert "rho" not in vars(state) and "blocks" not in vars(state)
+    rho = state.rho
+    assert state.rho is rho and "blocks" not in vars(state)
+    assert state.blocks is state.blocks
+
+
+def test_channel_builds_transitions_and_defects_on_first_read():
+    # both constructors leave the two mappings to their first read, which
+    # gives the same keys, views and values as before
+    mapping = dict(linear_channel(4, 0.8, unitaries=(H, X, H)).transitions)
+    for chan in (linear_channel(4, 0.8, unitaries=(H, X, H)), OqwChannel(4, 2, mapping)):
+        assert "transitions" not in vars(chan) and "defects" not in vars(chan.report)
+        transitions = chan.transitions
+        assert chan.transitions is transitions
+        assert list(transitions) == list(zip(chan.src.tolist(), chan.dst.tolist()))
+        for e, op in enumerate(transitions.values()):
+            assert np.shares_memory(op, chan.ops) and op.tobytes() == chan.ops[e].tobytes()
+        defects = chan.report.defects
+        assert chan.report.defects is defects
+        assert list(defects) == list(range(4)) and max(defects.values()) <= 1e-15
+        assert all(type(v) is float for v in defects.values())
 
 
 def test_blocks_index_rho_on_first_read():

@@ -1000,6 +1000,31 @@ def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, cod
     assert sorted(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.parametrize("argv", [
+    ["trajectory", "--n-nodes", "10", "--omega", "0.7", "--steps", "1000000000000"],
+    ["table", "--n-nodes", "100", "--omega", "0.500001"],
+])
+@pytest.mark.parametrize("error", [
+    MemoryError("Unable to allocate 21.8 TiB for an array with shape (3, 1000000000001) "
+                "and data type float64"),
+    MemoryError(),
+], ids=["numpy", "bare"])
+def test_run_too_large_for_memory_prints_one_line(argv, error, tmp_path, capsys, monkeypatch):
+    # Both runs need ~1e12 steps; whether numpy can allocate them depends on the
+    # host's overcommit policy, so the allocation is made to fail here instead.
+    def simulate_trajectory(spec, steps):
+        assert steps >= 10**12
+        raise error
+
+    monkeypatch.setattr(th, "simulate_trajectory", simulate_trajectory)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "out.csv"]) == 2
+    detail = str(error) or "MemoryError"
+    assert capsys.readouterr() == ("", f"oqwalk: error: not enough memory for this run: "
+                                       f"{detail}\n")
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------- CSV number kernel
 
 _REFERENCE_ROWS = {}

@@ -83,9 +83,10 @@ def test_built_channels_are_complete(omega, unitaries):
 
 
 @pytest.mark.parametrize("n", [2, 3, 6])
-@pytest.mark.parametrize("d", [None, 1, 2, 6])
+@pytest.mark.parametrize("d", [None, 1, 2, 6, ch._SUPEROP_MAX_DIM + 1])
 def test_build_channel_keeps_the_mapping_constructors_arrays(n, d):
-    # the mapping the channel was built from before it built its edge arrays
+    # the mapping the channel was built from before it built its edge arrays;
+    # the last d is the first on the matmul path
     rng = np.random.default_rng(n)
     unitaries = None
     if d is not None:
@@ -101,9 +102,10 @@ def test_build_channel_keeps_the_mapping_constructors_arrays(n, d):
     ref = ch.OqwChannel(n, spec.internal_dim, transitions)
     assert list(built.transitions) == list(ref.transitions)
     assert all(type(i) is int for key in built.transitions for i in key)
-    assert (built.superop is None) == (ref.superop is None) == (d == 6)
-    assert (built._in_adj is None) == (ref._in_adj is None) == (d != 6)
-    for name in ["src", "dst", "ops", "_in_src", "_in_op"] + (["_in_adj"] if d == 6 else ["superop"]):
+    matmul = d is not None and d > ch._SUPEROP_MAX_DIM
+    assert (built.superop is None) == (ref.superop is None) == matmul
+    assert (built._in_adj is None) == (ref._in_adj is None) == (not matmul)
+    for name in ["src", "dst", "ops", "_in_src", "_in_op"] + (["_in_adj"] if matmul else ["superop"]):
         a, b = getattr(built, name), getattr(ref, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert not a.flags.writeable
