@@ -371,11 +371,9 @@ class BlockState:
         object.__setattr__(self, "_coords", _frozen(coords))
 
     def __getattr__(self, name: str):
-        if "_coords" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if name == "rho":
+        if name == "rho" and "_coords" in vars(self):
             value = _frozen(_blocks(self._coords))
-        elif name == "blocks":
+        elif name == "blocks" and "_coords" in vars(self):
             occupied = np.flatnonzero(self.rho.any(axis=(1, 2)))
             value = MappingProxyType({int(i): self.rho[i] for i in occupied})
         else:
