@@ -31,12 +31,12 @@ and memory) outgrows the d^3 of two batched matmuls on the gathered blocks:
 W_s = X_s B_s^dagger, then [B_1 ... B_k] @ [W_1; ...; W_k], of which the step
 keeps the coordinates of the Hermitian part.  Padding costs N k slots, which
 the linear walk (k = 2 at every node) does not pay.  The per-edge `superop`
-is derived from `ops` on every read, and the `transitions` mapping and the
-report's `defects` mapping on the first.  The completeness check stacks each
+is derived from `ops` on every read.  The completeness check stacks each
 source node's outgoing operators into C_i the same way and forms every
 C_i^dagger C_i in one batched product.
-A state's `blocks` mapping is indexed from `rho` the first time it is read,
-so `step` does array work only.
+The derived fields are cached properties, built on first read: a channel's
+`transitions`, its report's `defects`, and a state's `rho` and `blocks`, so
+`step` does array work only.
 """
 
 from __future__ import annotations
@@ -172,33 +172,31 @@ def _by_node(nodes: np.ndarray, n: int, ops: np.ndarray) -> tuple[np.ndarray, np
     return slot, grouped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ValidationReport:
     """Outcome of validate_channel: ok iff every node's defect is within tolerance.
 
     `defects` is a read-only mapping, since one report is shared by every caller.
+    A channel's own report holds its node defects as an array and builds the
+    mapping on first read, as a cached property.
     """
 
     ok: bool
-    defects: Mapping[int, float] = field(default_factory=dict)
+    defects: Mapping[int, float]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "defects", MappingProxyType(dict(self.defects)))
+    @functools.cached_property
+    def defects(self) -> Mapping[int, float]:
+        return MappingProxyType(dict(enumerate(self._node_defects.tolist())))
+
+    def __init__(self, ok: bool, defects: Mapping[int, float] = MappingProxyType({})) -> None:
+        vars(self).update(ok=ok, defects=MappingProxyType(dict(defects)))
 
     @classmethod
     def _of_nodes(cls, defects: np.ndarray) -> "ValidationReport":
         """The report on node defects (N,), whose mapping is built on first read."""
-        report = object.__new__(cls)
-        object.__setattr__(report, "ok", bool(defects.max() <= STRUCTURAL_TOL))
-        object.__setattr__(report, "_node_defects", defects)
+        report = cls.__new__(cls)
+        vars(report).update(ok=bool(defects.max() <= STRUCTURAL_TOL), _node_defects=defects)
         return report
-
-    def __getattr__(self, name: str):
-        if name != "defects" or "_node_defects" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        defects = MappingProxyType(dict(enumerate(self._node_defects.tolist())))
-        object.__setattr__(self, "defects", defects)
-        return defects
 
     def __reduce__(self):  # a mapping proxy does not pickle
         return ValidationReport, (self.ok, dict(self.defects))
@@ -207,14 +205,14 @@ class ValidationReport:
         return {i: d for i, d in self.defects.items() if not d <= STRUCTURAL_TOL}  # NaN too
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class OqwChannel:
     """Sparse family of per-edge operators {(source, target): B} on a graph.
 
     Absent pairs are zero operators; `transitions` is a read-only mapping of
-    views of `ops`, built on first read.  `superop` is each edge's B (x) conj(B),
-    (E, d^2, d^2), derived from `ops` on every read when d is at most
-    `_SUPEROP_MAX_DIM`, and None above it.
+    views of `ops`, a cached property built on first read.  `superop` is each
+    edge's B (x) conj(B), (E, d^2, d^2), derived from `ops` on every read when
+    d is at most `_SUPEROP_MAX_DIM`, and None above it.
     `==` and `hash` go by identity: to compare two channels' contents, compare
     `src`, `dst` and `ops` with `np.array_equal`.
     """
@@ -233,32 +231,35 @@ class OqwChannel:
     _in_op: np.ndarray = field(init=False, repr=False)
     _in_adj: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    @functools.cached_property
+    def transitions(self) -> Mapping[tuple[int, int], np.ndarray]:
+        return MappingProxyType(dict(zip(zip(self.src.tolist(), self.dst.tolist()), self.ops)))
+
+    def __init__(self, node_count: int, internal_dim: int,
+                 transitions: Mapping[tuple[int, int], np.ndarray]) -> None:
         edges = []
-        for key in self.transitions:
+        for key in transitions:
             try:
                 i, j = map(operator.index, key)
             except (TypeError, ValueError):
                 raise ChannelStructureError(
                     f"transition key {key!r} is not a pair of integer node indices") from None
             edges.append((i, j))
-        self._set_edges(*np.array(edges, dtype=np.intp).reshape(-1, 2).T,
-                        [_as_operator(op, self.internal_dim) for op in self.transitions.values()])
+        self._set_edges(node_count, internal_dim,
+                        *np.array(edges, dtype=np.intp).reshape(-1, 2).T,
+                        [_as_operator(op, internal_dim) for op in transitions.values()])
 
     @classmethod
     def _from_edges(cls, node_count: int, src: np.ndarray, dst: np.ndarray,
                     ops: np.ndarray) -> "OqwChannel":
         """The channel with operator ops[e] on edge src[e] -> dst[e], in this edge order."""
-        channel = object.__new__(cls)
-        object.__setattr__(channel, "node_count", node_count)
-        object.__setattr__(channel, "internal_dim", ops.shape[-1])
-        channel._set_edges(src, dst, ops)
+        channel = cls.__new__(cls)
+        channel._set_edges(node_count, ops.shape[-1], src, dst, ops)
         return channel
 
-    def _set_edges(self, src: np.ndarray, dst: np.ndarray,
+    def _set_edges(self, n: int, d: int, src: np.ndarray, dst: np.ndarray,
                    ops: np.ndarray | list[np.ndarray]) -> None:
-        """Check the edges and derive every stored array; both constructors end here."""
-        n, d = self.node_count, self.internal_dim
+        """Check the edges and store every field but `transitions`; both constructors end here."""
         for name, value in [("node_count", n), ("internal_dim", d)]:
             if value < 1:
                 raise ChannelStructureError(f"{name} must be >= 1, got {value}")
@@ -271,7 +272,6 @@ class OqwChannel:
         src, dst = _frozen(np.array(src, dtype=np.intp)), _frozen(np.array(dst, dtype=np.intp))
         out_ops = _by_node(src, n, ops)[1].reshape(n, -1, d)
         defects = np.abs(_dagger(out_ops) @ out_ops - np.eye(d)).max(axis=(1, 2))
-        report = ValidationReport._of_nodes(defects)
         slot, in_ops = _by_node(dst, n, ops)
         k = in_ops.shape[1]
         in_src = np.zeros((n, k), dtype=np.intp)
@@ -285,19 +285,9 @@ class OqwChannel:
         else:
             in_op = in_ops.swapaxes(1, 2).reshape(n, d, k * d)
             in_adj = _frozen(np.ascontiguousarray(_dagger(in_ops)))
-        vars(self).pop("transitions", None)  # built from ops on first read, in __getattr__
-        for name, value in [("src", src), ("dst", dst), ("ops", ops), ("report", report),
-                            ("_in_src", _frozen(in_src)), ("_in_op", _frozen(in_op)),
-                            ("_in_adj", in_adj)]:
-            object.__setattr__(self, name, value)
-
-    def __getattr__(self, name: str):
-        if name != "transitions" or "ops" not in vars(self):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        transitions = MappingProxyType(
-            dict(zip(zip(self.src.tolist(), self.dst.tolist()), self.ops)))
-        object.__setattr__(self, "transitions", transitions)
-        return transitions
+        vars(self).update(node_count=n, internal_dim=d, src=src, dst=dst, ops=ops,
+                          report=ValidationReport._of_nodes(defects), _in_src=_frozen(in_src),
+                          _in_op=_frozen(in_op), _in_adj=in_adj)
 
     @property
     def superop(self) -> np.ndarray | None:
@@ -320,37 +310,48 @@ def validate_channel(channel: OqwChannel) -> ValidationReport:
     return channel.report
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, init=False, eq=False)
 class BlockState:
     """Block-diagonal walk state: read-only `rho` (N, d, d); `blocks` maps nonzero nodes.
 
     The state is held as the blocks' read-only (N, d^2) Hermitian coordinates
-    (module docstring); `rho` is built from them on first read, exactly
-    Hermitian, unless the state was built from blocks, whose `rho` is those
-    blocks.  `blocks` is a read-only mapping of views of `rho`, indexed on first
-    read.  `==` and `hash` go by identity: to compare two states, compare `rho`
-    with `np.array_equal` (or `np.allclose`).
+    (module docstring).  `rho` and `blocks` are cached properties: `rho` is
+    built from the coordinates on first read, exactly Hermitian, unless the
+    state was built from blocks, whose `rho` is those blocks; `blocks` is a
+    read-only mapping of views of `rho`, indexed on first read.  `==` and
+    `hash` go by identity: to compare two states, compare `rho` with
+    `np.array_equal` (or `np.allclose`).
     """
 
     node_count: int
     blocks: Mapping[int, np.ndarray]
-    rho: np.ndarray = field(init=False, repr=False)
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        return _frozen(_blocks(self._coords))
+
+    rho: np.ndarray = field(init=False, repr=False, default=rho)
     _coords: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+    @functools.cached_property
+    def blocks(self) -> Mapping[int, np.ndarray]:
+        occupied = np.flatnonzero(self.rho.any(axis=(1, 2)))
+        return MappingProxyType({int(i): self.rho[i] for i in occupied})
+
+    def __init__(self, node_count: int, blocks: Mapping[int, np.ndarray]) -> None:
+        if not blocks:
             raise ValueError("state needs at least one block")
         nodes = []
-        for key in self.blocks:
+        for key in blocks:
             try:
                 node = operator.index(key)
             except TypeError:
                 raise ValueError(f"block node {key!r} is not an integer index") from None
-            if not 0 <= node < self.node_count:
-                raise ValueError(f"block node {key} outside 0..{self.node_count - 1}")
+            if not 0 <= node < node_count:
+                raise ValueError(f"block node {key} outside 0..{node_count - 1}")
             nodes.append(node)
-        dim = _as_operator(next(iter(self.blocks.values()))).shape[0]
-        b = np.array([_as_operator(m, dim) for m in self.blocks.values()])
+        dim = _as_operator(next(iter(blocks.values()))).shape[0]
+        b = np.array([_as_operator(m, dim) for m in blocks.values()])
         if not np.isfinite(b).all():
             raise ValueError("state block has non-finite entries")
         if np.abs(b - _dagger(b)).max() > _HERMITIAN_TOL:
@@ -360,32 +361,15 @@ class BlockState:
         total = float(np.trace(b, axis1=1, axis2=2).real.sum())
         if abs(total - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"block traces sum to {total}, not 1")
-        rho = np.zeros((self.node_count, dim, dim), dtype=complex)
+        rho = np.zeros((node_count, dim, dim), dtype=complex)
         rho[nodes] = b
-        self._store(_coords(rho))
-        object.__setattr__(self, "rho", _frozen(rho))
-        vars(self).pop("blocks")  # indexed from rho on first read, in __getattr__
-
-    def _store(self, coords: np.ndarray) -> None:
-        object.__setattr__(self, "node_count", coords.shape[0])
-        object.__setattr__(self, "_coords", _frozen(coords))
-
-    def __getattr__(self, name: str):
-        if name == "rho" and "_coords" in vars(self):
-            value = _frozen(_blocks(self._coords))
-        elif name == "blocks" and "_coords" in vars(self):
-            occupied = np.flatnonzero(self.rho.any(axis=(1, 2)))
-            value = MappingProxyType({int(i): self.rho[i] for i in occupied})
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+        vars(self).update(node_count=len(rho), rho=_frozen(rho), _coords=_frozen(_coords(rho)))
 
     @classmethod
     def _trusted(cls, coords: np.ndarray) -> "BlockState":
         """Wrap (N, d^2) coordinates known to be a valid state, without re-checking."""
-        state = object.__new__(cls)
-        state._store(coords)
+        state = cls.__new__(cls)
+        vars(state).update(node_count=coords.shape[0], _coords=_frozen(coords))
         return state
 
     def __reduce__(self):  # unpickle through the checks, which re-freeze the arrays

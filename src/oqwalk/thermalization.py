@@ -512,8 +512,9 @@ def simulate_trajectory(
     them only by terms far below the rounding of the row sums: they equal the
     exact chain's bit for bit on every case the tests check, and
     final_distribution is within (N + 2 steps) DBL_MIN of it in L1.
-    keep_distributions holds every exact p_n (_chain_blocks at its exact
-    floor) in a (steps+1) x N array.
+    keep_distributions runs the chain once at its exact floor instead, into
+    one (steps+1) x N array of every p_n; the series reduce that array in
+    slices of the same block height, and final_distribution is its last row.
     """
     p = _start(spec, steps, p0)
     if not isinstance(t_est_half_width, (int, np.integer)) or t_est_half_width < 0:
@@ -523,16 +524,20 @@ def simulate_trajectory(
     sites = np.arange(n, dtype=float)
     ent, energy, mass = np.empty((3, steps + 1))
     rows = max(1, _BLOCK_BYTES // (8 * n))
-    for start, block in _chain_blocks(p, spec.omega, steps, rows, _TINY):
+    if keep_distributions:
+        # one block of steps + 1 rows is the exact chain's whole ring buffer
+        dists = next(_chain_blocks(p, spec.omega, steps, steps + 1, _EXACT))[1]
+        blocks = ((start, dists[start:start + rows]) for start in range(0, steps + 1, rows))
+    else:
+        dists = None
+        blocks = _chain_blocks(p, spec.omega, steps, rows, _TINY)
+    for start, block in blocks:
         stop = start + len(block)
         ent[start:stop] = shannon_entropy(block)
         energy[start:stop] = block @ sites
         mass[start:stop] = block.sum(axis=-1)
     energy *= spec.epsilon
     p = block[-1].copy()
-
-    # one block of steps + 1 rows is the exact chain's whole ring buffer
-    dists = next(_exact_blocks(spec, steps, p0, steps + 1))[1] if keep_distributions else None
 
     t_eq = equilibrium.equilibrium_temperature(spec.omega, spec.epsilon)
     s_gen = _generated_entropy(ent, energy, t_eq)

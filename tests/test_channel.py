@@ -1,5 +1,6 @@
 """Generic channel engine: validation, stepping, marginals, coherence erasure."""
 
+import dataclasses
 import math
 import pickle
 import re
@@ -619,6 +620,50 @@ def test_blocks_index_rho_on_first_read():
             for node in blocks:
                 np.testing.assert_array_equal(clone.blocks[node], blocks[node])
                 assert np.shares_memory(clone.blocks[node], clone.rho)
+
+
+def _engine_objects():
+    """One of each engine object, with the names of its lazy fields, none of them built yet."""
+    chan, other = (linear_channel(4, 0.8, unitaries=(H, X, H)) for _ in range(2))
+    return [(chan, ["transitions"]), (OqwChannel(4, 2, dict(other.transitions)), ["transitions"]),
+            (chan.report, ["defects"]), (ch.ValidationReport(True, {0: 0.0}), []),
+            (ch.step(chan, BlockState.localized(4, 0, np.array([0.8, 0.6]))), ["rho", "blocks"]),
+            (BlockState.localized(4, 1), ["blocks"])]
+
+
+def test_every_field_refuses_assignment_before_and_after_first_read():
+    for obj, lazy in _engine_objects():
+        names = [f.name for f in dataclasses.fields(obj)]
+        for first_read in (False, True):
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(obj, name)
+            # a refused assignment neither builds a lazy field nor replaces it
+            assert {name in vars(obj) for name in lazy} <= {first_read}, lazy
+            if not first_read:
+                values = [getattr(obj, name) for name in names]
+        assert all(getattr(obj, name) is v for name, v in zip(names, values)), lazy
+
+
+def test_report_equals_its_eager_copy():
+    for chan in (linear_channel(4, 0.8, unitaries=(H, X, H)),
+                 OqwChannel(3, 1, {(0, 0): np.eye(1), (1, 1): 2 * np.eye(1)})):
+        report = chan.report
+        assert "defects" not in vars(report)
+        assert ch.ValidationReport(report.ok, dict(report.defects)) == report
+        assert report == ch.ValidationReport(report.ok, dict(report.defects))
+        assert ch.ValidationReport(not report.ok, dict(report.defects)) != report
+    assert ch.ValidationReport(True) == ch.ValidationReport(True, {})
+
+
+def test_missing_attribute_probe_leaves_the_object_unchanged():
+    for obj, lazy in _engine_objects():
+        keys = list(vars(obj))
+        assert getattr(obj, "size", None) is None, lazy
+        assert not hasattr(obj, "nbytes")
+        assert list(vars(obj)) == keys, lazy
 
 
 # ---------------------------------------------------------------- marginals

@@ -466,6 +466,22 @@ def test_trajectory_distributions_record():
     np.testing.assert_array_equal(traj.distributions[-1], traj.final_distribution)
 
 
+def test_kept_distributions_come_from_one_exact_chain(monkeypatch):
+    spec = LinearWalkSpec(30, 0.8)
+    floors = []
+    chain = th._chain_blocks
+
+    def counted(p, omega, steps, rows, floor):
+        floors.append(floor)
+        return chain(p, omega, steps, rows, floor)
+
+    monkeypatch.setattr(th, "_chain_blocks", counted)
+    traj = th.simulate_trajectory(spec, 40, keep_distributions=True)
+    assert floors == [th._EXACT]
+    assert not np.shares_memory(traj.final_distribution, traj.distributions)
+    for k, p in enumerate(markov_rows(spec, 40)):
+        assert traj.distributions[k].tobytes() == p.tobytes()
+
 def test_iter_distributions_replays_the_trajectory():
     spec = LinearWalkSpec(30, 0.8)
     traj = th.simulate_trajectory(spec, 12, keep_distributions=True)
@@ -1117,18 +1133,27 @@ def test_dqc_rejects_nonpositive_drift():
 
 
 @pytest.mark.parametrize("n, omega, n_steps, readout", [
-    (100, 2 / 3, 300.0, 475), (500, 2 / 3, 1500.0, 1865), (200, 0.83, 303.03, 369)])
+    (100, 2 / 3, 300.0, 475), (500, 2 / 3, 1500.0, 1865), (200, 0.83, 303.03, 369),
+    (1000, 2 / 3, 3000.0, 3505)])
 def test_dqc_n_steps_is_before_the_readout_is_usable(n, omega, n_steps, readout):
     # n_steps is when the packet's centre arrives; the last-node mass comes
     # within 1e-3 of its steady value only after n_end
     spec = LinearWalkSpec(n, omega)
-    last = lin.steady_state(spec)[-1]
+    pi = lin.steady_state(spec)
+    last = pi[-1]
     first = next(k for k, p in enumerate(th.iter_distributions(spec, 10 * n))
                  if abs(p[-1] - last) <= 1e-3 * last)
     est = th.dqc_step_estimates(n, omega)
     assert est.n_start < est.n_steps < est.n_end < first
     assert est.n_steps == pytest.approx(n_steps, abs=0.01)
     assert first == readout
+    # ... and no later than the chi^2 contraction bound allows: with
+    # (p_k(N-1) - pi_(N-1))^2 / pi_(N-1) <= chi^2(p_k, pi) <= mu*^(2k) chi^2(delta_0, pi)
+    # and chi^2(delta_0, pi) = 1/pi_0 - 1, the readout holds once
+    # mu*^(2k) (1/pi_0 - 1) <= 1e-6 pi_(N-1)
+    mu = 2 * math.sqrt(omega * (1 - omega)) * math.cos(math.pi / n)
+    log_chi2 = math.log1p(-pi[0]) - math.log(pi[0])
+    assert first <= math.ceil((log_chi2 - math.log(1e-6 * last)) / (-2 * math.log(mu)))
 
 
 def test_dqc_estimates_refuse_disorder():
