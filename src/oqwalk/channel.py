@@ -297,8 +297,8 @@ class OqwChannel:
         return _frozen(np.einsum("eij,elk->eiljk", self.ops, self.ops.conj())
                        .reshape(-1, d * d, d * d))
 
-    def __reduce__(self):  # unpickle through the checks, which re-freeze the arrays
-        return OqwChannel, (self.node_count, self.internal_dim, dict(self.transitions))
+    def __reduce__(self):  # unpickle through the array core, whose checks re-freeze the arrays
+        return OqwChannel._from_edges, (self.node_count, self.src, self.dst, self.ops)
 
 
 def validate_channel(channel: OqwChannel) -> ValidationReport:

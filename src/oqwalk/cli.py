@@ -32,13 +32,14 @@ names).  --dump-distributions replays the chain after the series is
 written, through the series' band generator at its exact floor: O(N)
 memory, not O(steps * N).  A steady-state omega range checks every omega
 first, then computes pi a block at a time.  approx-entropy computes its
-series one block of t at a time as it writes, once the first block has
-checked its inputs, so its memory does not grow with --steps.
+series one block of t at a time as it writes, so its memory does not grow
+with --steps.
 
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag, each value read with that flag's type; explicit command-line flags win.
 A key that names no flag is refused with its file and line, a key for a flag
-the subcommand lacks is ignored, and `format` must be csv or json.
+the subcommand lacks is ignored, and a `format` or `boltzmann` value is checked
+against its flag's choices like a command-line value, before any work.
 """
 
 from __future__ import annotations
@@ -330,11 +331,8 @@ def cmd_approx_entropy(args):
         return ts, c.total, c.gaussian, c.boltzmann, c.weight
 
     # The kernel is elementwise in t, so blocks of t give the one-call bytes in
-    # O(block) memory.  The first block is computed before the file is opened,
-    # which refuses a bad --boltzmann with nothing written.
-    first = rows(1)
-    rest = map(rows, range(1 + _BLOCK_ROWS, horizon + 1, _BLOCK_ROWS))
-    yield args.out, ["t", "S_a", "S_G", "S_B", "w"], chain([first], rest)
+    # O(block) memory.
+    yield args.out, ["t", "S_a", "S_G", "S_B", "w"], map(rows, range(1, horizon + 1, _BLOCK_ROWS))
 
 
 def _one_row(values: list) -> list[tuple]:
@@ -454,8 +452,11 @@ def main(argv: list[str] | None = None) -> int:
             args.parser.set_defaults(**{k: v for k, v in values if hasattr(args, k)})
             args = parser.parse_args(argv)
         eq._check_epsilon(args.epsilon)
-        if args.format not in _FLAGS["format"]["choices"]:
-            raise CliError(EXIT_VALIDATION, f"format must be csv or json, got {args.format!r}")
+        for flag, settings in _FLAGS.items():
+            value = getattr(args, flag.replace("-", "_"), None)
+            if "choices" in settings and value not in (None, *settings["choices"]):
+                choices = " or ".join(settings["choices"])
+                raise CliError(EXIT_VALIDATION, f"{flag} must be {choices}, got {value!r}")
         command = _COMMANDS[args.command]
         for flag in command.required:
             if getattr(args, flag.replace("-", "_")) is None:

@@ -210,7 +210,7 @@ def approx_entropy_params(
         floor_site = int(math.ceil(equilibrium.mean_energy(point) - k_lower * sigma_ss))
         tail_start = max(tail_start, floor_site)
     pi = steady_state(LinearWalkSpec(n_nodes, omega))
-    tail = pi[tail_start:] if tail_start < n_nodes else pi[:0]
+    tail = pi[tail_start:]
     return ApproxEntropyParams(
         n_nodes=n_nodes,
         omega=omega,
@@ -485,9 +485,7 @@ def iter_distributions(
 
 
 def _generated_entropy(entropy: np.ndarray, energy: np.ndarray, t_eq: float) -> np.ndarray:
-    """S_gen = S - E/T_eq; at infinite T_eq (omega = 1/2) the heat term drops."""
-    if math.isinf(t_eq):
-        return entropy.copy()
+    """S_gen = S - E/T_eq: S bit for bit at infinite T_eq, as E >= 0 and S is never -0."""
     return entropy - energy / t_eq
 
 

@@ -293,7 +293,8 @@ def test_approx_entropy_bad_convention_writes_nothing(tmp_path, capsys):
     out = tmp_path / "sa.csv"
     assert main(["approx-entropy", "--n-nodes", "100", "--omega", "0.7", "--steps", "10000",
                  "--config", str(config), "--out", str(out)]) == 2
-    assert "unknown boltzmann convention" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("oqwalk: error: boltzmann must be tail-sum or "
+                                       "weighted-equilibrium, got 'bogus'\n")
     assert not out.exists()
 
 
