@@ -178,7 +178,7 @@ class ValidationReport:
 
     `defects` is a read-only mapping, since one report is shared by every caller.
     A channel's own report holds its node defects as an array and builds the
-    mapping on first read, as a cached property.
+    mapping on first read, as a cached property.  `==` and `hash` go by value.
     """
 
     ok: bool
@@ -200,6 +200,9 @@ class ValidationReport:
 
     def __reduce__(self):  # a mapping proxy does not pickle
         return ValidationReport, (self.ok, dict(self.defects))
+
+    def __hash__(self) -> int:  # by value, like ==
+        return hash((self.ok, tuple(self.defects.items())))
 
     def offending_nodes(self) -> dict[int, float]:
         return {i: d for i, d in self.defects.items() if not d <= STRUCTURAL_TOL}  # NaN too

@@ -344,8 +344,9 @@ def cmd_table(args):
     spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
     window = th.thermalization_window(spec.n_nodes, spec.omega)
     steps = args.steps if args.steps is not None else math.floor(window.t_end)
+    params = th.approx_entropy_params(spec.n_nodes, spec.omega)  # refused before the chain runs
     traj = th.simulate_trajectory(spec, steps)
-    report = th.error_metrics(spec, traj, boltzmann=args.boltzmann)
+    report = th.error_metrics(spec, traj, params=params, boltzmann=args.boltzmann)
     print(f"error metrics for N={spec.n_nodes}, omega={spec.omega:.17g} "
           f"over steps [{math.ceil(window.t_start)}, {math.floor(window.t_end)}]:")
     for label, value in [

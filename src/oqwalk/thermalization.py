@@ -200,6 +200,10 @@ def approx_entropy_params(
     The paper's error tables (N = 100 and 500, omega = 2/3) correspond to
     k_upper=4.0, i.e. n_prime = N - 4*sigma_ss; this is inferred from the
     tables themselves.  The default stays k_upper=2.0.
+
+    A split with no site above n_prime (k_upper * sigma_ss <= 1: at the default
+    k_upper, omega >= (2 + sqrt 2)/4 ~ 0.8536 at every N) is refused, since its
+    empty Boltzmann piece would take the tail-sum S_a(t) to 0, not to S_eq.
     """
     equilibrium._check_drift(omega)
     point = EnsemblePoint.from_omega(n_nodes, omega, 1.0)
@@ -209,6 +213,10 @@ def approx_entropy_params(
     if math.isfinite(k_lower):
         floor_site = int(math.ceil(equilibrium.mean_energy(point) - k_lower * sigma_ss))
         tail_start = max(tail_start, floor_site)
+    if tail_start >= n_nodes:
+        raise ValueError(f"the Boltzmann tail is empty: no site of the {n_nodes}-node lattice "
+                         f"lies above n_prime = {n_prime:.17g}; k_upper * sigma_ss = "
+                         f"{k_upper:.17g} * {sigma_ss:.17g} must exceed 1")
     pi = steady_state(LinearWalkSpec(n_nodes, omega))
     tail = pi[tail_start:]
     return ApproxEntropyParams(

@@ -658,6 +658,38 @@ def test_report_equals_its_eager_copy():
     assert ch.ValidationReport(True) == ch.ValidationReport(True, {})
 
 
+def test_report_hashes_by_value():
+    # a frozen dataclass with value == hashed its fields, and a mapping proxy has no hash
+    chan = linear_channel(4, 0.8, unitaries=(H, X, H))
+    bad = OqwChannel(3, 1, {(0, 0): np.eye(1), (1, 1): 2 * np.eye(1)})
+    reports = [chan.report, bad.report]
+    copies = [ch.ValidationReport(r.ok, dict(r.defects)) for r in reports]
+    clones = [pickle.loads(pickle.dumps(r)) for r in reports]
+    for report, copy, clone in zip(reports, copies, clones):
+        assert hash(report) == hash(copy) == hash(clone)
+    assert len({*reports, *copies, *clones}) == 2
+    assert {ch.ValidationReport(True), ch.ValidationReport(True, {})} == {ch.ValidationReport(True)}
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_pickling_rebuilds_the_array_core_without_transitions(d):
+    chan, other = (random_complete_channel(np.random.default_rng(d), 6, d) for _ in range(2))
+    bad = OqwChannel(6, d, {**other.transitions, (0, 5): np.eye(d)})
+    for c in (chan, bad):
+        clone = pickle.loads(pickle.dumps(c))
+        assert "transitions" not in vars(c) and "transitions" not in vars(clone)
+        fields = ["src", "dst", "ops", "_in_src", "_in_op"] + (["_in_adj"] if d == 8 else [])
+        assert (clone._in_adj is None) == (c._in_adj is None) == (d <= ch._SUPEROP_MAX_DIM)
+        for name in fields:
+            a, b = getattr(c, name), getattr(clone, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            assert not b.flags.writeable, name
+        assert clone.report == c.report
+    # the clone's report is recomputed, so an incomplete channel's clone still refuses step
+    with pytest.raises(ch.ChannelCompletenessError, match=r"nodes \[0\]"):
+        ch.step(pickle.loads(pickle.dumps(bad)), BlockState.localized(6, 0, np.eye(d)[0]))
+
+
 def test_missing_attribute_probe_leaves_the_object_unchanged():
     for obj, lazy in _engine_objects():
         keys = list(vars(obj))

@@ -184,14 +184,25 @@ def test_point_mass_start_writes_zero_entropy_without_a_sign(omega, capsys):
     assert '"S": 0.0,' in text and '"S_gen": 0.0\n' in text and "-0.0" not in text
 
 
-def test_empty_boltzmann_tail_writes_zero_without_a_sign(capsys):
-    # at omega = 0.99, n_prime = N - 2 sigma_ss lies above the last node: the
-    # tail-sum S_B is an empty sum, 0 at every t, also where w is 0 or 1
-    assert th.approx_entropy_params(100, 0.99).tail_start == 100
-    assert main(["approx-entropy", "--n-nodes", "100", "--omega", "0.99", "--steps", "20000"]) == 0
-    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    assert {row[3] for row in rows} == {"0"}
-    assert {"0", "1"} <= {row[4] for row in rows}
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("the chain ran before the inputs were checked")
+
+
+@pytest.mark.parametrize("command", ["approx-entropy", "table"])
+@pytest.mark.parametrize("omega", ["0.8536", "0.9", "0.99"])
+def test_empty_boltzmann_tail_is_refused_naming_k_upper(command, omega, tmp_path, capsys,
+                                                        monkeypatch):
+    # at the default k_upper = 2, n_prime = N - 2 sigma_ss lies at or above the
+    # last node from omega = (2 + sqrt 2)/4 on: the tail-sum S_a(t) would tend
+    # to 0, not to S_eq, so the split is refused before any work
+    monkeypatch.setattr(th, "simulate_trajectory", _refuse_to_run)
+    out = tmp_path / "out.csv"
+    assert main([command, "--n-nodes", "100", "--omega", omega, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("oqwalk: error: the Boltzmann tail is empty")
+    assert "k_upper" in captured.err
+    assert not out.exists()
 
 
 def test_trajectory_distribution_dump(tmp_path):
@@ -294,6 +305,18 @@ def test_approx_entropy_bad_convention_writes_nothing(tmp_path, capsys):
     assert main(["approx-entropy", "--n-nodes", "100", "--omega", "0.7", "--steps", "10000",
                  "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == ("oqwalk: error: boltzmann must be tail-sum or "
+                                       "weighted-equilibrium, got 'bogus'\n")
+    assert not out.exists()
+
+
+def test_table_refuses_a_bad_config_convention_before_the_chain(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(th, "simulate_trajectory", _refuse_to_run)
+    config = tmp_path / "bad.cfg"
+    config.write_text("boltzmann = bogus\n")
+    out = tmp_path / "metrics.csv"
+    assert main(["table", "--n-nodes", "100", "--omega", "0.7", "--config", str(config),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "oqwalk: error: boltzmann must be tail-sum or "
                                        "weighted-equilibrium, got 'bogus'\n")
     assert not out.exists()
 
@@ -1003,7 +1026,7 @@ def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, cod
 
 @pytest.mark.parametrize("argv", [
     ["trajectory", "--n-nodes", "10", "--omega", "0.7", "--steps", "1000000000000"],
-    ["table", "--n-nodes", "100", "--omega", "0.500001"],
+    ["table", "--n-nodes", "100", "--omega", "0.7", "--steps", "1000000000000"],
 ])
 @pytest.mark.parametrize("error", [
     MemoryError("Unable to allocate 21.8 TiB for an array with shape (3, 1000000000001) "
@@ -1011,8 +1034,8 @@ def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, cod
     MemoryError(),
 ], ids=["numpy", "bare"])
 def test_run_too_large_for_memory_prints_one_line(argv, error, tmp_path, capsys, monkeypatch):
-    # Both runs need ~1e12 steps; whether numpy can allocate them depends on the
-    # host's overcommit policy, so the allocation is made to fail here instead.
+    # Both runs ask for ~1e12 steps; whether numpy can allocate them depends on
+    # the host's overcommit policy, so the allocation is made to fail here instead.
     def simulate_trajectory(spec, steps):
         assert steps >= 10**12
         raise error
@@ -1029,6 +1052,18 @@ def test_run_too_large_for_memory_prints_one_line(argv, error, tmp_path, capsys,
 # ---------------------------------------------------------------- CSV number kernel
 
 _REFERENCE_ROWS = {}
+
+
+def test_table_refuses_a_void_split_before_its_chain(tmp_path, capsys, monkeypatch):
+    # at omega = 0.500001 the window ends near 4/v^2 ~ 1e12 steps, and the split
+    # n_prime = N - 2 sigma_ss lies far below 0: it is refused before the chain
+    monkeypatch.setattr(th, "simulate_trajectory", _refuse_to_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(["table", "--n-nodes", "100", "--omega", "0.500001", "--out", "out.csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("oqwalk: error: n_prime = -4")
+    assert "outside (0, 100)" in err
+    assert os.listdir(tmp_path) == []
 
 
 def reference_rows(kind, case):

@@ -151,6 +151,23 @@ def test_approx_params_domain():
         th.approx_entropy_params(10, 0.51)
 
 
+# k_upper * sigma_ss <= 1 at the default k_upper = 2, where sigma_ss^2 = r/(1 - r)^2
+# with r = (1 - omega)/omega: omega >= (2 + sqrt 2)/4
+_EMPTY_TAIL_OMEGA = (2 + math.sqrt(2)) / 4
+
+
+@pytest.mark.parametrize("n", [10, 100, 100_000])
+def test_approx_params_refuse_an_empty_boltzmann_tail(n):
+    assert th.approx_entropy_params(n, 0.8535).tail_start == n - 1
+    for omega, k_upper in [(0.8536, 2.0), (0.9, 2.0), (0.99, 2.0), (0.9, 8 / 3)]:
+        with pytest.raises(ValueError, match=r"^the Boltzmann tail is empty: .*k_upper"):
+            th.approx_entropy_params(n, omega, k_upper=k_upper)
+    # the tail-sum S_a(t) took an empty tail to 0, far from S_eq = 0.392
+    with pytest.raises(ValueError, match="k_upper"):
+        th.approx_entropy(LinearWalkSpec(n, 0.9), 5000.0)
+    assert th.approx_entropy_params(n, 0.9, k_upper=3.0).tail_start == n - 1
+
+
 def test_approx_params_lower_clip():
     default = th.approx_entropy_params(100, 2 / 3)
     clipped = th.approx_entropy_params(100, 2 / 3, k_lower=0.5)
@@ -290,6 +307,10 @@ _times = st.floats(0.0, 1e6, exclude_min=True)
 def test_time_arrays_equal_the_scalar_calls(n, omega, ts):
     # one code path: every entry of an array call is the scalar call, bit for bit
     spec = LinearWalkSpec(n, omega)
+    if omega >= _EMPTY_TAIL_OMEGA:
+        with pytest.raises(ValueError, match="k_upper"):
+            th.approx_entropy_params(n, omega)
+        return
     params = th.approx_entropy_params(n, omega)
     prof = th.GaussianProfile.for_omega(omega)
     for boltzmann in ("tail-sum", "weighted-equilibrium"):
@@ -1015,11 +1036,16 @@ def test_entropy_production_standalone_matches_record():
 
 
 def test_entropy_production_infinite_temperature():
-    spec = LinearWalkSpec(40, 0.5)
-    traj = th.simulate_trajectory(spec, 200)
-    assert math.isinf(traj.equilibrium_temperature)
-    np.testing.assert_array_equal(traj.entropy_generated, traj.entropy)
-    np.testing.assert_array_equal(th.entropy_production(traj), traj.entropy)
+    # S - E/inf: the finite E >= 0 gives a zero heat term, so S_gen is S bit for bit
+    for n in (2, 7, 40, 50):
+        rng = np.random.default_rng(n)
+        for p0 in (None, _localized(n, n - 1), rng.dirichlet(np.ones(n))):
+            traj = th.simulate_trajectory(LinearWalkSpec(n, 0.5), 200, p0=p0)
+            assert math.isinf(traj.equilibrium_temperature)
+            assert traj.entropy_generated.tobytes() == traj.entropy.tobytes()
+            assert traj.entropy_generated is not traj.entropy
+            for t_eq in (None, math.inf, -math.inf):
+                assert th.entropy_production(traj, t_eq).tobytes() == traj.entropy.tobytes()
 
 
 # ---------------------------------------------------------------- error metrics
