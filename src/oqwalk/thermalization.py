@@ -201,9 +201,10 @@ def approx_entropy_params(
     k_upper=4.0, i.e. n_prime = N - 4*sigma_ss; this is inferred from the
     tables themselves.  The default stays k_upper=2.0.
 
-    A split with no site above n_prime (k_upper * sigma_ss <= 1: at the default
-    k_upper, omega >= (2 + sqrt 2)/4 ~ 0.8536 at every N) is refused, since its
-    empty Boltzmann piece would take the tail-sum S_a(t) to 0, not to S_eq.
+    A split with no site in its tail (k_upper * sigma_ss <= 1: at the default
+    k_upper, omega >= (2 + sqrt 2)/4 ~ 0.8536 at every N; or a negative k_lower
+    that clips past the last node) is refused, since its empty Boltzmann piece
+    would take the tail-sum S_a(t) to 0, not to S_eq.
     """
     equilibrium._check_drift(omega)
     point = EnsemblePoint.from_omega(n_nodes, omega, 1.0)
@@ -214,9 +215,10 @@ def approx_entropy_params(
         floor_site = int(math.ceil(equilibrium.mean_energy(point) - k_lower * sigma_ss))
         tail_start = max(tail_start, floor_site)
     if tail_start >= n_nodes:
-        raise ValueError(f"the Boltzmann tail is empty: no site of the {n_nodes}-node lattice "
-                         f"lies above n_prime = {n_prime:.17g}; k_upper * sigma_ss = "
-                         f"{k_upper:.17g} * {sigma_ss:.17g} must exceed 1")
+        raise ValueError(f"the Boltzmann tail is empty: the split puts its first site at "
+                         f"{tail_start}, past the last node {n_nodes - 1}; it needs k_upper * "
+                         f"sigma_ss > 1 (k_upper = {k_upper:.17g}, sigma_ss = {sigma_ss:.17g}) "
+                         f"and k_lower >= 0")
     pi = steady_state(LinearWalkSpec(n_nodes, omega))
     tail = pi[tail_start:]
     return ApproxEntropyParams(

@@ -166,6 +166,9 @@ def test_approx_params_refuse_an_empty_boltzmann_tail(n):
     with pytest.raises(ValueError, match="k_upper"):
         th.approx_entropy(LinearWalkSpec(n, 0.9), 5000.0)
     assert th.approx_entropy_params(n, 0.9, k_upper=3.0).tail_start == n - 1
+    # a lower clip past the mean empties the tail too
+    with pytest.raises(ValueError, match=r"^the Boltzmann tail is empty: .*k_lower >= 0"):
+        th.approx_entropy_params(n, 2 / 3, k_lower=-float(n))
 
 
 def test_approx_params_lower_clip():
