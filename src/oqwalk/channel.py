@@ -26,7 +26,10 @@ up to the largest in-degree k: `_in_src` (N, k) holds the slots' sources.  Up
 to `_SUPEROP_MAX_DIM` the operator of node j is [R_1 ... R_k] (d^2, k d^2),
 with R the real matrix of X -> B X B^dagger on coordinates, and the node's new
 coordinates are one real matrix-vector product with its k gathered ones; the
-result is Hermitian by construction.  Above it, R's d^4 cost per edge (time
+result is Hermitian by construction.  The gather is the `take` method on the
+coordinates, reshaped once to the (N, k d^2, 1) operand of the product: at
+small N a step takes microseconds, and the `np.take` function form costs ~1 us
+more per call than the method.  Above it, R's d^4 cost per edge (time
 and memory) outgrows the d^3 of two batched matmuls on the gathered blocks:
 W_s = X_s B_s^dagger, then [B_1 ... B_k] @ [W_1; ...; W_k], of which the step
 keeps the coordinates of the Hermitian part.  Padding costs N k slots, which
@@ -36,7 +39,10 @@ source node's outgoing operators into C_i the same way and forms every
 C_i^dagger C_i in one batched product.
 The derived fields are cached properties, built on first read: a channel's
 `transitions`, its report's `defects`, and a state's `rho` and `blocks`, so
-`step` does array work only.
+`step` does array work only.  `position_marginal` adds the d diagonal
+coordinate columns one by one, in place, onto a fresh +0.0 + c_0, which is
+numpy's own order for a sum over fewer than 8 terms (so up to d = 7 it is
+`c[:, :d].sum(axis=1)`, bit for bit), without the set-up of a reduction.
 """
 
 from __future__ import annotations
@@ -71,6 +77,8 @@ _HERMITIAN_TOL = 1e-12
 # Timed in a 250-step loop of `step` and `position_marginal` (N=64, Haar
 # unitaries, a 2-core Xeon with numpy 2.4), the coordinate path takes
 # 0.14-0.74x the time of the two matmuls for d <= 7 and 1.3-1.4x at d = 8.
+# Re-timed with the `take` method gather (coordinate vs matmul path, ms per
+# 250 steps): d = 6 9.6 vs 27.0, d = 7 23.1 vs 33.5, d = 8 45.3 vs 34.1.
 # R takes 8 d^4 bytes per edge: 19 kB at d = 7.
 _SUPEROP_MAX_DIM = 7
 
@@ -97,7 +105,7 @@ def _dagger(a: np.ndarray) -> np.ndarray:
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -129,7 +137,7 @@ def _coords(x: np.ndarray) -> np.ndarray:
     """
     first, second, sign, _ = _layout(x.shape[-1])
     f = np.ascontiguousarray(x).view(float).reshape(x.shape[:-2] + (-1,))
-    return (np.take(f, first, axis=-1) + np.take(f, second, axis=-1) * sign) * 0.5
+    return (f.take(first, axis=-1) + f.take(second, axis=-1) * sign) * 0.5
 
 
 def _blocks(c: np.ndarray) -> np.ndarray:
@@ -139,7 +147,7 @@ def _blocks(c: np.ndarray) -> np.ndarray:
     # the fresh zeros a state built from blocks has, so pickling keeps them too
     e = np.concatenate([c, 0.0 - c[..., (d * d + d) // 2:], np.zeros(c.shape[:-1] + (1,))],
                        axis=-1)
-    return np.take(e, _layout(d)[3], axis=-1).view(complex).reshape(c.shape[:-1] + (d, d))
+    return e.take(_layout(d)[3], axis=-1).view(complex).reshape(c.shape[:-1] + (d, d))
 
 
 def _coordinate_operator(b: np.ndarray) -> np.ndarray:
@@ -354,29 +362,50 @@ class BlockState:
                 raise ValueError(f"block node {key} outside 0..{node_count - 1}")
             nodes.append(node)
         dim = _as_operator(next(iter(blocks.values()))).shape[0]
-        b = np.array([_as_operator(m, dim) for m in blocks.values()])
+        rho = np.zeros((node_count, dim, dim), dtype=complex)
+        rho[nodes] = [_as_operator(m, dim) for m in blocks.values()]
+        self._set_rho(rho)
+
+    @classmethod
+    def _from_rho(cls, rho: np.ndarray) -> "BlockState":
+        """The state of (N, d, d) blocks rho, checked as the mapping constructor checks them."""
+        state = cls.__new__(cls)
+        state._set_rho(np.asarray(rho, dtype=complex))
+        return state
+
+    def _set_rho(self, rho: np.ndarray) -> None:
+        """Check rho's blocks, all at once, and store rho with its coordinates.
+
+        Both constructors end here.  Zero blocks pass every check, so only the
+        nonzero ones are checked.
+        """
+        b = rho[rho.any(axis=(1, 2))]
         if not np.isfinite(b).all():
             raise ValueError("state block has non-finite entries")
-        if np.abs(b - _dagger(b)).max() > _HERMITIAN_TOL:
+        if np.abs(b - _dagger(b)).max(initial=0.0) > _HERMITIAN_TOL:
             raise ValueError("state block is not Hermitian")
-        if np.linalg.eigvalsh(b).min() < -STRUCTURAL_TOL:
+        if np.linalg.eigvalsh(b).min(initial=0.0) < -STRUCTURAL_TOL:
             raise ValueError("state block is not positive semidefinite")
         total = float(np.trace(b, axis1=1, axis2=2).real.sum())
         if abs(total - 1.0) > STRUCTURAL_TOL:
             raise ValueError(f"block traces sum to {total}, not 1")
-        rho = np.zeros((node_count, dim, dim), dtype=complex)
-        rho[nodes] = b
         vars(self).update(node_count=len(rho), rho=_frozen(rho), _coords=_frozen(_coords(rho)))
 
     @classmethod
     def _trusted(cls, coords: np.ndarray) -> "BlockState":
-        """Wrap (N, d^2) coordinates known to be a valid state, without re-checking."""
+        """Wrap (N, d^2) coordinates known to be a valid state, without re-checking.
+
+        Every `step` ends here, so this sets the dict and the read-only flag
+        directly rather than through `vars` and `_frozen`: ~0.1 us a step at
+        N=64, d=2.
+        """
+        coords.setflags(write=False)
         state = cls.__new__(cls)
-        vars(state).update(node_count=coords.shape[0], _coords=_frozen(coords))
+        state.__dict__.update(node_count=len(coords), _coords=coords)
         return state
 
-    def __reduce__(self):  # unpickle through the checks, which re-freeze the arrays
-        return BlockState, (self.node_count, dict(self.blocks))
+    def __reduce__(self):  # unpickle rho through the checks, which re-freeze the arrays
+        return BlockState._from_rho, (self.rho,)
 
     @property
     def internal_dim(self) -> int:
@@ -397,12 +426,14 @@ class BlockState:
 def step(channel: OqwChannel, state: BlockState) -> BlockState:
     """One application of the walk: rho'[j] = sum_i B[i,j] rho[i] B[i,j]^dagger.
 
-    Gathers the coordinates at every node's incoming slots once,
-    coords[_in_src], and forms each node's new coordinates, its sum over edges
+    Gathers the coordinates at every node's incoming slots once, with the
+    `take` method, coords.take(_in_src, axis=0), reshapes them once to
+    (N, k d^2, 1) and forms each node's new coordinates, its sum over edges
     included, in one real batched product through the per-node operator the
     channel built at construction (module docstring).  Above
-    `_SUPEROP_MAX_DIM` the gathered coordinates are expanded to blocks for the
-    two matmuls, and the step keeps the coordinates of (Y + Y^dagger) / 2.
+    `_SUPEROP_MAX_DIM` the coordinates are expanded to blocks and gathered
+    for the two matmuls, and the step keeps the coordinates of
+    (Y + Y^dagger) / 2.
     Neither `rho` nor `blocks` is built: the new state derives them on first
     read.  Refuses channels whose stored report failed, as they do not
     preserve trace.
@@ -419,14 +450,26 @@ def step(channel: OqwChannel, state: BlockState) -> BlockState:
         raise ValueError(f"state of shape {state.rho.shape} fed to channel on "
                          f"{n} nodes with internal dim {d}")
     if channel._in_adj is None:
-        x = np.take(state._coords, channel._in_src, axis=0)
-        coords = (channel._in_op @ x.reshape(n, -1, 1)).reshape(n, -1)
+        x = state._coords.take(channel._in_src, axis=0).reshape(n, -1, 1)
+        coords = (channel._in_op @ x).reshape(n, -1)
     else:
-        x = np.take(_blocks(state._coords), channel._in_src, axis=0)
+        x = _blocks(state._coords).take(channel._in_src, axis=0)
         coords = _coords(channel._in_op @ (x @ channel._in_adj).reshape(n, -1, d))
     return BlockState._trusted(coords)
 
 
 def position_marginal(state: BlockState) -> np.ndarray:
-    """Node-occupation probabilities p_i = trace(rho[i]); sums to 1."""
-    return state._coords[:, :state.internal_dim].sum(axis=1)
+    """Node-occupation probabilities p_i = trace(rho[i]); sums to 1.
+
+    A new, writeable (N,) array: the diagonal coordinate columns added one at
+    a time, ((+0.0 + c_0) + c_1) + ... + c_{d-1}.  The leading +0.0 turns a
+    -0.0 into +0.0, as numpy's sum does.  Up to d = 7 this is numpy's
+    sequential order, so the result is `c[:, :d].sum(axis=1)` bit for bit;
+    from d = 8 numpy sums in pairs, and the two differ within their rounding,
+    gamma_{d-1} sum |c_i| each.
+    """
+    c = state._coords
+    p = c[:, 0] + 0.0
+    for j in range(1, math.isqrt(c.shape[1])):
+        p += c[:, j]
+    return p

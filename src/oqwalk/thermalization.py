@@ -203,17 +203,24 @@ def approx_entropy_params(
 
     A split with no site in its tail (k_upper * sigma_ss <= 1: at the default
     k_upper, omega >= (2 + sqrt 2)/4 ~ 0.8536 at every N; or a negative k_lower
-    that clips past the last node) is refused, since its empty Boltzmann piece
-    would take the tail-sum S_a(t) to 0, not to S_eq.
+    that clips past the last node, k_lower = -inf included) is refused, since
+    its empty Boltzmann piece would take the tail-sum S_a(t) to 0, not to
+    S_eq.  k_lower = +inf means no lower clip; a NaN of either parameter and an
+    infinite k_upper are refused.
     """
+    if not math.isfinite(k_upper):
+        raise ValueError(f"k_upper must be finite, got {k_upper}")
+    if math.isnan(k_lower):
+        raise ValueError(f"k_lower must be a number, got {k_lower}")
     equilibrium._check_drift(omega)
     point = EnsemblePoint.from_omega(n_nodes, omega, 1.0)
     sigma_ss = equilibrium.energy_std_large_n(point)
     n_prime = n_nodes - k_upper * sigma_ss
     tail_start = int(math.floor(n_prime)) + 1
-    if math.isfinite(k_lower):
-        floor_site = int(math.ceil(equilibrium.mean_energy(point) - k_lower * sigma_ss))
-        tail_start = max(tail_start, floor_site)
+    if k_lower < math.inf:
+        floor_site = equilibrium.mean_energy(point) - k_lower * sigma_ss
+        # k_lower = -inf puts the floor at +inf, past every node: first site N
+        tail_start = max(tail_start, math.ceil(floor_site) if math.isfinite(floor_site) else n_nodes)
     if tail_start >= n_nodes:
         raise ValueError(f"the Boltzmann tail is empty: the split puts its first site at "
                          f"{tail_start}, past the last node {n_nodes - 1}; it needs k_upper * "

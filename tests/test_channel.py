@@ -372,12 +372,13 @@ def test_step_matches_the_edge_sum_in_long_double(seed, n, d, steps):
         state = new
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_position_marginal_sums_the_real_diagonal(d):
     # Bit-identical to the trace form np.trace(rho).real up to d = 3.  From
     # d = 4 numpy's complex reduction groups the interleaved real and imaginary
     # parts pairwise, so the two sums of the same d reals can differ by their
-    # rounding, each within gamma_{d-1} sum |Re rho_ii|.
+    # rounding, each within gamma_{d-1} sum |Re rho_ii|.  Up to d = 7 the
+    # marginal is numpy's sum of the diagonal coordinates, bit for bit.
     rng = np.random.default_rng(40 + d)
     chan = random_complete_channel(rng, 8, d)
     for state in [random_state(rng, 8, d) for _ in range(20)]:
@@ -387,9 +388,61 @@ def test_position_marginal_sums_the_real_diagonal(d):
             assert got.shape == (8,) and got.dtype == float
             if d <= 3:
                 assert np.array_equal(got, trace_form)
+            if d <= 7:
+                assert got.tobytes() == state._coords[:, :d].sum(axis=1).tobytes()
             size = np.abs(np.diagonal(state.rho, axis1=1, axis2=2).real).sum(axis=1)
             assert (np.abs(got - trace_form) <= 2 * gamma(d - 1) * size).all()
             state = ch.step(chan, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), d=st.integers(1, 9),
+       steps=st.integers(1, 4))
+@example(seed=0, n=7, d=ch._SUPEROP_MAX_DIM, steps=2)
+@example(seed=1, n=7, d=ch._SUPEROP_MAX_DIM + 1, steps=2)
+def test_step_is_the_gather_and_product_written_out(seed, n, d, steps):
+    # step's coordinates are, byte for byte, the gather through np.take and
+    # the batched product(s) written out here; the marginal is numpy's sum of
+    # the diagonal coordinates up to d = 7, signed zeros and subnormals included
+    rng = np.random.default_rng(seed)
+    chan = random_complete_channel(rng, n, d)
+    state = random_state(rng, n, d)
+    scale = rng.choice([1.0, 1e-310, 0.0, -0.0], size=(n, d * d))
+    starts = [state, BlockState._trusted(rng.standard_normal((n, d * d)) * scale)]
+    for state in starts:
+        for _ in range(steps):
+            c = state._coords
+            if d <= ch._SUPEROP_MAX_DIM:
+                x = np.take(c, chan._in_src, axis=0)
+                expect = (chan._in_op @ x.reshape(n, -1, 1)).reshape(n, -1)
+            else:
+                x = np.take(ch._blocks(c), chan._in_src, axis=0)
+                expect = ch._coords(chan._in_op @ (x @ chan._in_adj).reshape(n, -1, d))
+            new = ch.step(chan, state)
+            assert new._coords.tobytes() == expect.tobytes()
+            for s in (state, new):
+                marginal = ch.position_marginal(s)
+                if d <= 7:
+                    assert marginal.tobytes() == s._coords[:, :d].sum(axis=1).tobytes()
+                else:
+                    diagonal = s._coords[:, :d]
+                    bound = gamma(d - 1) * np.abs(diagonal).sum(axis=1)
+                    assert (np.abs(marginal - diagonal.sum(axis=1)) <= 2 * bound).all()
+            state = new
+
+
+@pytest.mark.parametrize("d", [1, 2, ch._SUPEROP_MAX_DIM + 1])
+def test_position_marginal_is_a_new_writeable_array(d):
+    rng = np.random.default_rng(d)
+    chan = random_complete_channel(rng, 5, d)
+    state = ch.step(chan, random_state(rng, 5, d))
+    marginal = ch.position_marginal(state)
+    assert marginal.flags.writeable and marginal.flags.owndata
+    assert not np.shares_memory(marginal, state._coords)
+    before = marginal.copy()
+    marginal[:] = -1.0
+    assert ch.position_marginal(state).tobytes() == before.tobytes()
+    assert "rho" not in vars(state) and "blocks" not in vars(state)
 
 
 def haar_unitaries(rng, count, d):
@@ -688,6 +741,38 @@ def test_pickling_rebuilds_the_array_core_without_transitions(d):
     # the clone's report is recomputed, so an incomplete channel's clone still refuses step
     with pytest.raises(ch.ChannelCompletenessError, match=r"nodes \[0\]"):
         ch.step(pickle.loads(pickle.dumps(bad)), BlockState.localized(6, 0, np.eye(d)[0]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_state_pickles_its_rho_through_the_array_core(d):
+    rng = np.random.default_rng(d)
+    chan = random_complete_channel(rng, 6, d)
+    built = random_state(rng, 6, d)
+    skew = np.zeros((6, d, d), dtype=complex)
+    skew[:, 0, -1] = 1e-14j  # within the Hermitian tolerance, kept as the state's rho
+    skewed = BlockState(6, dict(enumerate(built.rho + skew)))
+    for state in (built, skewed, ch.step(chan, built)):
+        blob = pickle.dumps(state)
+        clone = pickle.loads(blob)
+        assert len(blob) < state.rho.nbytes + 1000
+        assert "blocks" not in vars(state) and "blocks" not in vars(clone)
+        assert clone.node_count == state.node_count
+        assert clone.rho.tobytes() == state.rho.tobytes()
+        assert clone._coords.tobytes() == state._coords.tobytes()
+        assert not clone.rho.flags.writeable and not clone._coords.flags.writeable
+    # the pickle holds rho, which the clone checks as the mapping constructor does
+    rebuild, (rho,) = built.__reduce__()
+    assert rebuild(rho).rho.tobytes() == rho.tobytes()
+    nan, asym, neg = rho.copy(), rho.copy(), np.zeros_like(rho)
+    nan[1, 0, 0] = np.nan
+    asym[1, 0, -1] += 1e-9j
+    neg[0, 0, 0], neg[1, 0, 0] = 1.5, -0.5
+    for bad, message in [(nan, "non-finite"), (asym, "not Hermitian"),
+                         (neg, "not positive semidefinite"), (2 * rho, "traces sum to")]:
+        with pytest.raises(ValueError, match=message):
+            rebuild(bad)
+        with pytest.raises(ValueError, match=message):
+            BlockState(6, dict(enumerate(bad)))
 
 
 def test_missing_attribute_probe_leaves_the_object_unchanged():

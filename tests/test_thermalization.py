@@ -171,6 +171,28 @@ def test_approx_params_refuse_an_empty_boltzmann_tail(n):
         th.approx_entropy_params(n, 2 / 3, k_lower=-float(n))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(k_lower=math.nan), r"^k_lower must be a number, got nan$"),
+    (dict(k_upper=math.nan), r"^k_upper must be finite, got nan$"),
+    (dict(k_upper=math.inf), r"^k_upper must be finite, got inf$"),
+    (dict(k_upper=-math.inf), r"^k_upper must be finite, got -inf$"),
+    # a lower clip at -inf puts the first site past every node
+    (dict(k_lower=-math.inf),
+     r"^the Boltzmann tail is empty: the split puts its first site at 100, .*k_lower >= 0$"),
+], ids=["k_lower-nan", "k_upper-nan", "k_upper-inf", "k_upper-minus-inf", "k_lower-minus-inf"])
+def test_approx_params_refuse_non_finite_split_parameters(kwargs, message):
+    # k_lower = nan and -inf passed as no clip; an infinite or NaN k_upper
+    # failed converting n_prime to an integer
+    with pytest.raises(ValueError, match=message):
+        th.approx_entropy_params(100, 2 / 3, **kwargs)
+
+
+def test_approx_params_infinite_k_lower_is_no_clip():
+    assert th.approx_entropy_params(100, 2 / 3, k_lower=math.inf) == th.approx_entropy_params(
+        100, 2 / 3)
+    assert th.approx_entropy_params(100, 2 / 3).tail_start == 98
+
+
 def test_approx_params_lower_clip():
     default = th.approx_entropy_params(100, 2 / 3)
     clipped = th.approx_entropy_params(100, 2 / 3, k_lower=0.5)
@@ -1163,7 +1185,8 @@ def test_dqc_rejects_nonpositive_drift():
 
 @pytest.mark.parametrize("n, omega, n_steps, readout", [
     (100, 2 / 3, 300.0, 475), (500, 2 / 3, 1500.0, 1865), (200, 0.83, 303.03, 369),
-    (1000, 2 / 3, 3000.0, 3505)])
+    (1000, 2 / 3, 3000.0, 3505),
+    pytest.param(10_000, 2 / 3, 30000.0, 31541, marks=pytest.mark.slow)])
 def test_dqc_n_steps_is_before_the_readout_is_usable(n, omega, n_steps, readout):
     # n_steps is when the packet's centre arrives; the last-node mass comes
     # within 1e-3 of its steady value only after n_end
@@ -1179,9 +1202,12 @@ def test_dqc_n_steps_is_before_the_readout_is_usable(n, omega, n_steps, readout)
     # ... and no later than the chi^2 contraction bound allows: with
     # (p_k(N-1) - pi_(N-1))^2 / pi_(N-1) <= chi^2(p_k, pi) <= mu*^(2k) chi^2(delta_0, pi)
     # and chi^2(delta_0, pi) = 1/pi_0 - 1, the readout holds once
-    # mu*^(2k) (1/pi_0 - 1) <= 1e-6 pi_(N-1)
+    # mu*^(2k) (1/pi_0 - 1) <= 1e-6 pi_(N-1).  pi_0 = (a - 1)/(a^N - 1) with
+    # a = omega/(1 - omega) underflows at N = 1e4, so its log is taken in closed form
     mu = 2 * math.sqrt(omega * (1 - omega)) * math.cos(math.pi / n)
-    log_chi2 = math.log1p(-pi[0]) - math.log(pi[0])
+    a = omega / (1 - omega)
+    log_pi0 = math.log(a - 1) - n * math.log(a) - math.log1p(-a ** -n)
+    log_chi2 = math.log1p(-math.exp(log_pi0)) - log_pi0
     assert first <= math.ceil((log_chi2 - math.log(1e-6 * last)) / (-2 * math.log(mu)))
 
 
