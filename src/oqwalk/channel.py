@@ -34,9 +34,9 @@ and memory) outgrows the d^3 of two batched matmuls on the gathered blocks:
 W_s = X_s B_s^dagger, then [B_1 ... B_k] @ [W_1; ...; W_k], of which the step
 keeps the coordinates of the Hermitian part.  Padding costs N k slots, which
 the linear walk (k = 2 at every node) does not pay.  The per-edge `superop`
-is derived from `ops` on every read.  The completeness check stacks each
-source node's outgoing operators into C_i the same way and forms every
-C_i^dagger C_i in one batched product.
+is derived from `ops` on every read, at every d; `step` does not read it.
+The completeness check stacks each source node's outgoing operators into C_i
+the same way and forms every C_i^dagger C_i in one batched product.
 The derived fields are cached properties, built on first read: a channel's
 `transitions`, its report's `defects`, and a state's `rho` and `blocks`, so
 `step` does array work only.  `position_marginal` adds the d diagonal
@@ -222,8 +222,8 @@ class OqwChannel:
 
     Absent pairs are zero operators; `transitions` is a read-only mapping of
     views of `ops`, a cached property built on first read.  `superop` is each
-    edge's B (x) conj(B), (E, d^2, d^2), derived from `ops` on every read when
-    d is at most `_SUPEROP_MAX_DIM`, and None above it.
+    edge's B (x) conj(B), (E, d^2, d^2), read-only and derived from `ops` on
+    every read, at every d.
     `==` and `hash` go by identity: to compare two channels' contents, compare
     `src`, `dst` and `ops` with `np.array_equal`.
     """
@@ -301,10 +301,8 @@ class OqwChannel:
                           _in_op=_frozen(in_op), _in_adj=in_adj)
 
     @property
-    def superop(self) -> np.ndarray | None:
+    def superop(self) -> np.ndarray:
         d = self.internal_dim
-        if d > _SUPEROP_MAX_DIM:
-            return None
         return _frozen(np.einsum("eij,elk->eiljk", self.ops, self.ops.conj())
                        .reshape(-1, d * d, d * d))
 
@@ -404,8 +402,12 @@ class BlockState:
         state.__dict__.update(node_count=len(coords), _coords=coords)
         return state
 
-    def __reduce__(self):  # unpickle rho through the checks, which re-freeze the arrays
-        return BlockState._from_rho, (self.rho,)
+    def __reduce__(self):
+        # unpickle rho through the checks, which re-freeze the arrays; a state
+        # that has not built its rho pickles a read-only one that it does not
+        # keep, whose bytes are the cached rho's under every protocol
+        rho = vars(self).get("rho")
+        return BlockState._from_rho, (_frozen(_blocks(self._coords)) if rho is None else rho,)
 
     @property
     def internal_dim(self) -> int:

@@ -33,7 +33,11 @@ written, through the series' band generator at its exact floor: O(N)
 memory, not O(steps * N).  A steady-state omega range checks every omega
 first, then computes pi a block at a time.  approx-entropy computes its
 series one block of t at a time as it writes, so its memory does not grow
-with --steps.
+with --steps.  `table` takes the window's integer steps [ceil(t_start),
+floor(t_end)] from the library's one rounding of it, as its header's range
+and its default --steps; it refuses a split with no tail, a negative
+--steps and one that ends before the window does, in this order, before it
+runs its chain.
 
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag, each value read with that flag's type; explicit command-line flags win.
@@ -343,12 +347,14 @@ def _one_row(values: list) -> list[tuple]:
 def cmd_table(args):
     spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
     window = th.thermalization_window(spec.n_nodes, spec.omega)
-    steps = args.steps if args.steps is not None else math.floor(window.t_end)
-    params = th.approx_entropy_params(spec.n_nodes, spec.omega)  # refused before the chain runs
-    traj = th.simulate_trajectory(spec, steps)
+    # the split, then --steps (nonnegative, reaching the window's end), are
+    # refused before the chain runs; the run defaults to ending with the window
+    params = th.approx_entropy_params(spec.n_nodes, spec.omega)
+    ts = th._window_steps(window, args.steps)
+    traj = th.simulate_trajectory(spec, ts[-1] if args.steps is None else args.steps)
     report = th.error_metrics(spec, traj, params=params, boltzmann=args.boltzmann)
     print(f"error metrics for N={spec.n_nodes}, omega={spec.omega:.17g} "
-          f"over steps [{math.ceil(window.t_start)}, {math.floor(window.t_end)}]:")
+          f"over steps [{ts[0]}, {ts[-1]}]:")
     for label, value in [
         ("delta_max", report.delta_max),
         ("delta_rel_max", report.delta_rel_max),
@@ -360,10 +366,7 @@ def cmd_table(args):
     if args.out is not None:
         fields = ["n_nodes", "omega", "t_start", "t_end", "delta_max",
                   "delta_rel_max", "mean_rel", "delta_logn_max", "mean_logn"]
-        yield args.out, fields, _one_row([
-            report.n_nodes, report.omega, report.t_start, report.t_end, report.delta_max,
-            report.delta_rel_max, report.mean_rel, report.delta_logn_max, report.mean_logn,
-        ])
+        yield args.out, fields, _one_row([getattr(report, f) for f in fields])
 
 
 def cmd_dqc(args):

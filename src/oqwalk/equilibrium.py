@@ -99,6 +99,11 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValueError(f"epsilon must be finite, got {epsilon}")
 
 
+def _check_beta(beta: float) -> None:
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+
+
 def _log_odds(omega: float) -> float:
     """log a = log(omega/(1-omega)) = -beta*epsilon of one unchecked omega."""
     return math.log(omega) - math.log1p(-omega)
@@ -148,8 +153,7 @@ class EnsemblePoint:
     def __post_init__(self) -> None:
         _check_n_nodes(self.n_nodes)
         _check_epsilon(self.epsilon)
-        if not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
+        _check_beta(self.beta)
         _check_omega(self.omega)
         drift = abs(self.omega - omega_from_beta(self.beta, self.epsilon))
         if drift > _CONSISTENCY_TOL:
@@ -277,6 +281,8 @@ def entropy_derivative(point: EnsemblePoint) -> float:
 
 def entropy_derivative_large_n(beta: float, epsilon: float = 1.0) -> float:
     """N >> 1 limit of dS/dbeta: -beta eps^2 e^(beta eps)/(e^(beta eps)-1)^2."""
+    _check_epsilon(epsilon)
+    _check_beta(beta)
     if beta == 0.0:
         raise ValueError("the large-N entropy derivative diverges at beta = 0")
     return -beta * epsilon * epsilon * _exp_over_expm1_sq(beta * epsilon)
@@ -284,6 +290,8 @@ def entropy_derivative_large_n(beta: float, epsilon: float = 1.0) -> float:
 
 def entropy_derivative_high_t(beta: float, epsilon: float = 1.0) -> float:
     """High-temperature asymptote of the large-N dS/dbeta: -1/beta - epsilon."""
+    _check_epsilon(epsilon)
+    _check_beta(beta)
     if beta == 0.0:
         raise ValueError("asymptote diverges at beta = 0")
     return -1.0 / beta - epsilon
@@ -308,6 +316,8 @@ def free_energy_derivative(point: EnsemblePoint) -> float:
 
 def free_energy_derivative_high_t(beta: float, epsilon: float = 1.0) -> float:
     """Small positive beta*epsilon asymptote of the large-N dF/dbeta: (1 - log(beta eps))/beta^2."""
+    _check_epsilon(epsilon)
+    _check_beta(beta)
     z = beta * epsilon
     if z <= 0.0:
         raise ValueError("asymptote defined for beta * epsilon > 0")
@@ -321,6 +331,8 @@ def heat_capacity(point: EnsemblePoint) -> float:
 
 def heat_capacity_large_n(beta: float, epsilon: float = 1.0) -> float:
     """N >> 1 heat capacity (beta eps)^2 e^(beta eps)/(e^(beta eps)-1)^2; -> 1 at beta = 0."""
+    _check_epsilon(epsilon)
+    _check_beta(beta)
     z = beta * epsilon
     if z == 0.0:
         return 1.0
@@ -329,6 +341,8 @@ def heat_capacity_large_n(beta: float, epsilon: float = 1.0) -> float:
 
 def heat_capacity_high_t(beta: float, epsilon: float = 1.0) -> float:
     """High-temperature, large-N heat capacity e^(beta eps) = (1-omega)/omega."""
+    _check_epsilon(epsilon)
+    _check_beta(beta)
     return math.exp(beta * epsilon)
 
 

@@ -38,8 +38,10 @@ class LinearWalkSpec:
 
     lambda = 1 - omega is implied, never stored.  `unitaries`, when given, is
     the tuple (U_0, ..., U_{N-2}) of internal rotations applied on right hops;
-    by default all are the trivial 1x1 identity.  Specs compare by value, the
-    unitaries element-wise, and equal specs hash equal.
+    by default all are the trivial 1x1 identity.  The spec copies them once,
+    into one complex stack, and holds read-only views of it, so a later write
+    to the caller's arrays leaves the spec as it was.  Specs compare by value,
+    the unitaries element-wise, and equal specs hash equal.
     """
 
     n_nodes: int
@@ -52,30 +54,28 @@ class LinearWalkSpec:
         _check_omega(self.omega)
         _check_epsilon(self.epsilon)
         if self.unitaries is not None:
-            us = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
+            us = [np.asarray(u) for u in self.unitaries]
             if len(us) != self.n_nodes - 1:
-                raise ValueError(
-                    f"expected {self.n_nodes - 1} unitaries, got {len(us)}"
-                )
+                raise ValueError(f"expected {self.n_nodes - 1} unitaries, got {len(us)}")
             if us[0].ndim != 2:
                 raise ValueError(f"unitary 0 has shape {us[0].shape}, expected a square matrix")
             d = us[0].shape[0]
             for k, u in enumerate(us):
                 if u.shape != (d, d):
                     raise ValueError(f"unitary {k} has shape {u.shape}, expected {(d, d)}")
-            # checked stacked; the message names the first unitary that fails,
-            # and its first failing check (finite, then unitary)
-            stack = np.array(us)
-            finite = np.isfinite(stack).all(axis=(1, 2))
-            first_bad = len(us) if finite.all() else int(np.argmin(finite))
-            head = stack[:first_bad]
-            unitary = np.abs(head.conj().swapaxes(1, 2) @ head - np.eye(d)).max(axis=(1, 2))
+            # one copy, so that no later write to the caller's arrays reaches the
+            # spec; the message names the first unitary that fails, and its first
+            # failing check (finite, then unitary)
+            stack = np.array(us, dtype=complex)
+            with np.errstate(invalid="ignore", over="ignore"):  # a non-finite defect fails
+                unitary = np.abs(stack.conj().swapaxes(1, 2) @ stack - np.eye(d)).max(axis=(1, 2))
             unitary = unitary <= _UNITARY_TOL
             if not unitary.all():
-                raise ValueError(f"operator {int(np.argmin(unitary))} is not unitary")
-            if first_bad < len(us):
-                raise ValueError(f"unitary {first_bad} has non-finite entries")
-            object.__setattr__(self, "unitaries", us)
+                k = int(np.argmin(unitary))
+                raise ValueError(f"operator {k} is not unitary" if np.isfinite(stack[k]).all()
+                                 else f"unitary {k} has non-finite entries")
+            stack.setflags(write=False)
+            object.__setattr__(self, "unitaries", tuple(stack))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearWalkSpec):

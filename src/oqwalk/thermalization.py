@@ -6,11 +6,15 @@ far boundary and deforms into the geometric steady state.  This module
 simulates exact trajectories, locates the deformation window, evaluates the
 two-piece (Gaussian + Boltzmann) entropy approximation, and produces the
 error metrics, time-dependent temperature, entropy production, and step-count
-estimates for dissipative computation runs.  The approximation evaluators
-(and entropy_gaussian_regime) are array-valued in t: floats for a scalar t,
-arrays shaped like an array of times.  Their erfc is the C library's
-math.erfc, applied elementwise, and p log p with 0 log 0 = 0 has one
-definition (_xlogx) for the Shannon entropy and the Boltzmann piece.
+estimates for dissipative computation runs.  The error metrics are taken over
+the window's integer steps [ceil(t_start), floor(t_end)]: one private helper,
+_window_steps, rounds the window and checks a run's length against it, for
+error_metrics and for the CLI's `table`, which so refuses a short run before
+its chain.  The approximation evaluators (and entropy_gaussian_regime) are
+array-valued in t: floats for a scalar t, arrays shaped like an array of
+times.  Their erfc is the C library's math.erfc, applied elementwise, and
+p log p with 0 log 0 = 0 has one definition (_xlogx) for the Shannon entropy
+and the Boltzmann piece.
 
 All analytic forms assume rightward drift (omega > 1/2).  For omega < 1/2
 mirror the node indices (omega -> 1-omega), which leaves every thermodynamic
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import equilibrium
 from .equilibrium import EnsemblePoint
-from .linear import LinearWalkSpec, _start, markov_step, steady_state
+from .linear import LinearWalkSpec, _check_steps, _start, markov_step, steady_state
 
 __all__ = [
     "GaussianProfile",
@@ -147,6 +151,21 @@ def thermalization_window(n_nodes: int, omega: float) -> ThermalizationWindow:
         t_start=((root - 1.0) / v) ** 2,
         t_end=((root + 1.0) / v) ** 2,
     )
+
+
+def _window_steps(window: ThermalizationWindow, steps: int | None = None) -> range:
+    """The window's integer steps [ceil(t_start), floor(t_end)], as a lazy range.
+
+    With `steps`, a run of that many steps must be nonnegative and reach the
+    window's last step; each rule is refused with its message, in this order.
+    The range is never empty: t_end - t_start = 4 sqrt(1 + v N)/v^2 > 4.
+    """
+    ts = range(math.ceil(window.t_start), math.floor(window.t_end) + 1)
+    if steps is not None:
+        _check_steps(steps)
+        if steps < ts[-1]:
+            raise ValueError(f"trajectory covers {steps} steps but the window ends at {ts[-1]}")
+    return ts
 
 
 def entropy_gaussian_regime(t):
@@ -595,8 +614,10 @@ def error_metrics(
 ) -> ErrorMetricsReport:
     """Compare S_a(t) against the exact S(t) over the thermalization window.
 
-    Evaluated at integer steps t in [ceil(t_start), floor(t_end)].  `approx`
-    may override the entropy approximation (any callable step -> value); by
+    Evaluated at the window's integer steps t in [ceil(t_start), floor(t_end)]
+    (_window_steps), which the trajectory must cover: a shorter one is refused
+    as "trajectory covers S steps but the window ends at H".  `approx` may
+    override the entropy approximation (any callable step -> value); by
     default approx_entropy with the given params/convention is used.
     delta = |S_a - S|, reported as max and mean, relative to S(t) and to the
     maximum possible entropy log N.  A trajectory or params built for another
@@ -604,13 +625,8 @@ def error_metrics(
     """
     _check_same_walk(spec, trajectory.spec, "trajectory")
     window = thermalization_window(spec.n_nodes, spec.omega)
-    lo = math.ceil(window.t_start)
-    hi = math.floor(window.t_end)
-    if trajectory.steps < hi:
-        raise ValueError(
-            f"trajectory covers {trajectory.steps} steps but the window ends at {hi}"
-        )
-    ts = np.arange(lo, hi + 1)
+    window_steps = _window_steps(window, trajectory.steps)
+    ts = np.arange(window_steps.start, window_steps.stop)
     if approx is None:
         s_approx = approx_entropy(spec, ts, params=params, boltzmann=boltzmann)
     else:

@@ -270,6 +270,18 @@ def random_complete_channel(rng, n, d):
     return OqwChannel(n, d, dict(transitions[k] for k in order))
 
 
+def check_superop(chan):
+    """superop is the read-only einsum of ops at every d, and each entry is
+    B_ij conj(B_lk) of np.kron(B, conj(B)) within two complex products' rounding."""
+    d = chan.internal_dim
+    sup = chan.superop
+    einsum = np.einsum("eij,elk->eiljk", chan.ops, chan.ops.conj()).reshape(-1, d * d, d * d)
+    assert sup.tobytes() == einsum.tobytes() and not sup.flags.writeable
+    kron = np.stack([np.kron(b, b.conj()) for b in chan.ops])
+    mag = np.stack([np.kron(abs(b), abs(b)) for b in chan.ops])
+    assert (np.abs(sup - kron) <= 2 * math.sqrt(5) * U * mag).all()
+
+
 def random_state(rng, n, d):
     occupied = rng.random(n) < 0.6
     occupied[rng.integers(n)] = True
@@ -357,8 +369,9 @@ def test_step_matches_the_edge_sum_in_long_double(seed, n, d, steps):
     if d <= ch._SUPEROP_MAX_DIM:
         path = math.sqrt(2) * gamma(2 * m * d * d + 3)
     else:
-        assert chan.superop is None
+        assert chan._in_adj is not None
         path = math.sqrt(2) * gamma(2 * (m + 1) * d + 1)
+    check_superop(chan)
     state = random_state(rng, n, d)
     for _ in range(steps):
         ref, a = edge_sum_reference(chan, state.rho)
@@ -494,7 +507,8 @@ def test_step_is_accurate_against_exact_arithmetic(d):
     n, m = 4, 2
     unitaries = tuple(haar_unitaries(rng, n - 1, d))
     chan = lin.build_channel(LinearWalkSpec(n, 0.63, unitaries=unitaries))
-    assert (chan.superop is None) == (d > ch._SUPEROP_MAX_DIM)
+    assert (chan._in_adj is None) == (d <= ch._SUPEROP_MAX_DIM)
+    check_superop(chan)
     state = random_state(rng, n, d)
     exact = np.frompyfunc(Fraction, 1, 1)
     for _ in range(3):
@@ -518,7 +532,8 @@ def test_trace_drift_over_ten_thousand_steps(d):
     # coordinate path up to its largest d (7) and on the matmul path (8)
     rng = np.random.default_rng(10 + d)
     chan = lin.build_channel(LinearWalkSpec(5, 0.7, unitaries=tuple(haar_unitaries(rng, 4, d))))
-    assert (chan.superop is None) == (d > ch._SUPEROP_MAX_DIM)
+    assert (chan._in_adj is None) == (d <= ch._SUPEROP_MAX_DIM)
+    check_superop(chan)
     state = random_state(rng, 5, d)
     traces = [state.total_trace()]
     for _ in range(10_000):
@@ -760,6 +775,14 @@ def test_state_pickles_its_rho_through_the_array_core(d):
         assert clone.rho.tobytes() == state.rho.tobytes()
         assert clone._coords.tobytes() == state._coords.tobytes()
         assert not clone.rho.flags.writeable and not clone._coords.flags.writeable
+    # a stepped state pickles the rho it would build without keeping it, in
+    # the bytes it pickles once it has built it
+    stepped = ch.step(chan, built)
+    protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)
+    blobs = [pickle.dumps(stepped, protocol) for protocol in protocols]
+    assert "rho" not in vars(stepped)
+    assert stepped.rho.tobytes() == pickle.loads(blobs[-1]).rho.tobytes()
+    assert [pickle.dumps(stepped, protocol) for protocol in protocols] == blobs
     # the pickle holds rho, which the clone checks as the mapping constructor does
     rebuild, (rho,) = built.__reduce__()
     assert rebuild(rho).rho.tobytes() == rho.tobytes()

@@ -1066,6 +1066,23 @@ def test_table_refuses_a_void_split_before_its_chain(tmp_path, capsys, monkeypat
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n-nodes", "10000", "--omega", "0.6666666666666666", "--steps", "30000"],
+     "trajectory covers 30000 steps but the window ends at 31057"),
+    (["--n-nodes", "100", "--omega", "0.6666666666666666", "--steps", "422"],
+     "trajectory covers 422 steps but the window ends at 423"),
+    (["--n-nodes", "100", "--omega", "0.7", "--steps", "-1"], "steps must be nonnegative, got -1"),
+])
+def test_table_refuses_its_steps_before_its_chain(argv, message, tmp_path, capsys, monkeypatch):
+    # the window's last step is floor(t_end); a run that ends before it, or a
+    # negative one, is refused before simulate_trajectory is called
+    monkeypatch.setattr(th, "simulate_trajectory", _refuse_to_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(["table"] + argv + ["--out", "out.csv"]) == 2
+    assert capsys.readouterr() == ("", f"oqwalk: error: {message}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def reference_rows(kind, case):
     """The (fields, rows) of a WRITER_CASES or DUMP_CASES case, built once."""
     if (kind, case) not in _REFERENCE_ROWS:

@@ -605,6 +605,29 @@ def test_large_n_forms_are_continuous_at_the_700_seam():
                                                             rel=1e-13)
 
 
+@pytest.mark.parametrize("evaluator", [
+    eq.entropy_derivative_large_n, eq.entropy_derivative_high_t,
+    eq.free_energy_derivative_high_t, eq.heat_capacity_large_n, eq.heat_capacity_high_t,
+])
+@pytest.mark.parametrize("beta, epsilon, message", [
+    (1.0, -2.0, "epsilon must be positive, got -2.0"),
+    (1.0, 0.0, "epsilon must be positive, got 0.0"),
+    (1.0, math.nan, "epsilon must be positive, got nan"),
+    (1.0, math.inf, "epsilon must be finite, got inf"),
+    (math.nan, 1.0, "beta must be finite, got nan"),
+    (math.inf, 1.0, "beta must be finite, got inf"),
+    (-math.inf, 1.0, "beta must be finite, got -inf"),
+    (math.nan, -1.0, "epsilon must be positive, got -1.0"),
+    (0.0, math.nan, "epsilon must be positive, got nan"),
+])
+def test_beta_taking_evaluators_check_epsilon_then_beta(evaluator, beta, epsilon, message):
+    # the rules EnsemblePoint applies, in its order, before any pole refusal;
+    # heat_capacity_large_n(1.0, -2.0) used to return 0.724...
+    with pytest.raises(ValueError) as exc:
+        evaluator(beta, epsilon)
+    assert str(exc.value) == message
+
+
 def test_high_t_asymptotes_refuse_their_poles():
     with pytest.raises(ValueError) as exc:
         eq.entropy_derivative_high_t(0.0)

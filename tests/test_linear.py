@@ -103,9 +103,10 @@ def test_build_channel_keeps_the_mapping_constructors_arrays(n, d):
     assert list(built.transitions) == list(ref.transitions)
     assert all(type(i) is int for key in built.transitions for i in key)
     matmul = d is not None and d > ch._SUPEROP_MAX_DIM
-    assert (built.superop is None) == (ref.superop is None) == matmul
+    # the path is told by _in_adj; superop is the per-edge array on both
     assert (built._in_adj is None) == (ref._in_adj is None) == (not matmul)
-    for name in ["src", "dst", "ops", "_in_src", "_in_op"] + (["_in_adj"] if matmul else ["superop"]):
+    assert built.superop.shape == (len(built.ops),) + (spec.internal_dim ** 2,) * 2
+    for name in ["src", "dst", "ops", "_in_src", "_in_op", "superop"] + (["_in_adj"] * matmul):
         a, b = getattr(built, name), getattr(ref, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
         assert not a.flags.writeable
@@ -498,6 +499,23 @@ def test_spec_names_the_first_unitary_that_fails_a_check(unitaries, message):
     with pytest.raises(ValueError) as exc:
         LinearWalkSpec(len(unitaries) + 1, 0.6, unitaries=unitaries)
     assert str(exc.value) == message
+
+
+def test_spec_owns_its_unitaries():
+    # complex128 input used to be stored as the caller's own arrays
+    us = [H.copy(), X.copy(), H @ X]
+    spec = LinearWalkSpec(4, 0.7, unitaries=tuple(us))
+    same = LinearWalkSpec(4, 0.7, unitaries=tuple(u.copy() for u in us))
+    key, ops = hash(spec), lin.build_channel(spec).ops.copy()
+    for u in us:
+        u[:] = 0.0
+    assert spec == same and hash(spec) == key
+    chan = lin.build_channel(spec)
+    assert chan.report.ok and chan.ops.tobytes() == ops.tobytes()
+    for u in spec.unitaries:
+        assert u.dtype == complex and not u.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.0
 
 
 def test_internal_state_refuses_psi_of_another_dimension():

@@ -1089,8 +1089,31 @@ def test_error_metrics_degenerate_zero():
 def test_error_metrics_requires_coverage():
     spec = LinearWalkSpec(100, 2 / 3)
     traj = th.simulate_trajectory(spec, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         th.error_metrics(spec, traj)
+    assert str(exc.value) == "trajectory covers 100 steps but the window ends at 423"
+    # the window's last step is floor(t_end) = floor(423.47...): 422 steps fall
+    # short, 423 cover it, and the metrics read exactly the steps 213..423
+    with pytest.raises(ValueError, match="covers 422 steps but the window ends at 423"):
+        th.error_metrics(spec, th.simulate_trajectory(spec, 422))
+    seen = []
+    th.error_metrics(spec, th.simulate_trajectory(spec, 423), approx=lambda t: seen.append(t) or 1.0)
+    assert seen == list(range(213, 424))
+
+
+def test_window_steps_is_one_lazy_range_checked_against_a_run():
+    window = th.thermalization_window(100, 2 / 3)
+    assert th._window_steps(window) == range(213, 424)
+    assert th._window_steps(window, 423) == range(213, 424)
+    with pytest.raises(ValueError) as exc:
+        th._window_steps(window, -1)
+    assert str(exc.value) == "steps must be nonnegative, got -1"
+    with pytest.raises(ValueError) as exc:
+        th._window_steps(window, 0)
+    assert str(exc.value) == "trajectory covers 0 steps but the window ends at 423"
+    # ~1e12 steps near omega = 1/2: a range, never an array of them
+    far = th._window_steps(th.thermalization_window(100, 0.500001))
+    assert isinstance(far, range) and len(far) > 10 ** 11
 
 
 def test_error_metrics_regression_values():
