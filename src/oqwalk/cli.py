@@ -39,6 +39,12 @@ and its default --steps; it refuses a split with no tail, a negative
 --steps and one that ends before the window does, in this order, before it
 runs its chain.
 
+A run loads only what its subcommand calls.  This module loads the exact
+chain's series (oqwalk._trajectory), which `trajectory` and `table` run;
+`window`, `approx-entropy`, `table` and `dqc` import oqwalk.thermalization
+when they start, so `steady-state`, `equilibrium` and `trajectory` never
+load it, and no subcommand loads the Kraus engine (oqwalk.channel).
+
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag, each value read with that flag's type; explicit command-line flags win.
 A key that names no flag is refused with its file and line, a key for a flag
@@ -59,9 +65,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _trajectory as tr
 from . import equilibrium as eq
 from . import linear as lin
-from . import thermalization as th
 from ._numtext import text_matrix
 from .equilibrium import EnsemblePoint
 from .linear import LinearWalkSpec
@@ -300,20 +306,22 @@ def cmd_equilibrium(args):
 
 def cmd_trajectory(args):
     spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
-    traj = th.simulate_trajectory(spec, args.steps)
+    traj = tr.simulate_trajectory(spec, args.steps)
     series = (np.arange(args.steps + 1), traj.entropy, traj.energy,
               traj.temperature_estimate, traj.entropy_generated)
     yield args.out, ["n", "S", "E", "T_est", "S_gen"], [series]
     if args.dump_distributions is not None:
         # Replay the exact chain one writer block of steps at a time: O(N) memory.
         def blocks(rows: int) -> Iterator[np.ndarray]:
-            return (block for _, block in th._exact_blocks(spec, args.steps, None, rows))
+            return (block for _, block in tr._exact_blocks(spec, args.steps, None, rows))
 
         yield args.dump_distributions, ["n", "m", "p"], [
             _Grid(range(args.steps + 1), spec.n_nodes, blocks)]
 
 
 def cmd_window(args):
+    from . import thermalization as th
+
     omegas = _parse_omegas(args.omega)
     windows = [th.thermalization_window(args.n_nodes, omega) for omega in omegas]
     columns = ([args.n_nodes] * len(omegas), omegas, [w.t_start for w in windows],
@@ -322,6 +330,8 @@ def cmd_window(args):
 
 
 def cmd_approx_entropy(args):
+    from . import thermalization as th
+
     spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
     if args.steps is not None:
         lin._check_steps(args.steps)
@@ -345,13 +355,15 @@ def _one_row(values: list) -> list[tuple]:
 
 
 def cmd_table(args):
+    from . import thermalization as th
+
     spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
     window = th.thermalization_window(spec.n_nodes, spec.omega)
     # the split, then --steps (nonnegative, reaching the window's end), are
     # refused before the chain runs; the run defaults to ending with the window
     params = th.approx_entropy_params(spec.n_nodes, spec.omega)
     ts = th._window_steps(window, args.steps)
-    traj = th.simulate_trajectory(spec, ts[-1] if args.steps is None else args.steps)
+    traj = tr.simulate_trajectory(spec, ts[-1] if args.steps is None else args.steps)
     report = th.error_metrics(spec, traj, params=params, boltzmann=args.boltzmann)
     print(f"error metrics for N={spec.n_nodes}, omega={spec.omega:.17g} "
           f"over steps [{ts[0]}, {ts[-1]}]:")
@@ -370,6 +382,8 @@ def cmd_table(args):
 
 
 def cmd_dqc(args):
+    from . import thermalization as th
+
     omega = _single_omega(args)
     est = th.dqc_step_estimates(args.n_nodes, omega)
     point = EnsemblePoint.from_omega(args.n_nodes, omega, args.epsilon)

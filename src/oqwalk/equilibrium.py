@@ -181,6 +181,12 @@ class EnsemblePoint:
         return self.beta * self.epsilon
 
 
+# |z| = |beta eps| below which e^z/(e^z - 1)^2 = (1 - z^2/12 + ...)/z^2 is 1/z^2 to the
+# last bit, and above which z^2 e^-|z| is 0.0; the large-N forms take these limits.
+_TINY_Z = 1e-8
+_HUGE_Z = 1e3
+
+
 def _exp_over_expm1_sq(z: float) -> float:
     # e^z/(e^z - 1)^2 = 1/(4 sinh^2(z/2)); even in z, no overflow.
     z = abs(z)
@@ -285,7 +291,12 @@ def entropy_derivative_large_n(beta: float, epsilon: float = 1.0) -> float:
     _check_beta(beta)
     if beta == 0.0:
         raise ValueError("the large-N entropy derivative diverges at beta = 0")
-    return -beta * epsilon * epsilon * _exp_over_expm1_sq(beta * epsilon)
+    z = beta * epsilon
+    if abs(z) < _TINY_Z:        # -1/beta to the last bit, where z may have underflowed
+        return -1.0 / beta
+    if math.isinf(z):           # the product overflowed; e^-|z| is 0.0
+        return math.copysign(0.0, -z)
+    return -epsilon * (z * _exp_over_expm1_sq(z))
 
 
 def entropy_derivative_high_t(beta: float, epsilon: float = 1.0) -> float:
@@ -321,7 +332,8 @@ def free_energy_derivative_high_t(beta: float, epsilon: float = 1.0) -> float:
     z = beta * epsilon
     if z <= 0.0:
         raise ValueError("asymptote defined for beta * epsilon > 0")
-    return (1.0 - math.log(z)) / (beta * beta)
+    # beta * beta may underflow to 0.0: dividing twice overflows to inf instead
+    return (1.0 - math.log(z)) / beta / beta
 
 
 def heat_capacity(point: EnsemblePoint) -> float:
@@ -334,16 +346,21 @@ def heat_capacity_large_n(beta: float, epsilon: float = 1.0) -> float:
     _check_epsilon(epsilon)
     _check_beta(beta)
     z = beta * epsilon
-    if z == 0.0:
+    if abs(z) < _TINY_Z:        # 1 - z^2/12 rounds to 1.0
         return 1.0
+    if abs(z) > _HUGE_Z:        # z^2 e^-|z| underflows to 0.0 from |z| ~ 745.2 on
+        return 0.0
     return z * z * _exp_over_expm1_sq(z)
 
 
 def heat_capacity_high_t(beta: float, epsilon: float = 1.0) -> float:
-    """High-temperature, large-N heat capacity e^(beta eps) = (1-omega)/omega."""
+    """High-temperature, large-N heat capacity e^(beta eps) = (1-omega)/omega; inf past overflow."""
     _check_epsilon(epsilon)
     _check_beta(beta)
-    return math.exp(beta * epsilon)
+    try:
+        return math.exp(beta * epsilon)
+    except OverflowError:
+        return math.inf
 
 
 def energy_cost_domega(point: EnsemblePoint) -> float:

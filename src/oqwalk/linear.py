@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channel import OqwChannel
 from .equilibrium import _check_drift, _check_epsilon, _check_n_nodes, _check_omega, _log_odds
 
 __all__ = [
@@ -28,6 +28,9 @@ __all__ = [
     "boundary_mass_bound",
     "internal_state_at_node",
 ]
+
+if TYPE_CHECKING:
+    from .channel import OqwChannel
 
 _UNITARY_TOL = 1e-10
 
@@ -110,8 +113,12 @@ def build_channel(spec: LinearWalkSpec) -> OqwChannel:
 
     Transitions: sqrt(lambda) I self-loop at node 0, sqrt(omega) U_i right
     hops, sqrt(lambda) U_{i-1}^dagger left hops, sqrt(omega) I self-loop at
-    node N-1; everything else is the zero operator.
+    node N-1; everything else is the zero operator.  The engine module is
+    imported here, on the first call, so that the classical chain loads
+    without it.
     """
+    from .channel import OqwChannel
+
     n, d = spec.n_nodes, spec.internal_dim
     sw = math.sqrt(spec.omega)
     sl = math.sqrt(spec.lam)

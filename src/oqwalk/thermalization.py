@@ -1,20 +1,25 @@
-"""Nonequilibrium analysis: trajectories, thermalization window, entropy approximation.
+"""Nonequilibrium analysis: thermalization window, entropy approximation, error metrics.
 
 A walker released at node 0 with omega > 1/2 first spreads as a drifting
-Gaussian (velocity v = 2*omega - 1, dispersion rate 1/2), then piles up at the
-far boundary and deforms into the geometric steady state.  This module
-simulates exact trajectories, locates the deformation window, evaluates the
-two-piece (Gaussian + Boltzmann) entropy approximation, and produces the
-error metrics, time-dependent temperature, entropy production, and step-count
-estimates for dissipative computation runs.  The error metrics are taken over
-the window's integer steps [ceil(t_start), floor(t_end)]: one private helper,
+Gaussian (velocity v = 2*omega - 1, dispersion rate 1/2), then piles up at
+the far boundary and deforms into the geometric steady state.  This module
+locates the deformation window, evaluates the two-piece (Gaussian +
+Boltzmann) entropy approximation, and produces the error metrics, the free
+packet's temperature and the step-count estimates for dissipative
+computation runs.  The exact trajectories themselves (simulate_trajectory,
+TrajectoryRecord, iter_distributions, shannon_entropy, entropy_production
+and the band chain behind them) live in the private module
+oqwalk._trajectory, which runs the chain without loading the analytic forms;
+this module imports them as the same objects, so every name of __all__ is
+public here as before.  The error metrics are taken over the window's
+integer steps [ceil(t_start), floor(t_end)]: one private helper,
 _window_steps, rounds the window and checks a run's length against it, for
 error_metrics and for the CLI's `table`, which so refuses a short run before
 its chain.  The approximation evaluators (and entropy_gaussian_regime) are
 array-valued in t: floats for a scalar t, arrays shaped like an array of
 times.  Their erfc is the C library's math.erfc, applied elementwise, and
-p log p with 0 log 0 = 0 has one definition (_xlogx) for the Shannon entropy
-and the Boltzmann piece.
+p log p with 0 log 0 = 0 has one definition (_xlogx) for the Shannon
+entropy and the Boltzmann piece.
 
 All analytic forms assume rightward drift (omega > 1/2).  For omega < 1/2
 mirror the node indices (omega -> 1-omega), which leaves every thermodynamic
@@ -25,13 +30,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from . import equilibrium
+from ._trajectory import (  # noqa: F401  (re-exported: the exact series and its helpers)
+    _BLOCK_BYTES,
+    _EXACT,
+    _FLAT_ENTROPY_TOL,
+    _TINY,
+    TrajectoryRecord,
+    _centred_difference,
+    _chain_blocks,
+    _exact_blocks,
+    _generated_entropy,
+    _temperature_estimate,
+    _xlogx,
+    entropy_production,
+    iter_distributions,
+    shannon_entropy,
+    simulate_trajectory,
+)
 from .equilibrium import EnsemblePoint
-from .linear import LinearWalkSpec, _check_steps, _start, markov_step, steady_state
+from .linear import LinearWalkSpec, _check_steps, steady_state
 
 __all__ = [
     "GaussianProfile",
@@ -57,19 +79,6 @@ __all__ = [
     "entropy_production",
     "dqc_step_estimates",
 ]
-
-# |dS| below this is treated as a vanishing denominator in dE/dS estimates.
-_FLAT_ENTROPY_TOL = 1e-12
-
-# Bytes of the (rows, N) block of distributions that simulate_trajectory reduces
-# in one pass: enough rows to spread the per-call cost of the reductions over
-# many steps, few enough that the block and its temporaries stay in cache.
-_BLOCK_BYTES = 256 * 1024
-
-# Band floors of _chain_blocks: DBL_MIN for the series, the smallest subnormal
-# for the exact chain.
-_TINY = np.finfo(float).tiny
-_EXACT = np.finfo(float).smallest_subnormal
 
 
 @dataclass(frozen=True)
@@ -378,218 +387,6 @@ def approx_entropy(spec: LinearWalkSpec, t, params: ApproxEntropyParams | None =
     return approx_entropy_components(spec, t, params=params, boltzmann=boltzmann).total
 
 
-def shannon_entropy(p: np.ndarray) -> float | np.ndarray:
-    """Entropy -sum p log p in nats over the last axis (0 log 0 = 0, and no -0.0).
-
-    A 1-D distribution gives a float; a stack of distributions gives one
-    entropy per row, each bit-identical to the 1-D call on that row.
-
-    For the linear walk from a pure localized start this equals the von
-    Neumann entropy of the full quantum state: every occupied block stays a
-    rank-one projector, so the position marginal carries all the mixedness.
-    """
-    s = 0.0 - _xlogx(np.asarray(p, dtype=float)).sum(axis=-1)
-    return float(s) if s.ndim == 0 else s
-
-
-def _xlogx(p: np.ndarray) -> np.ndarray:
-    """p log p elementwise, with 0 log 0 = 0."""
-    terms = np.log(p, out=np.zeros_like(p), where=p > 0)
-    terms *= p
-    return terms
-
-
-@dataclass(frozen=True, eq=False)
-class TrajectoryRecord:
-    """Per-step series of an exact walk simulation.
-
-    Arrays are indexed by step 0..steps.  temperature_estimate holds the
-    smoothed finite-difference dE/dS, with +-inf where the entropy is flat
-    (divergence sentinel) and nan where both increments vanish.
-    final_distribution is p_steps of the series' chain (see
-    simulate_trajectory); distributions, when kept, are the exact chain's.
-
-    Invariant residuals of the run: mass_drift is max_n |sum p_n - sum p_0|
-    (sum p_0 is 1 up to the 1e-12 the start is checked to, so this is the
-    drift the chain itself causes); min_entropy_production_step is the
-    smallest S_gen(n+1) - S_gen(n), negative on a second-law violation (0.0
-    for a zero-step run); final_l1_to_steady is ||p_steps - pi||_1 against
-    steady_state(spec).
-
-    `==` and `hash` go by identity: to compare two runs, compare their series
-    with `np.array_equal`.
-    """
-
-    spec: LinearWalkSpec
-    entropy: np.ndarray
-    energy: np.ndarray
-    temperature_estimate: np.ndarray
-    entropy_generated: np.ndarray
-    equilibrium_temperature: float
-    final_distribution: np.ndarray
-    mass_drift: float
-    min_entropy_production_step: float
-    final_l1_to_steady: float
-    distributions: np.ndarray | None = None
-
-    @property
-    def steps(self) -> int:
-        return len(self.entropy) - 1
-
-
-def _centred_difference(x: np.ndarray, w: int) -> np.ndarray:
-    """x[min(i + w, n - 1)] - x[max(i - w, 0)] for each i, from x padded with its ends."""
-    p = np.pad(x, w, mode="edge")
-    return p[2 * w:] - p[:len(x)]
-
-
-def _temperature_estimate(energy: np.ndarray, ent: np.ndarray, half_width: int) -> np.ndarray:
-    d_e = _centred_difference(energy, half_width)
-    d_s = _centred_difference(ent, half_width)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = d_e / d_s
-    flat = np.abs(d_s) < _FLAT_ENTROPY_TOL
-    out[flat] = np.where(np.abs(d_e[flat]) < _FLAT_ENTROPY_TOL,
-                         math.nan, np.copysign(math.inf, d_e[flat]))
-    return out
-
-
-def _chain_blocks(p: np.ndarray, omega: float, steps: int, rows: int,
-                  floor: float) -> Iterator[tuple[int, np.ndarray]]:
-    """The chain p_0 = p, ..., p_steps as (start, block), block holding p_start,
-    p_start+1, ... (rows steps, fewer at the end) in a view of a reused ring
-    buffer that the next block overwrites.
-
-    From p_1 on, a band [lo, hi] with edge entries >= floor is kept, with 0.0
-    outside it.  Each step runs the stencil on [lo-1, hi+1] only, in place,
-    then moves each edge inward past entries below floor, setting them to
-    0.0: at _TINY this flushes subnormal tails; at _EXACT it passes exact
-    zeros only, so from a start without -0.0 (as _start gives) every row is
-    the two-argument markov_step loop's, bit for bit.
-    """
-    n = len(p)
-    # Step k is written in place into slot k % slots of the buffer, from slot
-    # (k-1) % slots (index slot - 1, which wraps at 0); with two slots at
-    # least, a step never writes the row it reads.
-    slots = min(max(rows, 2), steps + 1)
-    buffer = np.zeros((slots, n))
-    buffer[0] = p
-    extent = [(0, n - 1)] + [(n, -1)] * (slots - 1)  # nonzero span of each slot
-    band = np.flatnonzero(p >= floor)
-    lo, hi = int(band[0]), int(band[-1])
-    slot_rows = list(buffer)
-    for start in range(0, steps + 1, rows):
-        stop = min(start + rows, steps + 1)
-        for k in range(max(start, 1), stop):
-            slot = k % slots
-            row = slot_rows[slot]
-            a = lo - 1 if lo else 0
-            b = hi + 1 if hi < n - 1 else hi
-            old_lo, old_hi = extent[slot]
-            if old_lo < a:
-                row[old_lo:a] = 0.0
-            if old_hi > b:
-                row[b + 1:old_hi + 1] = 0.0
-            markov_step(slot_rows[slot - 1], omega, row, a, b + 1)
-            while row[a] < floor:
-                row[a] = 0.0
-                a += 1
-            while row[b] < floor:
-                row[b] = 0.0
-                b -= 1
-            lo, hi = a, b
-            extent[slot] = (a, b)
-        offset = start % slots
-        yield start, buffer[offset:offset + stop - start]
-
-
-def _exact_blocks(spec: LinearWalkSpec, steps: int, p0: np.ndarray | None,
-                  rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """_chain_blocks of the exact chain from p0 (default: node 0), checked at the call."""
-    return _chain_blocks(_start(spec, steps, p0), spec.omega, steps, rows, _EXACT)
-
-
-def iter_distributions(
-    spec: LinearWalkSpec, steps: int, p0: np.ndarray | None = None
-) -> Iterator[np.ndarray]:
-    """Yield the exact distributions p_0, ..., p_steps of the chain, one at a time.
-
-    p0 defaults to the walker localized at node 0.  Each is a new copy of a row
-    of _chain_blocks at its exact floor, one step per block: O(N) memory.
-    """
-    return (block[0].copy() for _, block in _exact_blocks(spec, steps, p0, 1))
-
-
-def _generated_entropy(entropy: np.ndarray, energy: np.ndarray, t_eq: float) -> np.ndarray:
-    """S_gen = S - E/T_eq: S bit for bit at infinite T_eq, as E >= 0 and S is never -0."""
-    return entropy - energy / t_eq
-
-
-def simulate_trajectory(
-    spec: LinearWalkSpec,
-    steps: int,
-    p0: np.ndarray | None = None,
-    t_est_half_width: int = 5,
-    keep_distributions: bool = False,
-) -> TrajectoryRecord:
-    """Run the chain and record S(n), E(n), T_est(n), S_gen(n).
-
-    p0 defaults to the walker localized at node 0, for which S(0) = E(0) = 0.
-    S_gen(n) = S(n) - E(n)/T_eq; at omega = 1/2 (infinite T_eq) the heat term
-    drops and S_gen = S.  The temperature estimate uses centered differences
-    over +-t_est_half_width steps (a nonnegative integer, checked before the
-    chain runs): the raw pointwise dE/dS is too noisy near the entropy maximum
-    where dS crosses zero.
-
-    The series reduce (entropy, energy, mass) the full rows of _chain_blocks
-    at floor DBL_MIN, a block of steps at a time.  A flushed subnormal moves
-    them only by terms far below the rounding of the row sums: they equal the
-    exact chain's bit for bit on every case the tests check, and
-    final_distribution is within (N + 2 steps) DBL_MIN of it in L1.
-    keep_distributions runs the chain once at its exact floor instead, into
-    one (steps+1) x N array of every p_n; the series reduce that array in
-    slices of the same block height, and final_distribution is its last row.
-    """
-    p = _start(spec, steps, p0)
-    if not isinstance(t_est_half_width, (int, np.integer)) or t_est_half_width < 0:
-        raise ValueError("t_est_half_width must be a nonnegative integer, "
-                         f"got {t_est_half_width!r}")
-    n = spec.n_nodes
-    sites = np.arange(n, dtype=float)
-    ent, energy, mass = np.empty((3, steps + 1))
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    if keep_distributions:
-        # one block of steps + 1 rows is the exact chain's whole ring buffer
-        dists = next(_chain_blocks(p, spec.omega, steps, steps + 1, _EXACT))[1]
-        blocks = ((start, dists[start:start + rows]) for start in range(0, steps + 1, rows))
-    else:
-        dists = None
-        blocks = _chain_blocks(p, spec.omega, steps, rows, _TINY)
-    for start, block in blocks:
-        stop = start + len(block)
-        ent[start:stop] = shannon_entropy(block)
-        energy[start:stop] = block @ sites
-        mass[start:stop] = block.sum(axis=-1)
-    energy *= spec.epsilon
-    p = block[-1].copy()
-
-    t_eq = equilibrium.equilibrium_temperature(spec.omega, spec.epsilon)
-    s_gen = _generated_entropy(ent, energy, t_eq)
-    return TrajectoryRecord(
-        spec=spec,
-        entropy=ent,
-        energy=energy,
-        temperature_estimate=_temperature_estimate(energy, ent, t_est_half_width),
-        entropy_generated=s_gen,
-        equilibrium_temperature=t_eq,
-        final_distribution=p,
-        mass_drift=float(np.abs(mass - mass[0]).max()),
-        min_entropy_production_step=float(np.diff(s_gen).min()) if steps else 0.0,
-        final_l1_to_steady=float(np.abs(p - steady_state(spec)).sum()),
-        distributions=dists,
-    )
-
-
 @dataclass(frozen=True)
 class ErrorMetricsReport:
     """Window error metrics between the approximate and exact entropy curves."""
@@ -656,18 +453,6 @@ def noneq_temperature_analytic(profile: GaussianProfile, epsilon: float, t: floa
     """
     _positive_times(t)
     return 2.0 * profile.velocity * epsilon * t
-
-
-def entropy_production(trajectory: TrajectoryRecord, t_eq: float | None = None) -> np.ndarray:
-    """Generated entropy S_gen(t) = S(t) - E(t)/T_eq along a trajectory.
-
-    Nonnegative and nondecreasing for any start (the chain contracts
-    relative entropy to the steady state).  When T_eq is infinite
-    (omega = 1/2) the heat term vanishes and S_gen = S.
-    """
-    if t_eq is None:
-        t_eq = trajectory.equilibrium_temperature
-    return _generated_entropy(trajectory.entropy, trajectory.energy, t_eq)
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from oqwalk import equilibrium as eq
 from oqwalk import linear as lin
 from oqwalk import thermalization as th
 from oqwalk import _numtext, cli
+from oqwalk import _trajectory as tr
 from oqwalk.cli import main
 from oqwalk.equilibrium import EnsemblePoint
 from oqwalk.linear import LinearWalkSpec
@@ -188,6 +189,13 @@ def _refuse_to_run(*args, **kwargs):
     raise AssertionError("the chain ran before the inputs were checked")
 
 
+def _assert_chain_refused():
+    """A valid table run reaches the patched simulate_trajectory: the patch that
+    a refusal test relies on is the one the CLI calls."""
+    with pytest.raises(AssertionError, match="^the chain ran before"):
+        main(["table", "--n-nodes", "100", "--omega", "0.7"])
+
+
 @pytest.mark.parametrize("command", ["approx-entropy", "table"])
 @pytest.mark.parametrize("omega", ["0.8536", "0.9", "0.99"])
 def test_empty_boltzmann_tail_is_refused_naming_k_upper(command, omega, tmp_path, capsys,
@@ -195,7 +203,7 @@ def test_empty_boltzmann_tail_is_refused_naming_k_upper(command, omega, tmp_path
     # at the default k_upper = 2, n_prime = N - 2 sigma_ss lies at or above the
     # last node from omega = (2 + sqrt 2)/4 on: the tail-sum S_a(t) would tend
     # to 0, not to S_eq, so the split is refused before any work
-    monkeypatch.setattr(th, "simulate_trajectory", _refuse_to_run)
+    monkeypatch.setattr(tr, "simulate_trajectory", _refuse_to_run)
     out = tmp_path / "out.csv"
     assert main([command, "--n-nodes", "100", "--omega", omega, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -203,6 +211,7 @@ def test_empty_boltzmann_tail_is_refused_naming_k_upper(command, omega, tmp_path
     assert captured.err.startswith("oqwalk: error: the Boltzmann tail is empty")
     assert "k_upper" in captured.err
     assert not out.exists()
+    _assert_chain_refused()
 
 
 def test_trajectory_distribution_dump(tmp_path):
@@ -310,7 +319,7 @@ def test_approx_entropy_bad_convention_writes_nothing(tmp_path, capsys):
 
 
 def test_table_refuses_a_bad_config_convention_before_the_chain(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(th, "simulate_trajectory", _refuse_to_run)
+    monkeypatch.setattr(tr, "simulate_trajectory", _refuse_to_run)
     config = tmp_path / "bad.cfg"
     config.write_text("boltzmann = bogus\n")
     out = tmp_path / "metrics.csv"
@@ -318,6 +327,7 @@ def test_table_refuses_a_bad_config_convention_before_the_chain(tmp_path, capsys
                  "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "oqwalk: error: boltzmann must be tail-sum or "
                                        "weighted-equilibrium, got 'bogus'\n")
+    _assert_chain_refused()
     assert not out.exists()
 
 
@@ -1036,13 +1046,17 @@ def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, cod
 def test_run_too_large_for_memory_prints_one_line(argv, error, tmp_path, capsys, monkeypatch):
     # Both runs ask for ~1e12 steps; whether numpy can allocate them depends on
     # the host's overcommit policy, so the allocation is made to fail here instead.
+    calls = []
+
     def simulate_trajectory(spec, steps):
+        calls.append(steps)
         assert steps >= 10**12
         raise error
 
-    monkeypatch.setattr(th, "simulate_trajectory", simulate_trajectory)
+    monkeypatch.setattr(tr, "simulate_trajectory", simulate_trajectory)
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "out.csv"]) == 2
+    assert calls == [10**12]
     detail = str(error) or "MemoryError"
     assert capsys.readouterr() == ("", f"oqwalk: error: not enough memory for this run: "
                                        f"{detail}\n")
@@ -1057,13 +1071,14 @@ _REFERENCE_ROWS = {}
 def test_table_refuses_a_void_split_before_its_chain(tmp_path, capsys, monkeypatch):
     # at omega = 0.500001 the window ends near 4/v^2 ~ 1e12 steps, and the split
     # n_prime = N - 2 sigma_ss lies far below 0: it is refused before the chain
-    monkeypatch.setattr(th, "simulate_trajectory", _refuse_to_run)
+    monkeypatch.setattr(tr, "simulate_trajectory", _refuse_to_run)
     monkeypatch.chdir(tmp_path)
     assert main(["table", "--n-nodes", "100", "--omega", "0.500001", "--out", "out.csv"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("oqwalk: error: n_prime = -4")
     assert "outside (0, 100)" in err
     assert os.listdir(tmp_path) == []
+    _assert_chain_refused()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1076,11 +1091,12 @@ def test_table_refuses_a_void_split_before_its_chain(tmp_path, capsys, monkeypat
 def test_table_refuses_its_steps_before_its_chain(argv, message, tmp_path, capsys, monkeypatch):
     # the window's last step is floor(t_end); a run that ends before it, or a
     # negative one, is refused before simulate_trajectory is called
-    monkeypatch.setattr(th, "simulate_trajectory", _refuse_to_run)
+    monkeypatch.setattr(tr, "simulate_trajectory", _refuse_to_run)
     monkeypatch.chdir(tmp_path)
     assert main(["table"] + argv + ["--out", "out.csv"]) == 2
     assert capsys.readouterr() == ("", f"oqwalk: error: {message}\n")
     assert os.listdir(tmp_path) == []
+    _assert_chain_refused()
 
 
 def reference_rows(kind, case):

@@ -636,3 +636,46 @@ def test_high_t_asymptotes_refuse_their_poles():
         with pytest.raises(ValueError) as exc:
             eq.free_energy_derivative_high_t(beta, epsilon)
         assert str(exc.value) == "asymptote defined for beta * epsilon > 0"
+
+
+def test_beta_helpers_take_their_limits_at_extreme_finite_beta():
+    assert eq.heat_capacity_high_t(1000.0) == math.inf            # e^1000 overflows
+    assert eq.free_energy_derivative_high_t(1e-170) == math.inf   # beta * beta underflows
+    assert eq.heat_capacity_large_n(1e200) == 0.0                 # z^2 = inf meets e^-|z| = 0
+    assert eq.heat_capacity_large_n(-1e200) == 0.0
+    # beta * epsilon underflows to 0.0 or overflows to inf: the limits -1/beta and 0
+    assert eq.entropy_derivative_large_n(1e-200, 1e-200) == -1e200
+    assert eq.heat_capacity_large_n(1e-200, 1e-200) == 1.0
+    assert eq.entropy_derivative_large_n(1e200, 1e200) == 0.0
+    assert eq.entropy_derivative_large_n(-1e200, 1e200) == 0.0
+
+
+# each helper's documented refusal beyond epsilon > 0
+_BETA_HELPER_POLES = {
+    eq.entropy_derivative_large_n: lambda beta, epsilon: beta == 0.0,
+    eq.entropy_derivative_high_t: lambda beta, epsilon: beta == 0.0,
+    eq.free_energy_derivative_high_t: lambda beta, epsilon: beta * epsilon <= 0.0,
+    eq.heat_capacity_large_n: lambda beta, epsilon: False,
+    eq.heat_capacity_high_t: lambda beta, epsilon: False,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(beta=st.floats(allow_nan=False, allow_infinity=False),
+       epsilon=st.floats(allow_nan=False, allow_infinity=False))
+@example(1000.0, 1.0)
+@example(1e-170, 1.0)
+@example(1e200, 1.0)
+@example(1e200, 1e200)
+@example(-1e200, 1e200)
+@example(1e-200, 1e-200)
+@example(5e-324, 1.0)
+@example(-1e-300, 1e-300)
+@example(1.0, 5e-324)
+def test_beta_helpers_give_a_number_or_their_refusal(beta, epsilon):
+    for helper, pole in _BETA_HELPER_POLES.items():
+        if not epsilon > 0.0 or pole(beta, epsilon):
+            with pytest.raises(ValueError):
+                helper(beta, epsilon)
+        else:
+            assert not math.isnan(helper(beta, epsilon)), helper.__name__

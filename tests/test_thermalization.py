@@ -14,6 +14,7 @@ from scipy.special import xlogy
 from oqwalk import channel as ch
 from oqwalk import equilibrium as eq
 from oqwalk import linear as lin
+from oqwalk import _trajectory as tr
 from oqwalk import thermalization as th
 from oqwalk.equilibrium import EnsemblePoint
 from oqwalk.linear import LinearWalkSpec
@@ -521,7 +522,7 @@ def test_kept_distributions_come_from_one_exact_chain(monkeypatch):
         floors.append(floor)
         return chain(p, omega, steps, rows, floor)
 
-    monkeypatch.setattr(th, "_chain_blocks", counted)
+    monkeypatch.setattr(tr, "_chain_blocks", counted)
     traj = th.simulate_trajectory(spec, 40, keep_distributions=True)
     assert floors == [th._EXACT]
     assert not np.shares_memory(traj.final_distribution, traj.distributions)
@@ -598,7 +599,7 @@ def test_trajectory_block_reductions_match_per_step(n, where, custom_start, keep
         calls.append(block.shape)
         return reduce(block)
 
-    monkeypatch.setattr(th, "shannon_entropy", counted)
+    monkeypatch.setattr(tr, "shannon_entropy", counted)
     traj = th.simulate_trajectory(spec, steps, p0=p0, keep_distributions=keep)
     monkeypatch.undo()
 
@@ -702,7 +703,7 @@ def test_band_chain_rows_are_zero_outside_their_band(monkeypatch):
             assert row[band[0]] >= tiny and row[band[-1]] >= tiny
         return reduce(block)
 
-    monkeypatch.setattr(th, "shannon_entropy", checked)
+    monkeypatch.setattr(tr, "shannon_entropy", checked)
     traj = th.simulate_trajectory(spec, 3000)
     monkeypatch.undo()
     assert len(seen) == 3001
@@ -1012,10 +1013,12 @@ def test_bad_half_width_is_refused_before_the_chain_runs(half_width, monkeypatch
     def no_chain(*args):
         raise AssertionError("the chain ran")
 
-    monkeypatch.setattr(th, "_chain_blocks", no_chain)
+    monkeypatch.setattr(tr, "_chain_blocks", no_chain)
     with pytest.raises(ValueError, match=rf"^t_est_half_width must be a nonnegative "
                                          rf"integer, got {half_width}$"):
         th.simulate_trajectory(LinearWalkSpec(10, 0.7), 20, t_est_half_width=half_width)
+    with pytest.raises(AssertionError, match="^the chain ran$"):  # the patch is the one called
+        th.simulate_trajectory(LinearWalkSpec(10, 0.7), 20)
 
 
 def test_temperature_estimate_signed_infinities():
