@@ -54,6 +54,8 @@ from ._trajectory import (  # noqa: F401  (re-exported: the exact series and its
 )
 from .equilibrium import EnsemblePoint
 from .linear import LinearWalkSpec, _check_steps, steady_state
+# an attribute that bench/spans.py wraps by name; the chain calls _trajectory's
+from .linear import markov_step  # noqa: F401
 
 __all__ = [
     "GaussianProfile",
