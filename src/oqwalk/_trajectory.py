@@ -2,8 +2,10 @@
 
 This is the part of the nonequilibrium analysis that runs the chain: the band
 generator _chain_blocks that yields p_0, ..., p_steps a block of steps at a
-time, the Shannon entropy (and its p log p, _xlogx), TrajectoryRecord and
-simulate_trajectory, iter_distributions and entropy_production.  It holds no
+time with each row's band, the one reducer _reduce_chain that takes S (and E
+and the mass when asked) over a range of those steps, the Shannon entropy (and
+its p log p, _xlogx), TrajectoryRecord and simulate_trajectory,
+iter_distributions and entropy_production.  It holds no
 analytic form, so a run of the series loads neither the thermalization
 window nor the entropy approximation.  Every name here is public through
 oqwalk.thermalization, which imports them as the same objects; this module
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -24,7 +26,10 @@ from .linear import LinearWalkSpec, _start, markov_step, steady_state
 # |dS| below this is treated as a vanishing denominator in dE/dS estimates.
 _FLAT_ENTROPY_TOL = 1e-12
 
-# Bytes of the (rows, N) block of distributions that simulate_trajectory reduces
+# Steps on either side of the centred differences of the temperature estimate.
+_T_EST_HALF_WIDTH = 5
+
+# Bytes of the (rows, N) block of distributions that _reduce_chain reduces
 # in one pass: enough rows to spread the per-call cost of the reductions over
 # many steps, few enough that the block and its temporaries stay in cache.
 _BLOCK_BYTES = 256 * 1024
@@ -112,10 +117,11 @@ def _temperature_estimate(energy: np.ndarray, ent: np.ndarray, half_width: int) 
 
 
 def _chain_blocks(p: np.ndarray, omega: float, steps: int, rows: int,
-                  floor: float) -> Iterator[tuple[int, np.ndarray]]:
-    """The chain p_0 = p, ..., p_steps as (start, block), block holding p_start,
-    p_start+1, ... (rows steps, fewer at the end) in a view of a reused ring
-    buffer that the next block overwrites.
+                  floor: float) -> Iterator[tuple[int, np.ndarray, list[tuple[int, int]]]]:
+    """The chain p_0 = p, ..., p_steps as (start, block, bands), block holding
+    p_start, p_start+1, ... (rows steps, fewer at the end) in a view of a reused
+    ring buffer that the next block overwrites, and bands[k] the (lo, hi) of
+    block[k]: the row is 0.0 outside lo..hi (p_0's band is the whole row).
 
     From p_1 on, a band [lo, hi] with edge entries >= floor is kept, with 0.0
     outside it.  Each step runs the stencil on [lo-1, hi+1] only, in place,
@@ -157,13 +163,15 @@ def _chain_blocks(p: np.ndarray, omega: float, steps: int, rows: int,
             lo, hi = a, b
             extent[slot] = (a, b)
         offset = start % slots
-        yield start, buffer[offset:offset + stop - start]
+        yield start, buffer[offset:offset + stop - start], extent[offset:offset + stop - start]
 
 
 def _exact_blocks(spec: LinearWalkSpec, steps: int, p0: np.ndarray | None,
                   rows: int) -> Iterator[tuple[int, np.ndarray]]:
-    """_chain_blocks of the exact chain from p0 (default: node 0), checked at the call."""
-    return _chain_blocks(_start(spec, steps, p0), spec.omega, steps, rows, _EXACT)
+    """(start, block) of _chain_blocks of the exact chain from p0 (default: node 0),
+    checked at the call."""
+    blocks = _chain_blocks(_start(spec, steps, p0), spec.omega, steps, rows, _EXACT)
+    return ((start, block) for start, block, _ in blocks)
 
 
 def iter_distributions(
@@ -182,11 +190,99 @@ def _generated_entropy(entropy: np.ndarray, energy: np.ndarray, t_eq: float) -> 
     return entropy - energy / t_eq
 
 
+class _Series(NamedTuple):
+    """What _reduce_chain gives: each quantity over its range of steps (None
+    when not asked for), the chain's last row, and with keep all its rows."""
+
+    entropy: np.ndarray
+    energy: np.ndarray | None
+    mass: np.ndarray | None
+    final: np.ndarray
+    distributions: np.ndarray | None
+
+
+def _reduce_chain(spec: LinearWalkSpec, steps: int, p: np.ndarray | None = None,
+                  span: range | None = None, energy: bool = False, mass: bool = False,
+                  keep: bool = False) -> _Series:
+    """Run the chain to p_steps and reduce S, and E and the mass when asked, on
+    the steps of `span` (a range of step 1 within 0..steps; default all).
+
+    p is a start as _start gives it (None: node 0, checked here).  The chain
+    runs at floor DBL_MIN in blocks of _BLOCK_BYTES, or, with keep, once at
+    its exact floor into one (steps+1) x N array of every p_n, which is then
+    reduced in slices of the same height.  Blocks outside the span are not
+    reduced.
+
+    S takes p log p over each block's band only, the union of its rows'
+    bands from _chain_blocks: an unmasked np.log into a reused (rows, N)
+    scratch that is zero outside that band, times p in place.  Where a row's
+    own band is narrower than the union, its 0 log 0 terms are cleared.  The
+    sum runs over the full row, so S is shannon_entropy(row) bit for bit; a
+    row that an exact zero inside its own band leaves NaN (p_0, or a custom
+    start) is redone through shannon_entropy.  E = epsilon * (block @ sites)
+    is taken over the whole block, as its bits depend on the block's height,
+    and the mass is block.sum(axis=-1): both over full rows.
+    """
+    n = spec.n_nodes
+    p = _start(spec, steps, None) if p is None else p
+    span = range(steps + 1) if span is None else span
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    if keep:
+        # one block of steps + 1 rows is the exact chain's whole ring buffer
+        _, dists, extents = next(_chain_blocks(p, spec.omega, steps, steps + 1, _EXACT))
+        blocks = ((start, dists[start:start + rows], extents[start:start + rows])
+                  for start in range(0, steps + 1, rows))
+    else:
+        dists = None
+        blocks = _chain_blocks(p, spec.omega, steps, rows, _TINY)
+    ent = np.empty(len(span))
+    e = np.empty(len(span)) if energy else None
+    m = np.empty(len(span)) if mass else None
+    sites = np.arange(n, dtype=float)
+    scratch = np.zeros((rows, n))
+    s_lo, s_hi = n, 0                 # scratch is 0.0 outside columns s_lo..s_hi-1
+    for start, block, bands in blocks:
+        a, b = max(span.start - start, 0), min(span.stop - start, len(block))
+        if a >= b:
+            continue
+        out = slice(start + a - span.start, start + b - span.start)
+        if energy:
+            e[out] = (block @ sites)[a:b]
+        reduced, bands = block[a:b], bands[a:b]
+        if mass:
+            m[out] = reduced.sum(axis=-1)
+        los, his = zip(*bands)
+        lo, hi = min(los), max(his) + 1
+        if s_lo < lo:
+            scratch[:, s_lo:lo] = 0.0
+        if s_hi > hi:
+            scratch[:, hi:s_hi] = 0.0
+        s_lo, s_hi = lo, hi
+        terms = scratch[:len(reduced)]
+        inside = reduced[:, lo:hi]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(inside, out=terms[:, lo:hi])
+            terms[:, lo:hi] *= inside
+        for k, (row_lo, row_hi) in enumerate(bands):
+            if row_lo > lo:
+                terms[k, lo:row_lo] = 0.0
+            if row_hi + 1 < hi:
+                terms[k, row_hi + 1:hi] = 0.0
+        s = 0.0 - terms.sum(axis=-1)
+        redo = np.isnan(s)
+        if redo.any():
+            s[redo] = shannon_entropy(reduced[redo])
+        ent[out] = s
+    if energy:
+        e *= spec.epsilon
+    return _Series(ent, e, m, block[-1].copy(), dists)
+
+
 def simulate_trajectory(
     spec: LinearWalkSpec,
     steps: int,
     p0: np.ndarray | None = None,
-    t_est_half_width: int = 5,
+    t_est_half_width: int = _T_EST_HALF_WIDTH,
     keep_distributions: bool = False,
 ) -> TrajectoryRecord:
     """Run the chain and record S(n), E(n), T_est(n), S_gen(n).
@@ -198,37 +294,23 @@ def simulate_trajectory(
     chain runs): the raw pointwise dE/dS is too noisy near the entropy maximum
     where dS crosses zero.
 
-    The series reduce (entropy, energy, mass) the full rows of _chain_blocks
-    at floor DBL_MIN, a block of steps at a time.  A flushed subnormal moves
-    them only by terms far below the rounding of the row sums: they equal the
-    exact chain's bit for bit on every case the tests check, and
-    final_distribution is within (N + 2 steps) DBL_MIN of it in L1.
-    keep_distributions runs the chain once at its exact floor instead, into
-    one (steps+1) x N array of every p_n; the series reduce that array in
-    slices of the same block height, and final_distribution is its last row.
+    The series (entropy, energy, mass) come from _reduce_chain over every
+    step: the rows of _chain_blocks at floor DBL_MIN, a block of steps at a
+    time, with p log p taken over each block's band and every sum over full
+    rows.  A flushed subnormal moves them only by terms far below the
+    rounding of the row sums: they equal the exact chain's bit for bit on
+    every case the tests check, and final_distribution is within
+    (N + 2 steps) DBL_MIN of it in L1.  keep_distributions runs the chain
+    once at its exact floor instead, into one (steps+1) x N array of every
+    p_n; the series reduce that array in slices of the same block height, and
+    final_distribution is its last row.
     """
     p = _start(spec, steps, p0)
     if not isinstance(t_est_half_width, (int, np.integer)) or t_est_half_width < 0:
         raise ValueError("t_est_half_width must be a nonnegative integer, "
                          f"got {t_est_half_width!r}")
-    n = spec.n_nodes
-    sites = np.arange(n, dtype=float)
-    ent, energy, mass = np.empty((3, steps + 1))
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    if keep_distributions:
-        # one block of steps + 1 rows is the exact chain's whole ring buffer
-        dists = next(_chain_blocks(p, spec.omega, steps, steps + 1, _EXACT))[1]
-        blocks = ((start, dists[start:start + rows]) for start in range(0, steps + 1, rows))
-    else:
-        dists = None
-        blocks = _chain_blocks(p, spec.omega, steps, rows, _TINY)
-    for start, block in blocks:
-        stop = start + len(block)
-        ent[start:stop] = shannon_entropy(block)
-        energy[start:stop] = block @ sites
-        mass[start:stop] = block.sum(axis=-1)
-    energy *= spec.epsilon
-    p = block[-1].copy()
+    series = _reduce_chain(spec, steps, p, energy=True, mass=True, keep=keep_distributions)
+    ent, energy, mass, p = series.entropy, series.energy, series.mass, series.final
 
     t_eq = equilibrium.equilibrium_temperature(spec.omega, spec.epsilon)
     s_gen = _generated_entropy(ent, energy, t_eq)
@@ -243,7 +325,7 @@ def simulate_trajectory(
         mass_drift=float(np.abs(mass - mass[0]).max()),
         min_entropy_production_step=float(np.diff(s_gen).min()) if steps else 0.0,
         final_l1_to_steady=float(np.abs(p - steady_state(spec)).sum()),
-        distributions=dists,
+        distributions=series.distributions,
     )
 
 

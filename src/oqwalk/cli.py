@@ -39,6 +39,15 @@ and its default --steps; it refuses a split with no tail, a negative
 --steps and one that ends before the window does, in this order, before it
 runs its chain.
 
+Both exact series go through the one reducer of the chain's blocks,
+oqwalk._trajectory._reduce_chain, which takes p log p over each block's band
+and every sum over full rows, so each value is the full row's bit for bit.
+`trajectory` asks it for S and E on every step (not the mass, which the CLI
+does not print) and derives T_est and S_gen from them as simulate_trajectory
+does.  `table` asks for S on the window's steps alone: its chain runs to the
+window's last step, whatever a longer --steps asks, since no later row is
+read, and the rows before the window are stepped but not reduced.
+
 A run loads only what its subcommand calls.  This module loads the exact
 chain's series (oqwalk._trajectory), which `trajectory` and `table` run;
 `window`, `approx-entropy`, `table` and `dqc` import oqwalk.thermalization
@@ -306,9 +315,12 @@ def cmd_equilibrium(args):
 
 def cmd_trajectory(args):
     spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
-    traj = tr.simulate_trajectory(spec, args.steps)
-    series = (np.arange(args.steps + 1), traj.entropy, traj.energy,
-              traj.temperature_estimate, traj.entropy_generated)
+    # simulate_trajectory's series without its mass and residuals
+    s = tr._reduce_chain(spec, args.steps, energy=True)
+    t_eq = eq.equilibrium_temperature(spec.omega, spec.epsilon)
+    series = (np.arange(args.steps + 1), s.entropy, s.energy,
+              tr._temperature_estimate(s.energy, s.entropy, tr._T_EST_HALF_WIDTH),
+              tr._generated_entropy(s.entropy, s.energy, t_eq))
     yield args.out, ["n", "S", "E", "T_est", "S_gen"], [series]
     if args.dump_distributions is not None:
         # Replay the exact chain one writer block of steps at a time: O(N) memory.
@@ -363,8 +375,11 @@ def cmd_table(args):
     # refused before the chain runs; the run defaults to ending with the window
     params = th.approx_entropy_params(spec.n_nodes, spec.omega)
     ts = th._window_steps(window, args.steps)
-    traj = tr.simulate_trajectory(spec, ts[-1] if args.steps is None else args.steps)
-    report = th.error_metrics(spec, traj, params=params, boltzmann=args.boltzmann)
+    # the metrics read S on the window's steps only: the chain runs to its
+    # last one, and S is reduced on those steps alone
+    entropy = tr._reduce_chain(spec, ts[-1], span=ts).entropy
+    report = th._window_metrics(spec, window, ts, entropy, params=params,
+                                boltzmann=args.boltzmann)
     print(f"error metrics for N={spec.n_nodes}, omega={spec.omega:.17g} "
           f"over steps [{ts[0]}, {ts[-1]}]:")
     for label, value in [

@@ -185,6 +185,8 @@ class EnsemblePoint:
 # last bit, and above which z^2 e^-|z| is 0.0; the large-N forms take these limits.
 _TINY_Z = 1e-8
 _HUGE_Z = 1e3
+# The smallest normal double.
+_DBL_MIN = 2.2250738585072014e-308
 
 
 def _exp_over_expm1_sq(z: float) -> float:
@@ -326,14 +328,19 @@ def free_energy_derivative(point: EnsemblePoint) -> float:
 
 
 def free_energy_derivative_high_t(beta: float, epsilon: float = 1.0) -> float:
-    """Small positive beta*epsilon asymptote of the large-N dF/dbeta: (1 - log(beta eps))/beta^2."""
+    """Small positive beta*epsilon asymptote of the large-N dF/dbeta: (1 - log(beta eps))/beta^2.
+
+    log(beta eps) is taken as log beta + log eps where beta * eps is not a
+    finite normal double (it overflows, underflows or is subnormal).
+    """
     _check_epsilon(epsilon)
     _check_beta(beta)
-    z = beta * epsilon
-    if z <= 0.0:
+    if not beta > 0.0:          # epsilon > 0 is checked above
         raise ValueError("asymptote defined for beta * epsilon > 0")
+    z = beta * epsilon
+    log_z = math.log(z) if _DBL_MIN <= z < math.inf else math.log(beta) + math.log(epsilon)
     # beta * beta may underflow to 0.0: dividing twice overflows to inf instead
-    return (1.0 - math.log(z)) / beta / beta
+    return (1.0 - log_z) / beta / beta
 
 
 def heat_capacity(point: EnsemblePoint) -> float:

@@ -15,9 +15,11 @@ public here as before.  The error metrics are taken over the window's
 integer steps [ceil(t_start), floor(t_end)]: one private helper,
 _window_steps, rounds the window and checks a run's length against it, for
 error_metrics and for the CLI's `table`, which so refuses a short run before
-its chain.  The approximation evaluators (and entropy_gaussian_regime) are
-array-valued in t: floats for a scalar t, arrays shaped like an array of
-times.  Their erfc is the C library's math.erfc, applied elementwise, and
+its chain.  Both take their report from _window_metrics, over the exact S on
+those steps: error_metrics reads it from a trajectory, `table` reduces it on
+the window's steps alone.  The approximation evaluators (and
+entropy_gaussian_regime) are array-valued in t: floats for a scalar t,
+arrays shaped like an array of times.  Their erfc is the C library's math.erfc, applied elementwise, and
 p log p with 0 log 0 = 0 has one definition (_xlogx) for the Shannon
 entropy and the Boltzmann piece.
 
@@ -424,13 +426,21 @@ def error_metrics(
     """
     _check_same_walk(spec, trajectory.spec, "trajectory")
     window = thermalization_window(spec.n_nodes, spec.omega)
-    window_steps = _window_steps(window, trajectory.steps)
-    ts = np.arange(window_steps.start, window_steps.stop)
+    ts = _window_steps(window, trajectory.steps)
+    return _window_metrics(spec, window, ts, trajectory.entropy[ts.start:ts.stop],
+                           approx, params, boltzmann)
+
+
+def _window_metrics(spec: LinearWalkSpec, window: ThermalizationWindow, ts: range,
+                    s_exact: np.ndarray, approx: Callable[[int], float] | None = None,
+                    params: ApproxEntropyParams | None = None,
+                    boltzmann: str = "tail-sum") -> ErrorMetricsReport:
+    """error_metrics' report from the exact S on the window's steps ts (_window_steps)."""
+    t = np.arange(ts.start, ts.stop)
     if approx is None:
-        s_approx = approx_entropy(spec, ts, params=params, boltzmann=boltzmann)
+        s_approx = approx_entropy(spec, t, params=params, boltzmann=boltzmann)
     else:
-        s_approx = np.array([approx(int(t)) for t in ts])
-    s_exact = trajectory.entropy[ts]
+        s_approx = np.array([approx(int(k)) for k in t])
     delta = np.abs(s_approx - s_exact)
     rel = delta / s_exact
     log_n = math.log(spec.n_nodes)

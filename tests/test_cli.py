@@ -190,8 +190,8 @@ def _refuse_to_run(*args, **kwargs):
 
 
 def _assert_chain_refused():
-    """A valid table run reaches the patched simulate_trajectory: the patch that
-    a refusal test relies on is the one the CLI calls."""
+    """A valid table run reaches the patched _reduce_chain: the patch that a
+    refusal test relies on is the one the CLI calls."""
     with pytest.raises(AssertionError, match="^the chain ran before"):
         main(["table", "--n-nodes", "100", "--omega", "0.7"])
 
@@ -203,7 +203,7 @@ def test_empty_boltzmann_tail_is_refused_naming_k_upper(command, omega, tmp_path
     # at the default k_upper = 2, n_prime = N - 2 sigma_ss lies at or above the
     # last node from omega = (2 + sqrt 2)/4 on: the tail-sum S_a(t) would tend
     # to 0, not to S_eq, so the split is refused before any work
-    monkeypatch.setattr(tr, "simulate_trajectory", _refuse_to_run)
+    monkeypatch.setattr(tr, "_reduce_chain", _refuse_to_run)
     out = tmp_path / "out.csv"
     assert main([command, "--n-nodes", "100", "--omega", omega, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -319,7 +319,7 @@ def test_approx_entropy_bad_convention_writes_nothing(tmp_path, capsys):
 
 
 def test_table_refuses_a_bad_config_convention_before_the_chain(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(tr, "simulate_trajectory", _refuse_to_run)
+    monkeypatch.setattr(tr, "_reduce_chain", _refuse_to_run)
     config = tmp_path / "bad.cfg"
     config.write_text("boltzmann = bogus\n")
     out = tmp_path / "metrics.csv"
@@ -1044,23 +1044,91 @@ def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, cod
     MemoryError(),
 ], ids=["numpy", "bare"])
 def test_run_too_large_for_memory_prints_one_line(argv, error, tmp_path, capsys, monkeypatch):
-    # Both runs ask for ~1e12 steps; whether numpy can allocate them depends on
-    # the host's overcommit policy, so the allocation is made to fail here instead.
+    # Both runs ask for ~1e12 steps; whether numpy can allocate a trajectory's
+    # series depends on the host's overcommit policy, so the allocation is made
+    # to fail here instead.  table's chain stops at its window's last step.
     calls = []
 
-    def simulate_trajectory(spec, steps):
+    def reduce_chain(spec, steps, *args, **kwargs):
         calls.append(steps)
-        assert steps >= 10**12
         raise error
 
-    monkeypatch.setattr(tr, "simulate_trajectory", simulate_trajectory)
+    monkeypatch.setattr(tr, "_reduce_chain", reduce_chain)
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--out", "out.csv"]) == 2
-    assert calls == [10**12]
+    window = th.thermalization_window(100, 0.7)
+    assert calls == [10**12 if argv[0] == "trajectory" else math.floor(window.t_end)]
     detail = str(error) or "MemoryError"
     assert capsys.readouterr() == ("", f"oqwalk: error: not enough memory for this run: "
                                        f"{detail}\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_table_runs_its_chain_to_the_window_end_whatever_its_steps(tmp_path, capsys, monkeypatch):
+    # the metrics read S on the window's steps only, so a --steps past the
+    # window's end, 1e12 included, gives the default run's bytes
+    monkeypatch.chdir(tmp_path)
+    argv = ["table", "--n-nodes", "100", "--omega", "0.7"]
+    assert main(argv + ["--out", "default.csv"]) == 0
+    default = capsys.readouterr()
+    assert main(argv + ["--steps", "1000000000000", "--out", "long.csv"]) == 0
+    assert capsys.readouterr() == default
+    assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
+
+# table at omega = 2/3: the window's steps, the five metrics as stdout prints
+# them, and the --out row, as written before the table's chain stopped
+# reducing rows outside its window
+_TABLE_BYTES = {
+    (100, "tail-sum"): (
+        "213, 423", "0.616073 0.431591 0.151971 0.133778 0.057584",
+        "100,0.66666666666666663,212.52962501251838,423.47037498748176,0.61607271685959031,"
+        "0.4315910634160281,0.15197072241005552,0.13377849069163225,0.057584273217028248"),
+    (100, "weighted-equilibrium"): (
+        "213, 423", "0.135771 0.072523 0.039812 0.029482 0.018668",
+        "100,0.66666666666666663,212.52962501251838,423.47037498748176,0.13577090693664395,"
+        "0.07252347876042306,0.039812191990641878,0.029482277842792198,0.018667500077776102"),
+    (500, "tail-sum"): (
+        "1285, 1751", "0.620331 0.424038 0.139192 0.099818 0.045336",
+        "500,0.66666666666666663,1284.9249048053396,1751.0750951946609,0.62033091140835517,"
+        "0.42403765838565627,0.13919216274991106,0.099818186695609837,0.045336345690193069"),
+    (500, "weighted-equilibrium"): (
+        "1285, 1751", "0.203714 0.050388 0.031085 0.032780 0.015113",
+        "500,0.66666666666666663,1284.9249048053396,1751.0750951946609,0.203714255824333,"
+        "0.050388491203113069,0.031085131501308191,0.032779903832721717,0.015113129148696804"),
+    (1000, "tail-sum"): (
+        "2689, 3347", "0.622146 0.421092 0.135608 0.090065 0.041925",
+        "1000,0.66666666666666663,2688.8738843543415,3347.1261156456608,0.62214616776361553,"
+        "0.42109178425002053,0.13560818610399666,0.090064882532330998,0.041925365386612019"),
+    (1000, "weighted-equilibrium"): (
+        "2689, 3347", "0.227690 0.053533 0.030386 0.032961 0.014810",
+        "1000,0.66666666666666663,2688.8738843543415,3347.1261156456608,0.22768985650351947,"
+        "0.05353284250281299,0.030386489757573885,0.032961482754940583,0.014809760461032613"),
+    (10_000, "tail-sum"): (
+        "28979, 31057", "0.625799 0.412433 0.126856 0.067945 0.033797",
+        "10000,0.66666666666666663,28978.613642575594,31057.386357424428,0.62579933104649221,"
+        "0.41243319231489917,0.12685593551812718,0.067945299063059475,0.033796699549200122"),
+    (10_000, "weighted-equilibrium"): (
+        "28979, 31057", "0.287070 0.057916 0.030410 0.031168 0.014021",
+        "10000,0.66666666666666663,28978.613642575594,31057.386357424428,0.28707020917435777,"
+        "0.057915629293340466,0.03041002515846012,0.031168251940808956,0.014021059181500818"),
+}
+
+
+@pytest.mark.parametrize("n, boltzmann", [
+    pytest.param(n, b, marks=[pytest.mark.slow] if n == 10_000 else [])
+    for n, b in _TABLE_BYTES])
+def test_table_bytes_are_the_reference(n, boltzmann, tmp_path, capsys):
+    steps, printed, row = _TABLE_BYTES[n, boltzmann]
+    out = tmp_path / "metrics.csv"
+    assert main(["table", "--n-nodes", str(n), "--omega", "0.6666666666666666",
+                 "--boltzmann", boltzmann, "--out", str(out)]) == 0
+    labels = ["delta_max", "delta_rel_max", "mean_rel", "delta_logN_max", "mean_logN"]
+    assert capsys.readouterr().out == (
+        f"error metrics for N={n}, omega=0.66666666666666663 over steps [{steps}]:\n"
+        + "".join(f"  {label:<15} {value}\n" for label, value in zip(labels, printed.split())))
+    assert out.read_bytes() == ("n_nodes,omega,t_start,t_end,delta_max,delta_rel_max,"
+                                f"mean_rel,delta_logn_max,mean_logn\n{row}\n").encode()
 
 
 # ---------------------------------------------------------------- CSV number kernel
@@ -1071,7 +1139,7 @@ _REFERENCE_ROWS = {}
 def test_table_refuses_a_void_split_before_its_chain(tmp_path, capsys, monkeypatch):
     # at omega = 0.500001 the window ends near 4/v^2 ~ 1e12 steps, and the split
     # n_prime = N - 2 sigma_ss lies far below 0: it is refused before the chain
-    monkeypatch.setattr(tr, "simulate_trajectory", _refuse_to_run)
+    monkeypatch.setattr(tr, "_reduce_chain", _refuse_to_run)
     monkeypatch.chdir(tmp_path)
     assert main(["table", "--n-nodes", "100", "--omega", "0.500001", "--out", "out.csv"]) == 2
     out, err = capsys.readouterr()
@@ -1090,8 +1158,8 @@ def test_table_refuses_a_void_split_before_its_chain(tmp_path, capsys, monkeypat
 ])
 def test_table_refuses_its_steps_before_its_chain(argv, message, tmp_path, capsys, monkeypatch):
     # the window's last step is floor(t_end); a run that ends before it, or a
-    # negative one, is refused before simulate_trajectory is called
-    monkeypatch.setattr(tr, "simulate_trajectory", _refuse_to_run)
+    # negative one, is refused before the chain is called
+    monkeypatch.setattr(tr, "_reduce_chain", _refuse_to_run)
     monkeypatch.chdir(tmp_path)
     assert main(["table"] + argv + ["--out", "out.csv"]) == 2
     assert capsys.readouterr() == ("", f"oqwalk: error: {message}\n")

@@ -650,11 +650,35 @@ def test_beta_helpers_take_their_limits_at_extreme_finite_beta():
     assert eq.entropy_derivative_large_n(-1e200, 1e200) == 0.0
 
 
+def test_free_energy_derivative_high_t_where_beta_eps_leaves_the_normal_range():
+    # log(beta eps) = log beta + log eps there: (1 - 921)/1e400 is -0.0, and
+    # (1 + 921)/1e-400 overflows to inf, like beta * beta at 1e-170
+    value = eq.free_energy_derivative_high_t(1e200, 1e200)      # beta * eps overflows
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
+    assert eq.free_energy_derivative_high_t(1e-200, 1e-200) == math.inf   # it underflows
+    assert eq.free_energy_derivative_high_t(1e-300, 1e-10) == math.inf    # it is subnormal
+    # a subnormal product, beta * beta finite: log beta + log eps, not log of the rounded z
+    beta, epsilon = 1e-150, 1e-160
+    expected = (1.0 - (math.log(beta) + math.log(epsilon))) / beta / beta
+    assert eq.free_energy_derivative_high_t(beta, epsilon) == expected
+
+
+@pytest.mark.parametrize("beta, epsilon", [
+    (0.5, 1.0), (3.0, 2.0), (1e-170, 1.0), (1e-8, 1e-3), (1e150, 1e-150), (2.5e-154, 1e-154),
+    (1e154, 1e154), (700.0, 1.0), (0.1, 7.0),
+])
+def test_free_energy_derivative_high_t_keeps_its_bits_in_the_normal_range(beta, epsilon):
+    # where beta * eps is a finite normal double, the value is the one-log form's
+    assert 2.2250738585072014e-308 <= beta * epsilon < math.inf
+    assert eq.free_energy_derivative_high_t(beta, epsilon) == \
+        (1.0 - math.log(beta * epsilon)) / beta / beta
+
+
 # each helper's documented refusal beyond epsilon > 0
 _BETA_HELPER_POLES = {
     eq.entropy_derivative_large_n: lambda beta, epsilon: beta == 0.0,
     eq.entropy_derivative_high_t: lambda beta, epsilon: beta == 0.0,
-    eq.free_energy_derivative_high_t: lambda beta, epsilon: beta * epsilon <= 0.0,
+    eq.free_energy_derivative_high_t: lambda beta, epsilon: beta <= 0.0,
     eq.heat_capacity_large_n: lambda beta, epsilon: False,
     eq.heat_capacity_high_t: lambda beta, epsilon: False,
 }

@@ -592,18 +592,35 @@ def test_trajectory_block_reductions_match_per_step(n, where, custom_start, keep
         p0 = np.random.default_rng(n).random(n)
         p0[::3] = 0.0
         p0 /= p0.sum()
-    calls = []
-    reduce = th.shannon_entropy
+    # the series come from one _reduce_chain call, which reads the chain's
+    # blocks at the series' height (one block of every step when kept) and
+    # redoes only p_0, whose zeros lie inside its whole-row band, through
+    # shannon_entropy
+    reductions, blocks, redone = [], [], []
+    reduce_chain, chain_blocks, reduce = tr._reduce_chain, tr._chain_blocks, th.shannon_entropy
 
-    def counted(block):
-        calls.append(block.shape)
+    def reduce_counted(*args, **kwargs):
+        reductions.append(kwargs)
+        return reduce_chain(*args, **kwargs)
+
+    def chain_counted(*args):
+        for block in chain_blocks(*args):
+            blocks.append(block[1].shape)
+            yield block
+
+    def redo_counted(block):
+        redone.append(block.shape)
         return reduce(block)
 
-    monkeypatch.setattr(tr, "shannon_entropy", counted)
+    monkeypatch.setattr(tr, "_reduce_chain", reduce_counted)
+    monkeypatch.setattr(tr, "_chain_blocks", chain_counted)
+    monkeypatch.setattr(tr, "shannon_entropy", redo_counted)
     traj = th.simulate_trajectory(spec, steps, p0=p0, keep_distributions=keep)
     monkeypatch.undo()
 
-    assert len(calls) == math.ceil((steps + 1) / rows)
+    assert reductions == [dict(energy=True, mass=True, keep=keep)]
+    assert len(blocks) == (1 if keep else math.ceil((steps + 1) / rows))
+    assert redone == [(1, n)]
     if keep:
         assert traj.distributions.shape == (steps + 1, n)
     else:
@@ -690,20 +707,24 @@ def test_band_chain_series_are_bit_identical_to_the_exact_chain(n, omega, steps,
 
 
 def test_band_chain_rows_are_zero_outside_their_band(monkeypatch):
-    # every row handed to the reductions is zero outside its band and normal at its edges
+    # every row handed to the reductions is zero outside its band and normal at
+    # its edges, and that band is the one _chain_blocks yields for it (p_0's is
+    # the whole row)
     spec = LinearWalkSpec(400, 0.9)
     tiny = np.finfo(float).tiny
     seen = []
-    reduce = th.shannon_entropy
+    chain_blocks = tr._chain_blocks
 
-    def checked(block):
-        for row in block:
-            band = np.flatnonzero(row)
-            seen.append((band[0], band[-1]))
-            assert row[band[0]] >= tiny and row[band[-1]] >= tiny
-        return reduce(block)
+    def checked(*args):
+        for start, block, bands in chain_blocks(*args):
+            for k, row in enumerate(block):
+                band = np.flatnonzero(row)
+                seen.append((band[0], band[-1]))
+                assert row[band[0]] >= tiny and row[band[-1]] >= tiny
+                assert bands[k] == ((0, 399) if start + k == 0 else seen[-1])
+            yield start, block, bands
 
-    monkeypatch.setattr(tr, "shannon_entropy", checked)
+    monkeypatch.setattr(tr, "_chain_blocks", checked)
     traj = th.simulate_trajectory(spec, 3000)
     monkeypatch.undo()
     assert len(seen) == 3001
@@ -712,6 +733,80 @@ def test_band_chain_rows_are_zero_outside_their_band(monkeypatch):
     assert lo > 0  # the left edge has moved in, flushing entries the exact chain keeps
     assert (lin.markov_evolve(spec, _localized(400, 0), 3000)[:lo] > 0).any()
     assert traj.final_distribution[:lo].tolist() == [0.0] * lo
+
+
+@st.composite
+def _reducer_runs(draw):
+    """A walk, its start, steps, a span of them, the quantities asked for, and a
+    block height (None: the series' own, else 1..12 rows)."""
+    n = draw(st.integers(2, 7) | st.integers(8, 128) | st.integers(129, 600)
+             | st.integers(16_385, 17_000))        # the last: one row per block
+    large = n > 16_384
+    omega = draw(st.just(0.5) | st.floats(0.05, 0.95))
+    start = draw(st.sampled_from(["first", "last", "subnormal"] if n >= 16 else ["first", "last"]))
+    p0 = {"first": None, "last": _localized(n, n - 1), "subnormal": None}[start]
+    if start == "subnormal":
+        p0 = _subnormal_start(n)
+    steps = draw(st.integers(0, 20 if large else 120))
+    first = draw(st.integers(0, steps))
+    span = range(first, draw(st.integers(first + 1, steps + 1)))
+    height = None if large else draw(st.none() | st.integers(1, 12))
+    spec = LinearWalkSpec(n, omega, draw(st.sampled_from([1.0, 2.5])))
+    return (spec, steps, p0, span, height, draw(st.booleans()), draw(st.booleans()),
+            draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reducer_runs())
+@example((LinearWalkSpec(9, 0.3), 40, None, range(5, 29), 4, True, True, False))
+@example((LinearWalkSpec(100, 0.7), 60, _localized(100, 99), range(7, 50), 8, True, False, True))
+@example((LinearWalkSpec(17_000, 0.6), 12, None, range(3, 10), None, True, True, False))
+def test_reducer_rows_are_the_full_row_reductions(run):
+    # S and the mass of each step of the span are shannon_entropy and sum of its
+    # row bit for bit; E is epsilon * (block @ sites) over the row's whole block
+    # of the series' height, whose bits depend on that height.  shannon_entropy
+    # redoes exactly the rows with an exact zero inside their own band.
+    spec, steps, p0, span, height, energy, mass, keep = run
+    n = spec.n_nodes
+    p = lin._start(spec, steps, p0)
+    redone = []
+    reduce = tr.shannon_entropy
+
+    def redo_counted(block):
+        redone.append(len(block))
+        return reduce(block)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if height is not None:
+            patch.setattr(tr, "_BLOCK_BYTES", 8 * n * height)
+        patch.setattr(tr, "shannon_entropy", redo_counted)
+        rows = max(1, tr._BLOCK_BYTES // (8 * n))
+        got = tr._reduce_chain(spec, steps, p, span=span, energy=energy, mass=mass, keep=keep)
+    assert height is None or rows == height
+    floor = th._EXACT if keep else th._TINY
+    chain = [(b[0].copy(), band[0])
+             for _, b, band in tr._chain_blocks(p, spec.omega, steps, 1, floor)]
+    if keep:
+        exact = list(markov_rows(spec, steps, p0))
+        assert all(row.tobytes() == q.tobytes() for (row, _), q in zip(chain, exact))
+        np.testing.assert_array_equal(got.distributions, exact)
+    else:
+        assert got.distributions is None
+    assert got.final.tobytes() == chain[-1][0].tobytes()
+    assert (got.energy is None, got.mass is None) == (not energy, not mass)
+    assert len(got.entropy) == len(span)
+    assert sum(redone) == sum((chain[k][0][lo:hi + 1] == 0.0).any()
+                              for k in span for lo, hi in [chain[k][1]])
+    sites = np.arange(n, dtype=float)
+    for i, k in enumerate(span):
+        row = chain[k][0]
+        assert got.entropy[i].tobytes() == np.float64(th.shannon_entropy(row)).tobytes()
+        if mass:
+            assert got.mass[i] == row.sum()
+        if energy:
+            block = k - k % rows
+            e = np.array([r for r, _ in chain[block:block + rows]]) @ sites * spec.epsilon
+            assert got.energy[i] == e[k - block]
 
 
 def _assert_exact_rows(spec, steps, p0, rows):
