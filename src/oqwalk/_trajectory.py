@@ -7,9 +7,8 @@ and the mass when asked) over a range of those steps, the Shannon entropy (and
 its p log p, _xlogx), TrajectoryRecord and simulate_trajectory,
 iter_distributions and entropy_production.  It holds no
 analytic form, so a run of the series loads neither the thermalization
-window nor the entropy approximation.  Every name here is public through
-oqwalk.thermalization, which imports them as the same objects; this module
-is their owner, the one a monkeypatch must target to reach a call made here.
+window nor the entropy approximation.  This module is the one home of the
+series' names, the one a monkeypatch must target to reach a call made here.
 """
 
 from __future__ import annotations
@@ -32,6 +31,9 @@ _T_EST_HALF_WIDTH = 5
 # Bytes of the (rows, N) block of distributions that _reduce_chain reduces
 # in one pass: enough rows to spread the per-call cost of the reductions over
 # many steps, few enough that the block and its temporaries stay in cache.
+# E is block @ sites, whose bits depend on the block's height: changing this
+# changes trajectory's E, T_est and S_gen bytes, so a writer that reblocks the
+# series (streaming it to disk, say) must keep this height for E.
 _BLOCK_BYTES = 256 * 1024
 
 # Band floors of _chain_blocks: DBL_MIN for the series, the smallest subnormal
@@ -309,10 +311,9 @@ def simulate_trajectory(
     if not isinstance(t_est_half_width, (int, np.integer)) or t_est_half_width < 0:
         raise ValueError("t_est_half_width must be a nonnegative integer, "
                          f"got {t_est_half_width!r}")
+    t_eq = equilibrium.equilibrium_temperature(spec.omega, spec.epsilon)
     series = _reduce_chain(spec, steps, p, energy=True, mass=True, keep=keep_distributions)
     ent, energy, mass, p = series.entropy, series.energy, series.mass, series.final
-
-    t_eq = equilibrium.equilibrium_temperature(spec.omega, spec.epsilon)
     s_gen = _generated_entropy(ent, energy, t_eq)
     return TrajectoryRecord(
         spec=spec,

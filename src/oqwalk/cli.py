@@ -10,11 +10,14 @@ approx-entropy  closed-form entropy approximation series over time
 table           error metrics of the approximation against the exact run
 dqc             step-count estimates and energy bookkeeping for readout runs
 
-Everything is deterministic: identical invocations produce byte-identical
-files.  CSV floats are serialized with 17 significant digits, JSON floats as
-Python's repr (the shortest text that reads back to the same double);
-divergences are written as inf/-inf (CSV) or the strings "inf"/"-inf"
-(JSON).  Exit codes: 0 success, 2 invalid parameters, 3 I/O failure.
+Everything is deterministic: identical invocations on one numpy and BLAS
+build produce byte-identical files.  `trajectory`'s E, T_est and S_gen come
+from numpy's matmul over blocks of _BLOCK_BYTES // (8 N) steps, so their last
+bits can move with another numpy or BLAS build.  CSV floats are serialized
+with 17 significant digits, JSON floats as Python's repr (the shortest text
+that reads back to the same double); divergences are written as inf/-inf
+(CSV) or the strings "inf"/"-inf" (JSON).  Exit codes: 0 success, 2 invalid
+parameters, 3 I/O failure.
 
 Output is streamed: results are computed first (so a failing computation
 writes nothing), then written in blocks of at most 4096 rows, one write each.
@@ -219,7 +222,7 @@ def _parse_omegas(text: str) -> list[float]:
     """Scalar `0.3` or inclusive range `start:stop:step`.
 
     The range holds start + k*step for k = 0, 1, ... while the value stays
-    within stop + 1e-9*step.  Its length is computed before any value is
+    within stop + 1e-9*step.  Its length is estimated before any value is
     built, and ranges longer than _MAX_OMEGAS are refused.
     """
     try:
@@ -241,16 +244,13 @@ def _parse_omegas(text: str) -> list[float]:
         raise CliError(EXIT_VALIDATION, f"omega range {text!r} has about {estimate:.3g} "
                                         f"values, more than {_MAX_OMEGAS}")
     # start + k*step is nondecreasing in k, so the values within the limit are
-    # a prefix; move the estimate to its exact end.
-    count = int(estimate)
-    while count > 1 and start + (count - 1) * step > limit:
-        count -= 1
-    while start + count * step <= limit:
-        count += 1
+    # a prefix, and the estimate is within one value of its end
+    values = start + np.arange(int(estimate) + 2) * step
+    count = int(np.searchsorted(values, limit, side="right"))
     if count > _MAX_OMEGAS:
         raise CliError(EXIT_VALIDATION, f"omega range {text!r} has {count} values, "
                                         f"more than {_MAX_OMEGAS}")
-    return (start + np.arange(count) * step).tolist()
+    return values[:count].tolist()
 
 
 def _single_omega(args) -> float:
@@ -307,7 +307,9 @@ def cmd_equilibrium(args):
     omegas = _parse_omegas(args.omega)
     for omega in omegas:
         eq._check_omega(omega)
-    betas = -np.fromiter(map(eq._log_odds, omegas), float, len(omegas)) / args.epsilon
+    # a beta out of the double range is refused by thermo_points, not warned of here
+    with np.errstate(over="ignore"):
+        betas = -np.fromiter(map(eq._log_odds, omegas), float, len(omegas)) / args.epsilon
     tp = eq.thermo_points(args.n_nodes, betas, args.epsilon)
     columns = (omegas, betas, tp.T, tp.Z, tp.mean_E, tp.var_E, tp.S, tp.F, tp.C_V)
     yield args.out, ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], [columns]
@@ -315,9 +317,9 @@ def cmd_equilibrium(args):
 
 def cmd_trajectory(args):
     spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
+    t_eq = eq.equilibrium_temperature(spec.omega, spec.epsilon)
     # simulate_trajectory's series without its mass and residuals
     s = tr._reduce_chain(spec, args.steps, energy=True)
-    t_eq = eq.equilibrium_temperature(spec.omega, spec.epsilon)
     series = (np.arange(args.steps + 1), s.entropy, s.energy,
               tr._temperature_estimate(s.energy, s.entropy, tr._T_EST_HALF_WIDTH),
               tr._generated_entropy(s.entropy, s.energy, t_eq))

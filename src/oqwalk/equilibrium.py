@@ -110,10 +110,12 @@ def _log_odds(omega: float) -> float:
 
 
 def beta_from_omega(omega: float, epsilon: float = 1.0) -> float:
-    """Inverse temperature of the steady state reached at hop weight omega."""
+    """Inverse temperature of the steady state at hop weight omega, refused unless finite."""
     _check_omega(omega)
     _check_epsilon(epsilon)
-    return -_log_odds(omega) / epsilon
+    beta = -_log_odds(omega) / epsilon
+    _check_beta(beta)
+    return beta
 
 
 def omega_from_beta(beta: float, epsilon: float = 1.0) -> float:

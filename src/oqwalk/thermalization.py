@@ -7,21 +7,18 @@ locates the deformation window, evaluates the two-piece (Gaussian +
 Boltzmann) entropy approximation, and produces the error metrics, the free
 packet's temperature and the step-count estimates for dissipative
 computation runs.  The exact trajectories themselves (simulate_trajectory,
-TrajectoryRecord, iter_distributions, shannon_entropy, entropy_production
-and the band chain behind them) live in the private module
-oqwalk._trajectory, which runs the chain without loading the analytic forms;
-this module imports them as the same objects, so every name of __all__ is
-public here as before.  The error metrics are taken over the window's
-integer steps [ceil(t_start), floor(t_end)]: one private helper,
+TrajectoryRecord, iter_distributions, shannon_entropy, entropy_production)
+are defined in the private module oqwalk._trajectory, which runs the chain
+without loading the analytic forms.  The error metrics are taken over the
+window's integer steps [ceil(t_start), floor(t_end)]: one private helper,
 _window_steps, rounds the window and checks a run's length against it, for
 error_metrics and for the CLI's `table`, which so refuses a short run before
 its chain.  Both take their report from _window_metrics, over the exact S on
 those steps: error_metrics reads it from a trajectory, `table` reduces it on
 the window's steps alone.  The approximation evaluators (and
 entropy_gaussian_regime) are array-valued in t: floats for a scalar t,
-arrays shaped like an array of times.  Their erfc is the C library's math.erfc, applied elementwise, and
-p log p with 0 log 0 = 0 has one definition (_xlogx) for the Shannon
-entropy and the Boltzmann piece.
+arrays shaped like an array of times.  Their erfc is the C library's
+math.erfc, applied elementwise.
 
 All analytic forms assume rightward drift (omega > 1/2).  For omega < 1/2
 mirror the node indices (omega -> 1-omega), which leaves every thermodynamic
@@ -37,17 +34,8 @@ from typing import Callable
 import numpy as np
 
 from . import equilibrium
-from ._trajectory import (  # noqa: F401  (re-exported: the exact series and its helpers)
-    _BLOCK_BYTES,
-    _EXACT,
-    _FLAT_ENTROPY_TOL,
-    _TINY,
+from ._trajectory import (
     TrajectoryRecord,
-    _centred_difference,
-    _chain_blocks,
-    _exact_blocks,
-    _generated_entropy,
-    _temperature_estimate,
     _xlogx,
     entropy_production,
     iter_distributions,

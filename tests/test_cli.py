@@ -481,6 +481,40 @@ def test_omega_range_count_is_corrected_at_the_limit(text, count):
     assert len(_omega_loop(start, stop, step)) == count
 
 
+def _omega_count_loops(start, stop, step):
+    """The range's length as the two count-adjusting loops found it, from the
+    estimate (limit - start)/step + 1: the reference for the prefix cut."""
+    limit = stop + 1e-9 * step
+    count = int((limit - start) / step + 1.0)
+    while count > 1 and start + (count - 1) * step > limit:
+        count -= 1
+    while start + count * step <= limit:
+        count += 1
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0),
+       count=st.integers(1, 10 ** 6), stretch=st.floats(0.5, 2.0), nudge=st.integers(-3, 3))
+@example(start=0.6996, width=0.749369999999685 - 0.6996, count=158, stretch=1.0, nudge=0)
+@example(start=0.1, width=0.8, count=9, stretch=1.0, nudge=-1)
+def test_omega_range_cut_matches_the_count_loops(start, width, count, stretch, nudge):
+    # ranges of up to 1e6 values, with stop a few ulp off where a value meets
+    # the limit; the prefix cut of one expansion gives the loops' count
+    step = max(width, 1e-3) * stretch / count
+    stop = start + width
+    for _ in range(abs(nudge)):
+        stop = math.nextafter(stop, math.copysign(math.inf, nudge))
+    if not start <= stop:
+        return
+    expected = _omega_count_loops(start, stop, step)
+    if expected > cli._MAX_OMEGAS:
+        return
+    got = cli._parse_omegas(f"{start!r}:{stop!r}:{step!r}")
+    assert len(got) == expected
+    assert got[-1] == start + (expected - 1) * step  # bit for bit
+
+
 def test_exit_code_unknown_flag(capsys):
     assert main(["steady-state", "--no-such-flag", "1"]) == 2
     capsys.readouterr()
@@ -950,6 +984,37 @@ def test_infinite_epsilon_is_refused(argv, tmp_path, capsys, monkeypatch):
     assert main(argv + ["--epsilon", "inf", "--out", "out.csv"]) == 2
     assert capsys.readouterr() == ("", "oqwalk: error: epsilon must be finite, got inf\n")
     assert os.listdir(tmp_path) == []
+
+
+TINY_EPSILON = [
+    (["equilibrium", "--n-nodes", "3"], "beta * epsilon must be finite"),
+    (["trajectory", "--n-nodes", "3", "--steps", "3"], "beta must be finite, got -inf"),
+    (["dqc", "--n-nodes", "3"], "beta must be finite, got -inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", TINY_EPSILON, ids=[a[0] for a, _ in TINY_EPSILON])
+def test_beta_overflowing_at_a_tiny_epsilon_is_refused_once(argv, message, tmp_path, capsys,
+                                                            monkeypatch):
+    # -log(omega/(1-omega))/epsilon overflows to -inf: one refusal, no
+    # RuntimeWarning (the suite makes one an error), and no chain run
+    monkeypatch.setattr(tr, "_reduce_chain", _refuse_to_run)
+    monkeypatch.chdir(tmp_path)
+    argv = argv + ["--omega", "0.7", "--epsilon", "1e-320", "--out", "out.csv"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"oqwalk: error: {message}\n")
+    assert os.listdir(tmp_path) == []
+    _assert_chain_refused()
+
+
+# dqc takes omega > 1/2 only, so it has no beta = 0 case
+@pytest.mark.parametrize("argv", [a for a, _ in TINY_EPSILON[:2]],
+                         ids=["equilibrium", "trajectory"])
+def test_tiny_epsilon_runs_at_omega_one_half(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--omega", "0.5", "--epsilon", "1e-320", "--out", "out.csv"]) == 0
+    with open(tmp_path / "out.csv") as f:
+        assert len(list(csv.reader(f))) > 1
 
 
 def test_subcommands_run_without_scipy(tmp_path):

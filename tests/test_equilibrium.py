@@ -93,6 +93,16 @@ def test_omega_domain_errors(omega):
         eq.beta_from_omega(omega)
 
 
+@pytest.mark.parametrize("evaluator", [eq.beta_from_omega, eq.equilibrium_temperature])
+def test_beta_out_of_the_double_range_is_refused(evaluator):
+    # -log(omega/(1-omega))/epsilon overflows at a tiny epsilon unless omega = 1/2
+    with pytest.raises(ValueError, match=r"^beta must be finite, got -inf$"):
+        evaluator(0.7, 1e-320)
+    with pytest.raises(ValueError, match=r"^beta must be finite, got inf$"):
+        evaluator(0.3, 1e-320)
+    assert evaluator(0.5, 1e-320) in (0.0, math.inf)
+
+
 def test_equilibrium_temperature_values():
     assert eq.equilibrium_temperature(1 / 3, 1.0) == pytest.approx(1 / math.log(2), rel=1e-14)
     assert eq.equilibrium_temperature(2 / 3, 1.0) == pytest.approx(-1 / math.log(2), rel=1e-14)

@@ -1,5 +1,7 @@
 """The package surface: lazy public names, the modules each entry point loads, pickles."""
 
+import ast
+import glob
 import importlib
 import importlib.util
 import os
@@ -83,15 +85,41 @@ def test_package_dir_and_unknown_names():
         exec("from oqwalk import nope", {})
 
 
-MOVED = ["_BLOCK_BYTES", "_EXACT", "_FLAT_ENTROPY_TOL", "_TINY", "TrajectoryRecord",
-         "_centred_difference", "_chain_blocks", "_exact_blocks", "_generated_entropy",
-         "_temperature_estimate", "_xlogx", "entropy_production", "iter_distributions",
+MOVED = ["TrajectoryRecord", "_xlogx", "entropy_production", "iter_distributions",
          "shannon_entropy", "simulate_trajectory"]
 
 
 @pytest.mark.parametrize("name", MOVED)
 def test_thermalization_names_the_series_objects(name):
     assert getattr(th, name) is getattr(tr, name)
+
+
+def _unread_private_imports(source):
+    """The `_`-prefixed names that a relative from-import in `source` binds
+    and the module never loads."""
+    tree = ast.parse(source)
+    bound = {alias.asname or alias.name
+             for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names if alias.name.startswith("_")}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SRC, "oqwalk", "*.py"))),
+                         ids=os.path.basename)
+def test_no_module_binds_a_private_name_it_never_reads(path):
+    # a private name has one home; a module that imports one must use it
+    with open(path, encoding="utf-8") as f:
+        assert _unread_private_imports(f.read()) == []
+
+
+def test_the_private_import_guard_sees_only_unread_names():
+    source = ("from ._a import _used, _unused, public\n"
+              "from ._b import _x as _alias\n"
+              "from os import _exit\n"        # absolute: not the package's own
+              "print(_used)\n")
+    assert _unread_private_imports(source) == ["_alias", "_unused"]
 
 
 def test_thermalization_all_is_its_public_api():

@@ -516,7 +516,7 @@ def test_trajectory_distributions_record():
 def test_kept_distributions_come_from_one_exact_chain(monkeypatch):
     spec = LinearWalkSpec(30, 0.8)
     floors = []
-    chain = th._chain_blocks
+    chain = tr._chain_blocks
 
     def counted(p, omega, steps, rows, floor):
         floors.append(floor)
@@ -524,7 +524,7 @@ def test_kept_distributions_come_from_one_exact_chain(monkeypatch):
 
     monkeypatch.setattr(tr, "_chain_blocks", counted)
     traj = th.simulate_trajectory(spec, 40, keep_distributions=True)
-    assert floors == [th._EXACT]
+    assert floors == [tr._EXACT]
     assert not np.shares_memory(traj.final_distribution, traj.distributions)
     for k, p in enumerate(markov_rows(spec, 40)):
         assert traj.distributions[k].tobytes() == p.tobytes()
@@ -562,7 +562,7 @@ def test_trajectory_shannon_equals_von_neumann():
 
 
 def _block_rows(n):
-    return max(1, th._BLOCK_BYTES // (8 * n))
+    return max(1, tr._BLOCK_BYTES // (8 * n))
 
 
 def _steps_at(n, where):
@@ -650,7 +650,7 @@ def _exact_chain_series(spec, steps, p0=None):
     energy = np.concatenate(energy) * spec.epsilon
     t_eq = eq.equilibrium_temperature(spec.omega, spec.epsilon)
     s_gen = ent.copy() if math.isinf(t_eq) else ent - energy / t_eq
-    return ent, energy, th._temperature_estimate(energy, ent, 5), s_gen
+    return ent, energy, tr._temperature_estimate(energy, ent, 5), s_gen
 
 
 def _localized(n, node):
@@ -783,7 +783,7 @@ def test_reducer_rows_are_the_full_row_reductions(run):
         rows = max(1, tr._BLOCK_BYTES // (8 * n))
         got = tr._reduce_chain(spec, steps, p, span=span, energy=energy, mass=mass, keep=keep)
     assert height is None or rows == height
-    floor = th._EXACT if keep else th._TINY
+    floor = tr._EXACT if keep else tr._TINY
     chain = [(b[0].copy(), band[0])
              for _, b, band in tr._chain_blocks(p, spec.omega, steps, 1, floor)]
     if keep:
@@ -813,7 +813,7 @@ def _assert_exact_rows(spec, steps, p0, rows):
     """The exact-floor band chain in blocks of `rows` steps gives markov_step's rows."""
     reference = markov_rows(spec, steps, p0)
     k = 0
-    for start, block in th._exact_blocks(spec, steps, p0, rows):
+    for start, block in tr._exact_blocks(spec, steps, p0, rows):
         assert start == k and len(block) == min(rows, steps + 1 - start)
         for row in block:
             assert row.tobytes() == next(reference).tobytes()  # bit for bit, zeros' signs too
@@ -1081,8 +1081,8 @@ def _temperature_estimate_loop(energy, ent, half_width):
     for i in range(n):
         lo, hi = max(0, i - half_width), min(n - 1, i + half_width)
         d_e, d_s = energy[hi] - energy[lo], ent[hi] - ent[lo]
-        if abs(d_s) < th._FLAT_ENTROPY_TOL:
-            out[i] = math.nan if abs(d_e) < th._FLAT_ENTROPY_TOL else math.copysign(math.inf, d_e)
+        if abs(d_s) < tr._FLAT_ENTROPY_TOL:
+            out[i] = math.nan if abs(d_e) < tr._FLAT_ENTROPY_TOL else math.copysign(math.inf, d_e)
         else:
             out[i] = d_e / d_s
     return out
@@ -1103,12 +1103,13 @@ def test_temperature_estimate_matches_loop_definition(n, omega, steps, half_widt
     assert np.signbit(traj.temperature_estimate).tolist() == np.signbit(expected).tolist()
 
 
+def _no_chain(*args):
+    raise AssertionError("the chain ran")
+
+
 @pytest.mark.parametrize("half_width", [-1, 2.5])
 def test_bad_half_width_is_refused_before_the_chain_runs(half_width, monkeypatch):
-    def no_chain(*args):
-        raise AssertionError("the chain ran")
-
-    monkeypatch.setattr(tr, "_chain_blocks", no_chain)
+    monkeypatch.setattr(tr, "_chain_blocks", _no_chain)
     with pytest.raises(ValueError, match=rf"^t_est_half_width must be a nonnegative "
                                          rf"integer, got {half_width}$"):
         th.simulate_trajectory(LinearWalkSpec(10, 0.7), 20, t_est_half_width=half_width)
@@ -1116,10 +1117,17 @@ def test_bad_half_width_is_refused_before_the_chain_runs(half_width, monkeypatch
         th.simulate_trajectory(LinearWalkSpec(10, 0.7), 20)
 
 
+def test_overflowing_beta_is_refused_before_the_chain_runs(monkeypatch):
+    # T_eq is taken first: at a tiny epsilon beta overflows and no chain runs
+    monkeypatch.setattr(tr, "_chain_blocks", _no_chain)
+    with pytest.raises(ValueError, match=r"^beta must be finite, got -inf$"):
+        th.simulate_trajectory(LinearWalkSpec(3, 0.7, 1e-320), 3)
+
+
 def test_temperature_estimate_signed_infinities():
     ent = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     energy = np.array([0.0, 1.0, -1.0, 2.0, 3.0, 3.0])
-    got = th._temperature_estimate(energy, ent, 1)
+    got = tr._temperature_estimate(energy, ent, 1)
     np.testing.assert_array_equal(got, _temperature_estimate_loop(energy, ent, 1))
     assert got[1] == -math.inf and got[4] == math.inf and math.isnan(got[5])
 
@@ -1197,6 +1205,26 @@ def test_error_metrics_requires_coverage():
     seen = []
     th.error_metrics(spec, th.simulate_trajectory(spec, 423), approx=lambda t: seen.append(t) or 1.0)
     assert seen == list(range(213, 424))
+
+
+_STEP_TAKERS = {
+    "simulate_trajectory": lambda steps: th.simulate_trajectory(LinearWalkSpec(5, 0.7), steps),
+    "markov_evolve": lambda steps: lin.markov_evolve(LinearWalkSpec(5, 0.7), _localized(5, 0),
+                                                     steps),
+    "iter_distributions": lambda steps: th.iter_distributions(LinearWalkSpec(5, 0.7), steps),
+    "_window_steps": lambda steps: th._window_steps(th.thermalization_window(100, 2 / 3), steps),
+}
+
+
+@pytest.mark.parametrize("steps", [2.5, 2.0, "3"])
+@pytest.mark.parametrize("taker", list(_STEP_TAKERS))
+def test_steps_must_be_an_integer_at_the_call(taker, steps):
+    # refused by linear._check_steps at the call (iter_distributions too, not
+    # at its first next), not by range() with a TypeError
+    with pytest.raises(ValueError) as exc:
+        _STEP_TAKERS[taker](steps)
+    assert str(exc.value) == f"steps must be an integer, got {steps!r}"
+    assert _STEP_TAKERS[taker](np.int64(500)) is not None  # numpy integers pass
 
 
 def test_window_steps_is_one_lazy_range_checked_against_a_run():
