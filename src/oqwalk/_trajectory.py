@@ -2,8 +2,8 @@
 
 This is the part of the nonequilibrium analysis that runs the chain: the band
 generator _chain_blocks that yields p_0, ..., p_steps a block of steps at a
-time with each row's band, the one reducer _reduce_chain that takes S (and E
-and the mass when asked) over a range of those steps, the Shannon entropy (and
+time with each row's band, the one reducer _reduce_chain that takes S and E
+(and the mass when asked) over a range of those steps, the Shannon entropy (and
 its p log p, _xlogx), TrajectoryRecord and simulate_trajectory,
 iter_distributions and entropy_production.  It holds no
 analytic form, so a run of the series loads neither the thermalization
@@ -193,20 +193,20 @@ def _generated_entropy(entropy: np.ndarray, energy: np.ndarray, t_eq: float) -> 
 
 
 class _Series(NamedTuple):
-    """What _reduce_chain gives: each quantity over its range of steps (None
-    when not asked for), the chain's last row, and with keep all its rows."""
+    """What _reduce_chain gives: each quantity over its range of steps (the
+    mass None when not asked for), the chain's last row, and with keep all its rows."""
 
     entropy: np.ndarray
-    energy: np.ndarray | None
+    energy: np.ndarray
     mass: np.ndarray | None
     final: np.ndarray
     distributions: np.ndarray | None
 
 
 def _reduce_chain(spec: LinearWalkSpec, steps: int, p: np.ndarray | None = None,
-                  span: range | None = None, energy: bool = False, mass: bool = False,
+                  span: range | None = None, mass: bool = False,
                   keep: bool = False) -> _Series:
-    """Run the chain to p_steps and reduce S, and E and the mass when asked, on
+    """Run the chain to p_steps and reduce S and E, and the mass when asked, on
     the steps of `span` (a range of step 1 within 0..steps; default all).
 
     p is a start as _start gives it (None: node 0, checked here).  The chain
@@ -215,15 +215,13 @@ def _reduce_chain(spec: LinearWalkSpec, steps: int, p: np.ndarray | None = None,
     reduced in slices of the same height.  Blocks outside the span are not
     reduced.
 
-    S takes p log p over each block's band only, the union of its rows'
-    bands from _chain_blocks: an unmasked np.log into a reused (rows, N)
-    scratch that is zero outside that band, times p in place.  Where a row's
-    own band is narrower than the union, its 0 log 0 terms are cleared.  The
-    sum runs over the full row, so S is shannon_entropy(row) bit for bit; a
-    row that an exact zero inside its own band leaves NaN (p_0, or a custom
-    start) is redone through shannon_entropy.  E = epsilon * (block @ sites)
-    is taken over the whole block, as its bits depend on the block's height,
-    and the mass is block.sum(axis=-1): both over full rows.
+    S takes p log max(p, 5e-324) over each block's band (the union of its
+    rows' bands from _chain_blocks) into a reused (rows, N) scratch, zero
+    outside it, summed over full rows: shannon_entropy's p log p where p > 0,
+    -0.0 where p = 0, which moves a sum only in the sign of an exact zero
+    that 0.0 - sum clears, so S is shannon_entropy(row) bit for bit.  E =
+    epsilon * (block @ sites) is taken over the whole block, as its bits
+    depend on the block's height, and the mass is block.sum(axis=-1).
     """
     n = spec.n_nodes
     p = _start(spec, steps, None) if p is None else p
@@ -238,45 +236,34 @@ def _reduce_chain(spec: LinearWalkSpec, steps: int, p: np.ndarray | None = None,
         dists = None
         blocks = _chain_blocks(p, spec.omega, steps, rows, _TINY)
     ent = np.empty(len(span))
-    e = np.empty(len(span)) if energy else None
+    e = np.empty(len(span))
     m = np.empty(len(span)) if mass else None
     sites = np.arange(n, dtype=float)
     scratch = np.zeros((rows, n))
     s_lo, s_hi = n, 0                 # scratch is 0.0 outside columns s_lo..s_hi-1
+    logs = np.empty(rows * n)         # p log max(p, _EXACT) of the band, contiguous
     for start, block, bands in blocks:
         a, b = max(span.start - start, 0), min(span.stop - start, len(block))
         if a >= b:
             continue
         out = slice(start + a - span.start, start + b - span.start)
-        if energy:
-            e[out] = (block @ sites)[a:b]
+        e[out] = (block @ sites)[a:b]
         reduced, bands = block[a:b], bands[a:b]
         if mass:
             m[out] = reduced.sum(axis=-1)
         los, his = zip(*bands)
         lo, hi = min(los), max(his) + 1
-        if s_lo < lo:
-            scratch[:, s_lo:lo] = 0.0
-        if s_hi > hi:
-            scratch[:, hi:s_hi] = 0.0
+        scratch[:, s_lo:lo] = 0.0     # empty unless the last band reached past this one
+        scratch[:, hi:s_hi] = 0.0
         s_lo, s_hi = lo, hi
         terms = scratch[:len(reduced)]
         inside = reduced[:, lo:hi]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log(inside, out=terms[:, lo:hi])
-            terms[:, lo:hi] *= inside
-        for k, (row_lo, row_hi) in enumerate(bands):
-            if row_lo > lo:
-                terms[k, lo:row_lo] = 0.0
-            if row_hi + 1 < hi:
-                terms[k, row_hi + 1:hi] = 0.0
-        s = 0.0 - terms.sum(axis=-1)
-        redo = np.isnan(s)
-        if redo.any():
-            s[redo] = shannon_entropy(reduced[redo])
-        ent[out] = s
-    if energy:
-        e *= spec.epsilon
+        log = logs[:inside.size].reshape(inside.shape)
+        np.log(np.maximum(inside, _EXACT, out=log), out=log)
+        log *= inside                 # in the contiguous buffer: a strided out is slower
+        terms[:, lo:hi] = log
+        ent[out] = 0.0 - terms.sum(axis=-1)
+    e *= spec.epsilon
     return _Series(ent, e, m, block[-1].copy(), dists)
 
 
@@ -298,21 +285,22 @@ def simulate_trajectory(
 
     The series (entropy, energy, mass) come from _reduce_chain over every
     step: the rows of _chain_blocks at floor DBL_MIN, a block of steps at a
-    time, with p log p taken over each block's band and every sum over full
-    rows.  A flushed subnormal moves them only by terms far below the
-    rounding of the row sums: they equal the exact chain's bit for bit on
-    every case the tests check, and final_distribution is within
-    (N + 2 steps) DBL_MIN of it in L1.  keep_distributions runs the chain
-    once at its exact floor instead, into one (steps+1) x N array of every
-    p_n; the series reduce that array in slices of the same block height, and
-    final_distribution is its last row.
+    time, with p log max(p, 5e-324) of each block's band summed over full
+    rows (-0.0 where p = 0 moves a sum only in the sign of a zero, which
+    S = 0.0 - sum clears).  A flushed subnormal moves them only by terms far
+    below the rounding of the sums: they equal the exact chain's bit for bit
+    on every case the tests check, and final_distribution is within (N + 2
+    steps) DBL_MIN of it in L1.  keep_distributions runs the chain once at its
+    exact floor instead, into one (steps+1) x N array of every p_n, reduced
+    in slices of the same block height, and final_distribution is its last row.
     """
     p = _start(spec, steps, p0)
-    if not isinstance(t_est_half_width, (int, np.integer)) or t_est_half_width < 0:
+    if (isinstance(t_est_half_width, bool) or not isinstance(t_est_half_width, (int, np.integer))
+            or t_est_half_width < 0):
         raise ValueError("t_est_half_width must be a nonnegative integer, "
                          f"got {t_est_half_width!r}")
     t_eq = equilibrium.equilibrium_temperature(spec.omega, spec.epsilon)
-    series = _reduce_chain(spec, steps, p, energy=True, mass=True, keep=keep_distributions)
+    series = _reduce_chain(spec, steps, p, mass=True, keep=keep_distributions)
     ent, energy, mass, p = series.entropy, series.energy, series.mass, series.final
     s_gen = _generated_entropy(ent, energy, t_eq)
     return TrajectoryRecord(

@@ -42,14 +42,13 @@ and its default --steps; it refuses a split with no tail, a negative
 --steps and one that ends before the window does, in this order, before it
 runs its chain.
 
-Both exact series go through the one reducer of the chain's blocks,
-oqwalk._trajectory._reduce_chain, which takes p log p over each block's band
-and every sum over full rows, so each value is the full row's bit for bit.
-`trajectory` asks it for S and E on every step (not the mass, which the CLI
-does not print) and derives T_est and S_gen from them as simulate_trajectory
-does.  `table` asks for S on the window's steps alone: its chain runs to the
-window's last step, whatever a longer --steps asks, since no later row is
-read, and the rows before the window are stepped but not reduced.
+Both exact series go through oqwalk._trajectory._reduce_chain, which sums
+p log max(p, 5e-324) of each block's band over full rows (-0.0 where p = 0
+moves a sum only in the sign of a zero, which S = 0.0 - sum clears), so each
+value is the full row's bit for bit.  `trajectory` takes S and E on every
+step (no mass) and derives T_est and S_gen as simulate_trajectory does.
+`table` reads S on the window's steps alone: its chain runs to the window's
+last step, whatever a longer --steps asks, and reduces no row before it.
 
 A run loads only what its subcommand calls.  This module loads the exact
 chain's series (oqwalk._trajectory), which `trajectory` and `table` run;
@@ -67,8 +66,10 @@ against its flag's choices like a command-line value, before any work.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
@@ -319,7 +320,7 @@ def cmd_trajectory(args):
     spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
     t_eq = eq.equilibrium_temperature(spec.omega, spec.epsilon)
     # simulate_trajectory's series without its mass and residuals
-    s = tr._reduce_chain(spec, args.steps, energy=True)
+    s = tr._reduce_chain(spec, args.steps)
     series = (np.arange(args.steps + 1), s.entropy, s.energy,
               tr._temperature_estimate(s.energy, s.entropy, tr._T_EST_HALF_WIDTH),
               tr._generated_entropy(s.entropy, s.energy, t_eq))
@@ -498,10 +499,16 @@ def main(argv: list[str] | None = None) -> int:
                 raise CliError(EXIT_VALIDATION, f"missing required parameter --{flag}")
         for path, fields, chunks in command.handler(args):
             _emit(path, fields, chunks, args.format)
+        sys.stdout.flush()
         return EXIT_OK
     except (CliError, ValueError) as exc:
         print(f"oqwalk: error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else EXIT_VALIDATION
+    except OSError as exc:  # _emit turns a failed --out file into a CliError: this is stdout
+        print(f"oqwalk: error: cannot write stdout: {exc}", file=sys.stderr)
+        with contextlib.suppress(AttributeError, ValueError), open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())  # so the exit flush cannot fail
+        return EXIT_IO
     except MemoryError as exc:  # a run too large for this host is refused like a bad parameter
         print(f"oqwalk: error: not enough memory for this run: {str(exc) or 'MemoryError'}",
               file=sys.stderr)

@@ -412,11 +412,15 @@ def thermo_points(n_nodes: int, beta, epsilon: float = 1.0) -> ThermoPoint:
     """All equilibrium observables at each inverse temperature of `beta`, as arrays.
 
     At beta = 0, Z = N exactly, T = inf and F = -inf (the beta -> 0+ limit).
+    A non-finite beta is refused as _check_beta refuses it, first.
     """
     _check_n_nodes(n_nodes)
     _check_epsilon(epsilon)
     beta = np.asarray(beta, dtype=float)
-    x = beta * epsilon
+    if not np.isfinite(beta).all():
+        _check_beta(float(beta[~np.isfinite(beta)].flat[0]))
+    with np.errstate(over="ignore"):  # refused below, not warned of
+        x = beta * epsilon
     if not np.isfinite(x).all():
         raise ValueError("beta * epsilon must be finite")
     logz, e, var, s = _forms(n_nodes, x)

@@ -1,6 +1,7 @@
 """CLI harness: output formats, determinism, exit codes, config precedence."""
 
 import csv
+import errno
 import io
 import json
 import math
@@ -987,7 +988,7 @@ def test_infinite_epsilon_is_refused(argv, tmp_path, capsys, monkeypatch):
 
 
 TINY_EPSILON = [
-    (["equilibrium", "--n-nodes", "3"], "beta * epsilon must be finite"),
+    (["equilibrium", "--n-nodes", "3"], "beta must be finite, got -inf"),
     (["trajectory", "--n-nodes", "3", "--steps", "3"], "beta must be finite, got -inf"),
     (["dqc", "--n-nodes", "3"], "beta must be finite, got -inf"),
 ]
@@ -1030,20 +1031,22 @@ for argv in {ALL_SUBCOMMANDS!r}:
     assert main(argv + ["--out", argv[0] + ".csv"]) == 0, argv
 assert not any(name.startswith("scipy") for name in sys.modules if sys.modules[name])
 """
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert len(list(tmp_path.glob("*.csv"))) == len(ALL_SUBCOMMANDS) + 1
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_runs_as_a_script(capsys):
     # python -m oqwalk.cli goes through the __main__ guard and entrypoint
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _src_env()
     script = [sys.executable, "-m", "oqwalk.cli", "steady-state", "--n-nodes", "3"]
     done = subprocess.run(script + ["--omega", "0.5"], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -1053,6 +1056,47 @@ def test_module_runs_as_a_script(capsys):
                              text=True, timeout=120)
     assert (refused.returncode, refused.stdout) == (2, "")
     assert refused.stderr == "oqwalk: error: omega must lie strictly inside (0, 1), got 1.5\n"
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("argv", ALL_SUBCOMMANDS, ids=[argv[0] for argv in ALL_SUBCOMMANDS])
+def test_unwritable_stdout_is_one_line_and_exit_3(argv, tmp_path, capsys, monkeypatch):
+    # a table through _emit and table's and dqc's print lines alike; this
+    # stdout has no descriptor to point at the null device
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(argv) == 3
+    assert capsys.readouterr().err == ("oqwalk: error: cannot write stdout: "
+                                       f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("argv, sink", [
+    (["window", "--n-nodes", "10", "--omega", "0.7"], "/dev/full"),
+    (["trajectory", "--n-nodes", "300", "--omega", "0.7", "--steps", "500"], "closed pipe"),
+])
+def test_unwritable_stdout_of_a_process_exits_3(argv, sink):
+    # the process's own last flush of stdout, after main returns, must not
+    # fail again ("Exception ignored ...") or change the exit code
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("no /dev/full on this system")
+    if sink == "closed pipe":
+        read, out = os.pipe()
+        os.close(read)
+        code = errno.EPIPE
+    else:
+        out = os.open(sink, os.O_WRONLY)
+        code = errno.ENOSPC
+    try:
+        done = subprocess.run([sys.executable, "-m", "oqwalk.cli", *argv], env=_src_env(),
+                              stdout=out, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(out)
+    assert done.returncode == 3
+    assert done.stderr == f"oqwalk: error: cannot write stdout: [Errno {code}] {os.strerror(code)}\n"
 
 
 @pytest.mark.parametrize("argv, config, code, message", [

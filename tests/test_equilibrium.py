@@ -558,6 +558,19 @@ def test_thermo_points_rejects_bad_parameters(n_nodes, beta, epsilon):
         eq.thermo_points(n_nodes, beta, epsilon)
 
 
+def test_thermo_points_refuses_the_first_non_finite_beta_before_an_overflow():
+    # the rule and text of every other beta-taking evaluator, checked before
+    # 1e300 * 1e10 overflows the product beta * epsilon
+    for betas, text in [([0.2, 1e300, -math.inf, math.nan], "-inf"), (math.nan, "nan"),
+                        (np.array([[1.0, 2.0], [math.inf, 0.0]]), "inf")]:
+        with pytest.raises(ValueError) as exc:
+            eq.thermo_points(10, betas, 1e10)
+        assert str(exc.value) == f"beta must be finite, got {text}"
+    with pytest.raises(ValueError) as exc:
+        eq.thermo_points(10, [0.2, 1e300], 1e10)
+    assert str(exc.value) == "beta * epsilon must be finite"
+
+
 # ---------------------------------------------------------------- node count
 
 _NODE_COUNT_CALLERS = {

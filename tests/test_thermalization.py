@@ -593,11 +593,9 @@ def test_trajectory_block_reductions_match_per_step(n, where, custom_start, keep
         p0[::3] = 0.0
         p0 /= p0.sum()
     # the series come from one _reduce_chain call, which reads the chain's
-    # blocks at the series' height (one block of every step when kept) and
-    # redoes only p_0, whose zeros lie inside its whole-row band, through
-    # shannon_entropy
-    reductions, blocks, redone = [], [], []
-    reduce_chain, chain_blocks, reduce = tr._reduce_chain, tr._chain_blocks, th.shannon_entropy
+    # blocks at the series' height (one block of every step when kept)
+    reductions, blocks = [], []
+    reduce_chain, chain_blocks = tr._reduce_chain, tr._chain_blocks
 
     def reduce_counted(*args, **kwargs):
         reductions.append(kwargs)
@@ -608,19 +606,13 @@ def test_trajectory_block_reductions_match_per_step(n, where, custom_start, keep
             blocks.append(block[1].shape)
             yield block
 
-    def redo_counted(block):
-        redone.append(block.shape)
-        return reduce(block)
-
     monkeypatch.setattr(tr, "_reduce_chain", reduce_counted)
     monkeypatch.setattr(tr, "_chain_blocks", chain_counted)
-    monkeypatch.setattr(tr, "shannon_entropy", redo_counted)
     traj = th.simulate_trajectory(spec, steps, p0=p0, keep_distributions=keep)
     monkeypatch.undo()
 
-    assert reductions == [dict(energy=True, mass=True, keep=keep)]
+    assert reductions == [dict(mass=True, keep=keep)]
     assert len(blocks) == (1 if keep else math.ceil((steps + 1) / rows))
-    assert redone == [(1, n)]
     if keep:
         assert traj.distributions.shape == (steps + 1, n)
     else:
@@ -673,8 +665,15 @@ def _subnormal_start(n):
     return p0
 
 
+def _parity_start(n):
+    """Mass on the even sites only: rows keep exact zeros inside their own band."""
+    p0 = np.zeros(n)
+    p0[::2] = 1.0
+    return p0 / p0.sum()
+
+
 _STARTS = {"subnormal": _subnormal_start, "last": lambda n: _localized(n, n - 1),
-           "uniform": lambda n: np.full(n, 1.0 / n)}
+           "uniform": lambda n: np.full(n, 1.0 / n), "parity": _parity_start}
 
 
 @pytest.mark.parametrize("n,omega,steps,start", [
@@ -686,6 +685,7 @@ _STARTS = {"subnormal": _subnormal_start, "last": lambda n: _localized(n, n - 1)
     (500, 0.7, 1500, "subnormal"),           # interior zeros and subnormal entries
     (400, 0.2, 2000, "last"),                # the left edge moves from the first step
     (1000, 0.1, 1500, "uniform"),            # the right edge recedes ~0.8 sites a step
+    (1000, 0.6, 1500, "parity"),             # exact zeros inside each row's own band
     (40_000, 0.6, 1600, None),               # rows == 1
     pytest.param(10_000, 0.6, 20_000, None, marks=pytest.mark.slow),
     pytest.param(100_000, 2 / 3, 3000, None, marks=pytest.mark.slow),
@@ -737,76 +737,62 @@ def test_band_chain_rows_are_zero_outside_their_band(monkeypatch):
 
 @st.composite
 def _reducer_runs(draw):
-    """A walk, its start, steps, a span of them, the quantities asked for, and a
-    block height (None: the series' own, else 1..12 rows)."""
+    """A walk, its start, steps, a span of them, a block height (None: the
+    series' own, else 1..12 rows), and whether the mass is asked for and the
+    rows kept."""
     n = draw(st.integers(2, 7) | st.integers(8, 128) | st.integers(129, 600)
              | st.integers(16_385, 17_000))        # the last: one row per block
     large = n > 16_384
     omega = draw(st.just(0.5) | st.floats(0.05, 0.95))
-    start = draw(st.sampled_from(["first", "last", "subnormal"] if n >= 16 else ["first", "last"]))
-    p0 = {"first": None, "last": _localized(n, n - 1), "subnormal": None}[start]
-    if start == "subnormal":
-        p0 = _subnormal_start(n)
+    starts = ["first", "last", "parity"] + (["subnormal"] if n >= 16 else [])
+    start = draw(st.sampled_from(starts))
+    p0 = None if start == "first" else _STARTS[start](n)
     steps = draw(st.integers(0, 20 if large else 120))
     first = draw(st.integers(0, steps))
     span = range(first, draw(st.integers(first + 1, steps + 1)))
     height = None if large else draw(st.none() | st.integers(1, 12))
     spec = LinearWalkSpec(n, omega, draw(st.sampled_from([1.0, 2.5])))
-    return (spec, steps, p0, span, height, draw(st.booleans()), draw(st.booleans()),
-            draw(st.booleans()))
+    return spec, steps, p0, span, height, draw(st.booleans()), draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
 @given(_reducer_runs())
-@example((LinearWalkSpec(9, 0.3), 40, None, range(5, 29), 4, True, True, False))
-@example((LinearWalkSpec(100, 0.7), 60, _localized(100, 99), range(7, 50), 8, True, False, True))
-@example((LinearWalkSpec(17_000, 0.6), 12, None, range(3, 10), None, True, True, False))
+@example((LinearWalkSpec(9, 0.3), 40, None, range(5, 29), 4, True, False))
+@example((LinearWalkSpec(100, 0.7), 60, _localized(100, 99), range(7, 50), 8, False, True))
+@example((LinearWalkSpec(17_000, 0.6), 12, None, range(3, 10), None, True, False))
 def test_reducer_rows_are_the_full_row_reductions(run):
     # S and the mass of each step of the span are shannon_entropy and sum of its
     # row bit for bit; E is epsilon * (block @ sites) over the row's whole block
-    # of the series' height, whose bits depend on that height.  shannon_entropy
-    # redoes exactly the rows with an exact zero inside their own band.
-    spec, steps, p0, span, height, energy, mass, keep = run
+    # of the series' height, whose bits depend on that height.
+    spec, steps, p0, span, height, mass, keep = run
     n = spec.n_nodes
     p = lin._start(spec, steps, p0)
-    redone = []
-    reduce = tr.shannon_entropy
-
-    def redo_counted(block):
-        redone.append(len(block))
-        return reduce(block)
-
     with pytest.MonkeyPatch.context() as patch:
         if height is not None:
             patch.setattr(tr, "_BLOCK_BYTES", 8 * n * height)
-        patch.setattr(tr, "shannon_entropy", redo_counted)
         rows = max(1, tr._BLOCK_BYTES // (8 * n))
-        got = tr._reduce_chain(spec, steps, p, span=span, energy=energy, mass=mass, keep=keep)
+        got = tr._reduce_chain(spec, steps, p, span=span, mass=mass, keep=keep)
     assert height is None or rows == height
     floor = tr._EXACT if keep else tr._TINY
-    chain = [(b[0].copy(), band[0])
-             for _, b, band in tr._chain_blocks(p, spec.omega, steps, 1, floor)]
+    chain = [b[0].copy() for _, b, _ in tr._chain_blocks(p, spec.omega, steps, 1, floor)]
     if keep:
         exact = list(markov_rows(spec, steps, p0))
-        assert all(row.tobytes() == q.tobytes() for (row, _), q in zip(chain, exact))
+        assert all(row.tobytes() == q.tobytes() for row, q in zip(chain, exact))
         np.testing.assert_array_equal(got.distributions, exact)
     else:
         assert got.distributions is None
-    assert got.final.tobytes() == chain[-1][0].tobytes()
-    assert (got.energy is None, got.mass is None) == (not energy, not mass)
-    assert len(got.entropy) == len(span)
-    assert sum(redone) == sum((chain[k][0][lo:hi + 1] == 0.0).any()
-                              for k in span for lo, hi in [chain[k][1]])
+    assert got.final.tobytes() == chain[-1].tobytes()
+    assert (got.mass is None) == (not mass)
+    assert len(got.entropy) == len(span) == len(got.energy)
     sites = np.arange(n, dtype=float)
     for i, k in enumerate(span):
-        row = chain[k][0]
+        row = chain[k]
         assert got.entropy[i].tobytes() == np.float64(th.shannon_entropy(row)).tobytes()
         if mass:
             assert got.mass[i] == row.sum()
-        if energy:
-            block = k - k % rows
-            e = np.array([r for r, _ in chain[block:block + rows]]) @ sites * spec.epsilon
-            assert got.energy[i] == e[k - block]
+        block = k - k % rows
+        e = np.array(chain[block:block + rows]) @ sites * spec.epsilon
+        assert got.energy[i] == e[k - block]
 
 
 def _assert_exact_rows(spec, steps, p0, rows):
@@ -1107,7 +1093,7 @@ def _no_chain(*args):
     raise AssertionError("the chain ran")
 
 
-@pytest.mark.parametrize("half_width", [-1, 2.5])
+@pytest.mark.parametrize("half_width", [-1, 2.5, True])
 def test_bad_half_width_is_refused_before_the_chain_runs(half_width, monkeypatch):
     monkeypatch.setattr(tr, "_chain_blocks", _no_chain)
     with pytest.raises(ValueError, match=rf"^t_est_half_width must be a nonnegative "
