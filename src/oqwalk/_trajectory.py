@@ -51,6 +51,10 @@ def shannon_entropy(p: np.ndarray) -> float | np.ndarray:
     For the linear walk from a pure localized start this equals the von
     Neumann entropy of the full quantum state: every occupied block stays a
     rank-one projector, so the position marginal carries all the mixedness.
+    From any internal start sigma at one node, each block is p_n(m) W_m sigma
+    W_m^dagger with W_m unitary, so S_vN(rho_n) = H(p_n) + S_vN(sigma): the
+    two differ by a constant, and every change of entropy along the walk is
+    the position marginal's.
     """
     s = 0.0 - _xlogx(np.asarray(p, dtype=float)).sum(axis=-1)
     return float(s) if s.ndim == 0 else s

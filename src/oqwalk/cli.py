@@ -10,6 +10,10 @@ approx-entropy  closed-form entropy approximation series over time
 table           error metrics of the approximation against the exact run
 dqc             step-count estimates and energy bookkeeping for readout runs
 
+Each subcommand takes exactly the flags that change its result: the level
+spacing --epsilon enters only the energies, so `equilibrium`, `trajectory`
+and `dqc` take it, and `table` takes its steps from its window alone.
+
 Everything is deterministic: identical invocations on one numpy and BLAS
 build produce byte-identical files.  `trajectory`'s E, T_est and S_gen come
 from numpy's matmul over blocks of _BLOCK_BYTES // (8 N) steps, so their last
@@ -17,7 +21,8 @@ bits can move with another numpy or BLAS build.  CSV floats are serialized
 with 17 significant digits, JSON floats as Python's repr (the shortest text
 that reads back to the same double); divergences are written as inf/-inf
 (CSV) or the strings "inf"/"-inf" (JSON).  Exit codes: 0 success, 2 invalid
-parameters, 3 I/O failure.
+parameters (a flag the subcommand does not take included), 3 I/O failure (a
+stdout that cannot be written included, by a table, a print or --help).
 
 Output is streamed: results are computed first (so a failing computation
 writes nothing), then written in blocks of at most 4096 rows, one write each.
@@ -38,9 +43,8 @@ first, then computes pi a block at a time.  approx-entropy computes its
 series one block of t at a time as it writes, so its memory does not grow
 with --steps.  `table` takes the window's integer steps [ceil(t_start),
 floor(t_end)] from the library's one rounding of it, as its header's range
-and its default --steps; it refuses a split with no tail, a negative
---steps and one that ends before the window does, in this order, before it
-runs its chain.
+and its chain's length; it refuses a split with no tail before it runs its
+chain.
 
 Both exact series go through oqwalk._trajectory._reduce_chain, which sums
 p log max(p, 5e-324) of each block's band over full rows (-0.0 where p = 0
@@ -48,7 +52,7 @@ moves a sum only in the sign of a zero, which S = 0.0 - sum clears), so each
 value is the full row's bit for bit.  `trajectory` takes S and E on every
 step (no mass) and derives T_est and S_gen as simulate_trajectory does.
 `table` reads S on the window's steps alone: its chain runs to the window's
-last step, whatever a longer --steps asks, and reduces no row before it.
+last step and reduces no row before it.
 
 A run loads only what its subcommand calls.  This module loads the exact
 chain's series (oqwalk._trajectory), which `trajectory` and `table` run;
@@ -347,7 +351,7 @@ def cmd_window(args):
 def cmd_approx_entropy(args):
     from . import thermalization as th
 
-    spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
+    spec = LinearWalkSpec(args.n_nodes, _single_omega(args))
     if args.steps is not None:
         lin._check_steps(args.steps)
     params = th.approx_entropy_params(spec.n_nodes, spec.omega)
@@ -372,12 +376,11 @@ def _one_row(values: list) -> list[tuple]:
 def cmd_table(args):
     from . import thermalization as th
 
-    spec = LinearWalkSpec(args.n_nodes, _single_omega(args), args.epsilon)
+    spec = LinearWalkSpec(args.n_nodes, _single_omega(args))
     window = th.thermalization_window(spec.n_nodes, spec.omega)
-    # the split, then --steps (nonnegative, reaching the window's end), are
-    # refused before the chain runs; the run defaults to ending with the window
+    # the split is refused before the chain runs
     params = th.approx_entropy_params(spec.n_nodes, spec.omega)
-    ts = th._window_steps(window, args.steps)
+    ts = th._window_steps(window)
     # the metrics read S on the window's steps only: the chain runs to its
     # last one, and S is reduced on those steps alone
     entropy = tr._reduce_chain(spec, ts[-1], span=ts).entropy
@@ -431,7 +434,6 @@ _FLAGS: dict[str, dict] = {
     "format": dict(type=str, choices=("csv", "json"), default="csv",
                    help="output format (default csv)"),
     "out": dict(type=str, help="output path (default stdout)"),
-    "jobs": dict(type=int, help="ignored; accepted so existing scripts and configs keep working"),
     "dump-distributions": dict(type=str,
                                help="also write per-step distributions (n,m,p) to this path"),
     "boltzmann": dict(type=str, choices=("tail-sum", "weighted-equilibrium"), default="tail-sum",
@@ -446,20 +448,31 @@ _Command = namedtuple("_Command", "handler help extras required",
                       defaults=((), ("n-nodes", "omega")))
 _COMMANDS = {
     "steady-state": _Command(cmd_steady_state, "stationary distribution"),
-    "equilibrium": _Command(cmd_equilibrium, "equilibrium observable sweep"),
+    "equilibrium": _Command(cmd_equilibrium, "equilibrium observable sweep", ("epsilon",)),
     "trajectory": _Command(cmd_trajectory, "exact per-step series",
-                           ("steps", "dump-distributions"), ("n-nodes", "omega", "steps")),
+                           ("epsilon", "steps", "dump-distributions"),
+                           ("n-nodes", "omega", "steps")),
     "window": _Command(cmd_window, "thermalization window bounds"),
     "approx-entropy": _Command(cmd_approx_entropy, "closed-form entropy approximation series",
                                ("steps", "boltzmann")),
-    "table": _Command(cmd_table, "approximation error metrics over the window",
-                      ("steps", "boltzmann")),
-    "dqc": _Command(cmd_dqc, "step estimates and energy bookkeeping"),
+    "table": _Command(cmd_table, "approximation error metrics over the window", ("boltzmann",)),
+    "dqc": _Command(cmd_dqc, "step estimates and energy bookkeeping", ("epsilon",)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's print_help drops an OSError from its write; this one raises
+    it, and flushes, so that --help into an unwritable stdout fails like any
+    other write."""
+
+    def print_help(self, file=None):
+        file = sys.stdout if file is None else file
+        file.write(self.format_help())
+        file.flush()
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oqwalk",
         description="Linear open-quantum-walk simulations and thermodynamics.",
     )
@@ -477,23 +490,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
+        command = _COMMANDS[args.command]
         if args.config is not None:
             # Typed defaults: argparse converts only string defaults, by `type`
             # and never by `choices`.  Parsing argv again makes explicit flags win.
             values = _load_config(args.config).items()
             args.parser.set_defaults(**{k: v for k, v in values if hasattr(args, k)})
             args = parser.parse_args(argv)
-        eq._check_epsilon(args.epsilon)
+        if "epsilon" in command.extras:
+            eq._check_epsilon(args.epsilon)
         for flag, settings in _FLAGS.items():
             value = getattr(args, flag.replace("-", "_"), None)
             if "choices" in settings and value not in (None, *settings["choices"]):
                 choices = " or ".join(settings["choices"])
                 raise CliError(EXIT_VALIDATION, f"{flag} must be {choices}, got {value!r}")
-        command = _COMMANDS[args.command]
         for flag in command.required:
             if getattr(args, flag.replace("-", "_")) is None:
                 raise CliError(EXIT_VALIDATION, f"missing required parameter --{flag}")
@@ -504,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"oqwalk: error: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, CliError) else EXIT_VALIDATION
-    except OSError as exc:  # _emit turns a failed --out file into a CliError: this is stdout
+    except OSError as exc:  # stdout, by a table, a print or --help: a failed --out is a CliError
         print(f"oqwalk: error: cannot write stdout: {exc}", file=sys.stderr)
         with contextlib.suppress(AttributeError, ValueError), open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())  # so the exit flush cannot fail

@@ -190,7 +190,8 @@ def markov_step(
 
 
 def _check_steps(steps: int) -> None:
-    if not isinstance(steps, (int, np.integer)):  # 2.0 too: steps count applications
+    # 2.0 and True too: steps count applications
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise ValueError(f"steps must be an integer, got {steps!r}")
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")

@@ -11,11 +11,11 @@ TrajectoryRecord, iter_distributions, shannon_entropy, entropy_production)
 are defined in the private module oqwalk._trajectory, which runs the chain
 without loading the analytic forms.  The error metrics are taken over the
 window's integer steps [ceil(t_start), floor(t_end)]: one private helper,
-_window_steps, rounds the window and checks a run's length against it, for
-error_metrics and for the CLI's `table`, which so refuses a short run before
-its chain.  Both take their report from _window_metrics, over the exact S on
-those steps: error_metrics reads it from a trajectory, `table` reduces it on
-the window's steps alone.  The approximation evaluators (and
+_window_steps, rounds the window for error_metrics and for the CLI's
+`table`, and checks a trajectory's length against it for error_metrics.
+Both take their report from _window_metrics, over the exact S on those
+steps: error_metrics reads it from a trajectory, `table` reduces it on the
+window's steps alone.  The approximation evaluators (and
 entropy_gaussian_regime) are array-valued in t: floats for a scalar t,
 arrays shaped like an array of times.  Their erfc is the C library's
 math.erfc, applied elementwise.

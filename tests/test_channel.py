@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from oqwalk import channel as ch
 from oqwalk import linear as lin
+from oqwalk import thermalization as th
 from oqwalk.channel import BlockState, OqwChannel
 from oqwalk.linear import LinearWalkSpec
 
@@ -542,6 +543,23 @@ def test_trace_drift_over_ten_thousand_steps(d):
     assert np.abs(np.diff(traces)).max() <= 1e-12
 
 
+def engine_step_error(unitaries, d):
+    """(rounding, eta) of one step of the linear walk's engine, as derived in
+    test_engine_blocks_are_the_chain_times_the_transported_state.
+
+    rounding bounds the step's rounding errors summed over every entry of every
+    block, per unit trace norm of the state; eta is the largest
+    ||U^dagger U - I||_2 of the unitaries, with the rounding of its own product.
+    """
+    eta = max(np.linalg.norm(u.conj().T @ u - np.eye(d), 2) for u in unitaries)
+    eta += math.sqrt(2) * gamma(2 * d) * d
+    if d <= ch._SUPEROP_MAX_DIM:
+        c = math.sqrt(2) * (gamma(2) + gamma(4 * d * d))
+    else:
+        c = math.sqrt(2) * (gamma(2 * d) + gamma(4 * d))
+    return (c + gamma(5)) * d * d + U * d, eta
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), d=st.integers(1, 8),
        omega=st.floats(0.05, 0.95), steps=st.integers(1, 300))
@@ -576,13 +594,8 @@ def test_engine_blocks_are_the_chain_times_the_transported_state(seed, n, d, ome
     psi = haar_unitaries(rng, 1, d)[0][:, 0]
     spec = LinearWalkSpec(n, omega, unitaries=tuple(unitaries))
     chan = lin.build_channel(spec)
-    eta = max(np.linalg.norm(u.conj().T @ u - np.eye(d), 2) for u in unitaries)
-    eta += math.sqrt(2) * gamma(2 * d) * d  # the rounding of eta's own product
-    if d <= ch._SUPEROP_MAX_DIM:
-        c = math.sqrt(2) * (gamma(2) + gamma(4 * d * d))
-    else:
-        c = math.sqrt(2) * (gamma(2 * d) + gamma(4 * d))
-    per_step = (c + gamma(5)) * d * d + U * d + 3 * eta + 2 * gamma(2)
+    rounding, eta = engine_step_error(unitaries, d)
+    per_step = rounding + 3 * eta + 2 * gamma(2)
     fixed = (math.sqrt(2) * gamma(2) * d + math.sqrt(2) * (2 * n * d * gamma(2 * d) + gamma(2))
              + 4 * U)
     phis = np.array([lin.internal_state_at_node(spec, psi, m) for m in range(n)])
@@ -595,6 +608,60 @@ def test_engine_blocks_are_the_chain_times_the_transported_state(seed, n, d, ome
         assert bound < 1e-6
         err = np.abs(state.rho - p[:, None, None] * phis).max(axis=(1, 2)).sum()
         assert err <= bound, (k, err, bound)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_engine_entropy_is_the_chain_entropy_plus_the_start_entropy(d):
+    # From a mixed sigma at node 0 every block is p_n(m) W_m sigma W_m^dagger,
+    # W_m unitary, so the spectrum of rho_n is {p_n(m) s_j}, s that of sigma,
+    # and S_vN(rho_n) = H(p_n) + S(sigma): the paper's Shannon entropy is the
+    # quantum state's up to a constant, whatever the internal start.
+    # Bound: the values that the three entropies read (the blocks' eigenvalues,
+    # p_n and s) move from their exact values by at most `budget` in sum, and
+    # x log x moves by at most its slope, 1 - log lo on [lo, 1], times that,
+    # with lo the smallest value read less the budget.  The budget holds:
+    # - the engine: a step's rounding, summed over every entry, is within
+    #   `rounding` (engine_step_error), so within sqrt(d) times it in trace norm,
+    #   and the unitaries' defect moves the state by 3 eta.  The exact map
+    #   does not grow the trace norm, so these add up over the k steps, and the
+    #   factor 2 covers every growth factor (1 + u)(1 + eta).  By Lidskii's
+    #   inequality the spectra, and the traces p_n, then lie that close to
+    #   {p_n(m) s_j} and p_n in l1.  This term dominates: after 200 steps the
+    #   engine has moved a block's spectrum by about 20 u of p_n(m), eigvalsh
+    #   by about 5 u.
+    # - eigvalsh (LAPACK's heevd): the exact eigenvalues of A + E, with
+    #   ||E||_2 of order d^2 u ||A||_2 from the Householder reduction, taken as
+    #   gamma_{d^2} ||A||_F, for the d eigenvalues of each block and of sigma;
+    # - position_marginal's sum of the d diagonal entries: gamma_{d-1} p_n(m).
+    # Each entropy of K values rounds by gamma_{K+8} of itself, at most S_vN
+    # (log within 4 ulp, a product and K - 1 additions), and sigma's trace t is 1 within
+    # gamma_{d+1}, which moves the identity by |t log t| <= 2 |t - 1|.
+    rng = np.random.default_rng(d)
+    n, steps = 12, 200
+    unitaries = haar_unitaries(rng, n - 1, d)
+    chan = lin.build_channel(LinearWalkSpec(n, 0.7, unitaries=tuple(unitaries)))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    sigma = g @ g.conj().T
+    sigma = (sigma + sigma.conj().T) / (2 * np.trace(sigma).real)  # exactly Hermitian
+    s = np.linalg.eigvalsh(sigma)
+    rounding, eta = engine_step_error(unitaries, d)
+    drift = 2 * (math.sqrt(d) * rounding + 3 * eta)
+    state = BlockState(n, {0: sigma})
+    for k in range(1, steps + 1):
+        state = ch.step(chan, state)
+        reached = state.rho.any(axis=(1, 2))  # the others are 0, in exact arithmetic too
+        blocks = state.rho[reached]
+        values = [np.linalg.eigvalsh(blocks).ravel(), ch.position_marginal(state)[reached], s]
+        budget = (2 * k * drift + gamma(d - 1) * values[1].sum()
+                  + d * gamma(d * d) * (np.linalg.norm(blocks, axis=(1, 2)).sum()
+                                        + np.linalg.norm(sigma)))
+        lo = min(v.min() for v in values) - budget
+        assert lo > 0
+        s_vn, h, s_sigma = (th.shannon_entropy(v) for v in values)
+        bound = ((1 - math.log(lo)) * budget + 2 * gamma(d + 1)
+                 + sum(gamma(len(v) + 8) for v in values) * s_vn)
+        assert bound < 1e-6
+        assert abs(s_vn - h - s_sigma) <= bound, (k, s_vn - h - s_sigma, bound)
 
 
 @settings(max_examples=40, deadline=None)

@@ -128,16 +128,6 @@ def test_equilibrium_divergence_sentinels(tmp_path):
     assert records[0]["S"] == pytest.approx(math.log(10), rel=1e-12)
 
 
-def test_equilibrium_jobs_do_not_change_output(tmp_path):
-    outs = []
-    for jobs in ("1", "4"):
-        out = tmp_path / f"jobs{jobs}.csv"
-        assert main(["equilibrium", "--n-nodes", "50", "--omega", "0.1:0.9:0.1",
-                     "--jobs", jobs, "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
-    assert outs[0] == outs[1]
-
-
 # ---------------------------------------------------------------- trajectory
 
 def test_equilibrium_z_finite_below_the_largest_double(tmp_path):
@@ -556,24 +546,31 @@ def test_config_file_rejects_unknown_key(tmp_path, capsys):
     capsys.readouterr()
 
 
-_PLAIN = ["n-nodes", "omega", "epsilon", "format", "out", "jobs", "config"]
-_STEPS = ["n-nodes", "omega", "epsilon", "steps", "format", "out", "jobs"]
+# Each subcommand takes exactly the flags that change its result: epsilon
+# enters only the energies, which equilibrium, trajectory and dqc report.
+_PLAIN = ["n-nodes", "omega", "format", "out", "config"]
+_EPSILON = ["n-nodes", "omega", "epsilon", "format", "out", "config"]
 SUBCOMMAND_FLAGS = {
     "steady-state": _PLAIN,
-    "equilibrium": _PLAIN,
-    "trajectory": _STEPS + ["dump-distributions", "config"],
+    "equilibrium": _EPSILON,
+    "trajectory": ["n-nodes", "omega", "epsilon", "steps", "format", "out",
+                   "dump-distributions", "config"],
     "window": _PLAIN,
-    "approx-entropy": _STEPS + ["boltzmann", "config"],
-    "table": _STEPS + ["boltzmann", "config"],
-    "dqc": _PLAIN,
+    "approx-entropy": ["n-nodes", "omega", "steps", "format", "out", "boltzmann", "config"],
+    "table": ["n-nodes", "omega", "format", "out", "boltzmann", "config"],
+    "dqc": _EPSILON,
 }
 # per flag: the value under test, and another one for the precedence check
 FLAG_VALUES = {
     "n-nodes": ("12", "9"), "omega": ("0.7", "0.8"), "epsilon": ("2.5", "1.5"),
     "steps": ("90", "80"), "format": ("json", "csv"), "out": ("o.txt", "p.txt"),
-    "jobs": ("3", "2"), "dump-distributions": ("d.txt", "e.txt"),
-    "boltzmann": ("weighted-equilibrium", "tail-sum"),
+    "dump-distributions": ("d.txt", "e.txt"), "boltzmann": ("weighted-equilibrium", "tail-sum"),
 }
+# flags that change none of these subcommands' results, so they refuse them
+REMOVED_FLAGS = ([(command, "jobs") for command in SUBCOMMAND_FLAGS]
+                 + [(command, "epsilon") for command in ("steady-state", "window",
+                                                         "approx-entropy", "table")]
+                 + [("table", "steps")])
 
 
 def test_each_subcommand_lists_its_flags_in_order(capsys):
@@ -582,6 +579,7 @@ def test_each_subcommand_lists_its_flags_in_order(capsys):
     for command, flags in SUBCOMMAND_FLAGS.items():
         assert main([command, "--help"]) == 0
         assert re.findall(r"^  --([\w-]+)", capsys.readouterr().out, re.M) == flags
+    assert sum(map(len, SUBCOMMAND_FLAGS.values())) == 43
 
 
 def _base_argv(command, skip):
@@ -634,7 +632,16 @@ def test_config_key_of_another_subcommand_is_ignored(command, flag, tmp_path, ca
     assert _run(capsys, base, f"{flag} = {FLAG_VALUES[flag][0]}\n") == plain
 
 
-@pytest.mark.parametrize("key", ["config", "handler", "parser", "command"])
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_removed_flag_is_an_unknown_argument(command, flag, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err, files = _run(capsys, _base_argv(command, None) + [f"--{flag}", "3",
+                                                                       "--out", "o.txt"])
+    assert (code, out, files) == (2, "", {})
+    assert err.endswith(f"oqwalk: error: unrecognized arguments: --{flag} 3\n")
+
+
+@pytest.mark.parametrize("key", ["config", "handler", "parser", "command", "jobs"])
 def test_config_refuses_keys_that_name_no_flag(key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"n-nodes = 5\n{key} = steady-state\n")
@@ -978,7 +985,10 @@ ALL_SUBCOMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", ALL_SUBCOMMANDS, ids=[argv[0] for argv in ALL_SUBCOMMANDS])
+EPSILON_SUBCOMMANDS = [argv for argv in ALL_SUBCOMMANDS if "epsilon" in SUBCOMMAND_FLAGS[argv[0]]]
+
+
+@pytest.mark.parametrize("argv", EPSILON_SUBCOMMANDS, ids=[a[0] for a in EPSILON_SUBCOMMANDS])
 def test_infinite_epsilon_is_refused(argv, tmp_path, capsys, monkeypatch):
     # inf passed the positivity check and died in 1/beta with a traceback
     monkeypatch.chdir(tmp_path)
@@ -1063,10 +1073,14 @@ class _FullStdout(io.StringIO):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-@pytest.mark.parametrize("argv", ALL_SUBCOMMANDS, ids=[argv[0] for argv in ALL_SUBCOMMANDS])
+HELP = [["--help"], ["table", "--help"]]
+
+
+@pytest.mark.parametrize("argv", ALL_SUBCOMMANDS + HELP,
+                         ids=[argv[0] for argv in ALL_SUBCOMMANDS] + ["help", "table-help"])
 def test_unwritable_stdout_is_one_line_and_exit_3(argv, tmp_path, capsys, monkeypatch):
-    # a table through _emit and table's and dqc's print lines alike; this
-    # stdout has no descriptor to point at the null device
+    # a table through _emit, table's and dqc's print lines and argparse's help
+    # alike; this stdout has no descriptor to point at the null device
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(sys, "stdout", _FullStdout())
     assert main(argv) == 3
@@ -1077,6 +1091,7 @@ def test_unwritable_stdout_is_one_line_and_exit_3(argv, tmp_path, capsys, monkey
 @pytest.mark.parametrize("argv, sink", [
     (["window", "--n-nodes", "10", "--omega", "0.7"], "/dev/full"),
     (["trajectory", "--n-nodes", "300", "--omega", "0.7", "--steps", "500"], "closed pipe"),
+    *[(argv, sink) for argv in HELP for sink in ("/dev/full", "closed pipe")],
 ])
 def test_unwritable_stdout_of_a_process_exits_3(argv, sink):
     # the process's own last flush of stdout, after main returns, must not
@@ -1112,12 +1127,12 @@ def test_unwritable_stdout_of_a_process_exits_3(argv, sink):
      "omega must lie strictly inside (0, 1), got 1.0"),
     (["equilibrium", "--n-nodes", "30", "--omega", "0:0.5:0.25"], None, 2,
      "omega must lie strictly inside (0, 1), got 0.0"),
-    (["steady-state", "--n-nodes", "3", "--omega", "0.5", "--epsilon", "0"], None, 2,
+    (["equilibrium", "--n-nodes", "3", "--omega", "0.5", "--epsilon", "0"], None, 2,
      "epsilon must be positive, got 0.0"),
-    (["table", "--n-nodes", "100", "--omega", "0.7", "--epsilon", "0"], None, 2,
-     "epsilon must be positive, got 0.0"),
-    # window passes epsilon to no library call; main checks it for every subcommand
-    (["window", "--n-nodes", "100", "--omega", "0.7", "--epsilon", "nan"], None, 2,
+    (["trajectory", "--n-nodes", "100", "--omega", "0.7", "--steps", "10", "--epsilon", "0"],
+     None, 2, "epsilon must be positive, got 0.0"),
+    # main checks epsilon before the subcommand runs
+    (["dqc", "--n-nodes", "100", "--omega", "0.7", "--epsilon", "nan"], None, 2,
      "epsilon must be positive, got nan"),
     # omega >= 1 passes the drift rule, and the omega rule refuses it
     (["window", "--n-nodes", "10", "--omega", "1.5"], None, 2,
@@ -1145,7 +1160,7 @@ def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, cod
 
 @pytest.mark.parametrize("argv", [
     ["trajectory", "--n-nodes", "10", "--omega", "0.7", "--steps", "1000000000000"],
-    ["table", "--n-nodes", "100", "--omega", "0.7", "--steps", "1000000000000"],
+    ["table", "--n-nodes", "100", "--omega", "0.7"],
 ])
 @pytest.mark.parametrize("error", [
     MemoryError("Unable to allocate 21.8 TiB for an array with shape (3, 1000000000001) "
@@ -1153,9 +1168,9 @@ def test_refused_invocation_prints_one_line_and_writes_nothing(argv, config, cod
     MemoryError(),
 ], ids=["numpy", "bare"])
 def test_run_too_large_for_memory_prints_one_line(argv, error, tmp_path, capsys, monkeypatch):
-    # Both runs ask for ~1e12 steps; whether numpy can allocate a trajectory's
-    # series depends on the host's overcommit policy, so the allocation is made
-    # to fail here instead.  table's chain stops at its window's last step.
+    # Whether numpy can allocate the series of a trajectory of ~1e12 steps
+    # depends on the host's overcommit policy, so the allocation is made to
+    # fail here instead.  table's chain stops at its window's last step.
     calls = []
 
     def reduce_chain(spec, steps, *args, **kwargs):
@@ -1171,18 +1186,6 @@ def test_run_too_large_for_memory_prints_one_line(argv, error, tmp_path, capsys,
     assert capsys.readouterr() == ("", f"oqwalk: error: not enough memory for this run: "
                                        f"{detail}\n")
     assert os.listdir(tmp_path) == []
-
-
-def test_table_runs_its_chain_to_the_window_end_whatever_its_steps(tmp_path, capsys, monkeypatch):
-    # the metrics read S on the window's steps only, so a --steps past the
-    # window's end, 1e12 included, gives the default run's bytes
-    monkeypatch.chdir(tmp_path)
-    argv = ["table", "--n-nodes", "100", "--omega", "0.7"]
-    assert main(argv + ["--out", "default.csv"]) == 0
-    default = capsys.readouterr()
-    assert main(argv + ["--steps", "1000000000000", "--out", "long.csv"]) == 0
-    assert capsys.readouterr() == default
-    assert (tmp_path / "long.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
 
 # table at omega = 2/3: the window's steps, the five metrics as stdout prints
@@ -1254,24 +1257,6 @@ def test_table_refuses_a_void_split_before_its_chain(tmp_path, capsys, monkeypat
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("oqwalk: error: n_prime = -4")
     assert "outside (0, 100)" in err
-    assert os.listdir(tmp_path) == []
-    _assert_chain_refused()
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["--n-nodes", "10000", "--omega", "0.6666666666666666", "--steps", "30000"],
-     "trajectory covers 30000 steps but the window ends at 31057"),
-    (["--n-nodes", "100", "--omega", "0.6666666666666666", "--steps", "422"],
-     "trajectory covers 422 steps but the window ends at 423"),
-    (["--n-nodes", "100", "--omega", "0.7", "--steps", "-1"], "steps must be nonnegative, got -1"),
-])
-def test_table_refuses_its_steps_before_its_chain(argv, message, tmp_path, capsys, monkeypatch):
-    # the window's last step is floor(t_end); a run that ends before it, or a
-    # negative one, is refused before the chain is called
-    monkeypatch.setattr(tr, "_reduce_chain", _refuse_to_run)
-    monkeypatch.chdir(tmp_path)
-    assert main(["table"] + argv + ["--out", "out.csv"]) == 2
-    assert capsys.readouterr() == ("", f"oqwalk: error: {message}\n")
     assert os.listdir(tmp_path) == []
     _assert_chain_refused()
 

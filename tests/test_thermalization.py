@@ -1202,7 +1202,7 @@ _STEP_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("steps", [2.5, 2.0, "3"])
+@pytest.mark.parametrize("steps", [2.5, 2.0, "3", True, False])
 @pytest.mark.parametrize("taker", list(_STEP_TAKERS))
 def test_steps_must_be_an_integer_at_the_call(taker, steps):
     # refused by linear._check_steps at the call (iter_distributions too, not
