@@ -1,9 +1,12 @@
 """Number text: the exact bytes of '%.17g' % v or repr(v) for a whole array at once.
 
-`text_matrix(column, style)` returns a uint8 matrix with one row per value,
-holding that value's text with NUL bytes in between; dropping the NULs leaves
-the text.  Floats get the text of style % v, with style '%.17g' (CSV) or '%r'
-(JSON: Python's shortest round-trip repr); integers get str(v) in either.
+`text(column, style)` returns a column's text as a Text, which puts each
+value's text into its row of a uint8 slot of the writer's row matrix, NUL
+bytes in between: dropping the NULs of a row leaves its value's text.
+`text_matrix(column, style)` is that slot on its own.  Floats get the text of
+style % v, with style '%.17g' (CSV) or '%r' (JSON: Python's shortest
+round-trip repr), or 'json', which is '%r' with "inf", "-inf" and "nan"
+quoted; integers get str(v) in any style.
 
 One kernel serves both styles.  For finite nonzero x take k = floor(log10|x|)
 and D = |x| * 10**(16 - k) in long double, with 10**q from a table of
@@ -26,24 +29,33 @@ interval boundary that the choice depends on.  Powers of two, whose interval
 is asymmetric, and subnormals are left undecided.  A carry to 10**17 is
 written as 1 at k + 1.
 
-The chosen digits, padded to 17, the '.', the '0.000' prefix of exponents
--4..-1 and the e+XX suffix are written into fixed byte slots, with trailing
-fraction zeros dropped.  '%.17g' writes fixed notation for -4 <= k < 17 and
-never '.0'; repr writes it for -4 <= k < 16, adds '.0' where no fraction
-digit is left, and writes 1e+16, 1e-05 and 1.5e+16 in scientific notation.
+R's 17 digits come from constant divisors, the first and then four groups of
+four whose text is a table's.  Each value's text is built in four words of
+8 bytes: the sign and the '0', '0.', '0.0' or '0.00' of exponents -1..-4,
+right-aligned; the core, the digits before the point, '.' and the fraction
+digits up to the last nonzero one; and the exponent, e+XX or e-XXX.  The
+point, the lead's last byte, the fraction cut and repr's '.0' come from
+byte masks per class of k and per count of fraction digits.  '%.17g' writes
+fixed notation for -4 <= k < 17 and never '.0'; repr writes it for -4 <= k
+< 16, adds '.0' where no fraction digit is left, and writes 1e+16, 1e-05 and
+1.5e+16 in scientific notation.  A column's slot is the run of bytes from the
+first that some value uses to the last, copied once into the row matrix.
+
 Every value the kernel leaves undecided is formatted by CPython's own style
-% v: a rounding too close to call, a log10 off by one, a value in [1e16,
-1e17) under '%.17g', inf and nan, about 1% of random values in either style.
-±0 is written directly.  Arrays shorter than _SMALL go to CPython whole.
-Where long double is no wider than double the bound exceeds 1/2, so every
-value goes to CPython: the bytes stay the same and only the speed is lost.
-So does every value on a double-double long double and on big-endian
-machines, which the byte layout below does not cover.
+% v, which Text.put writes over its row: a rounding too close to call, a
+log10 off by one, a value in [1e16, 1e17) under '%.17g', inf and nan, about
+1% of random values in either style.  ±0 is written directly.  Arrays
+shorter than _SMALL go to CPython whole.  Where long double is no wider than
+double the bound exceeds 1/2, so every value goes to CPython: the bytes stay
+the same and only the speed is lost.  So does every value on a double-double
+long double and on big-endian machines, which the byte layout below does not
+cover.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import sys
 
 import numpy as np
@@ -67,12 +79,16 @@ _SMALL = 256
 # Exponents k of finite nonzero doubles: 5e-324 .. 1.8e308.
 _K_LO, _K_HI = -324, 308
 _DBL_MIN = float(np.finfo(np.float64).smallest_normal)
-# A value's slot is 7 words of 8 bytes: integer digits (2), fraction digits
-# (2), sign, '.' and exponent.  The text takes them in the order of _ORDER,
-# and the bytes of a word from the lowest.
-_WORDS = 7
-_ORDER = np.array([4, 0, 1, 5, 2, 3, 6])
+# A value's text is built in 4 little-endian words, 32 bytes read in order:
+# bytes 0-7 hold the sign and the lead of exponents -1..-4 ('0', '0.', '0.0',
+# '0.00') right-aligned; bytes 8-25 the core: the integer digits, '.' and the
+# fraction digits up to the last nonzero one, or for exponents -1..-4 the
+# lead's last byte and the digits; bytes 26-30 the exponent, e+XX or e-XXX.
+# Over a column the used bytes run from the first prefix byte to the exponent.
+_WORDS = 4
 _DIGITS0 = _U(0x3030303030303030)      # '0' in each byte
+# Fraction lengths L = 0..16 per class (see _tables).
+_LENGTHS = 17
 
 
 @functools.cache
@@ -100,56 +116,64 @@ def _tables():
     for at in range(32 * ((bits - 1) // 32), -1, -32):
         pow10 += ((mant >> at) & 0xFFFFFFFF).astype(np.uint32).astype(_LD) * _LD(2) ** at
     pow10 = np.ldexp(pow10, -np.array(shift, dtype=np.int32))
-    # Per k: the split of R into integer digits I and fraction digits F (as
-    # 10**(16 - split) and 10**split), the class c of the digit layout, the
-    # exponent word, and repr's '.0' where no fraction digit is left.
-    # Classes 0..15: k in 0..15 (fixed, k + 1 integer digits) or scientific
-    # (c = 0, one integer digit); 16..19: k = -1..-4.  k = 16 is scientific,
-    # as repr writes it ('%.17g' leaves it to CPython).
+    # the text of 0000..9999, byte i of each at bit 8i: ten digit bytes broadcast
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=_U)
+    quads = (digit[:, None, None, None] | digit[:, None, None] << 8 | digit[:, None] << 16
+             | digit << 24).ravel()
+    # Classes of k: 0..15 fixed with k + 1 integer digits, 16 for k = -1,
+    # 17 for k = -4..-2, 18 scientific (k = 16 included: repr writes 1e+16,
+    # '%.17g' leaves it to CPython).  Per class: the last integer digit s of
+    # the 17 (-1 for 16 and 17, whose lead holds the '0'), and the byte that
+    # follows it, '.' or the lead's last '0'.
     k = np.arange(_K_LO, _K_HI + 1)
     fixed = (k >= 0) & (k <= 15)
-    split = np.where(fixed, k, 0)
-    cls = np.where((k >= -4) & (k < 0), 15 - k, split)
-    exp = [int.from_bytes(b"e%+03d" % v, "little") if not -4 <= v < 16 else 0
-           for v in k.tolist()]
-    point_zero = np.where(fixed, _U(int.from_bytes(b".0", "little")), _U(0))
-    # Per class: the masks keeping the integer digits of the 16-byte integer
-    # field (its last split + 1 bytes), the '0.' + zeros prefix that class
-    # 16..19 adds before its one digit, and the '.' that classes 0..15 put
-    # before a nonzero fraction.
-    layout = np.zeros((20, 5), dtype=_U)
-    for c in range(20):
-        digits = c + 1 if c < 16 else 1
-        field = bytes(16 - digits) + b"\xff" * digits
-        layout[c, 0] = int.from_bytes(field[:8], "little")
-        layout[c, 1] = int.from_bytes(field[8:], "little")
-        if c >= 16:
-            prefix = b"0." + b"0" * (c - 16)
-            field = bytes(15 - len(prefix)) + prefix + bytes(1)
-            layout[c, 2] = int.from_bytes(field[:8], "little")
-            layout[c, 3] = int.from_bytes(field[8:], "little")
-        else:
-            layout[c, 4] = ord(".")
-    # Per (h, l), the counts of fraction words' bytes up to their last nonzero
-    # digit: the masks of the fraction words and of the '.' word (all ones
-    # where some fraction digit is left).
-    h, l = np.divmod(np.arange(81), 9)
-    keep = np.where(l > 0, 8 + l, h)
-    tail = np.zeros((81, 3), dtype=_U)
-    for i, n in enumerate(keep.tolist()):
-        field = b"\xff" * n + bytes(16 - n)
-        tail[i] = (int.from_bytes(field[:8], "little"), int.from_bytes(field[8:], "little"),
-                   2 ** 64 - 1 if n else 0)
-    # the text of 0000..9999, four bytes each
-    quads = np.arange(10 ** 4)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
-    quads = quads.astype(np.uint8).view(np.uint32).ravel()
-    return (pow10, 10 ** (16 - split), 10 ** split, quads,
-            np.vstack([layout[cls].T, point_zero]), np.array(exp, dtype=_U), tail.T.copy())
+    lead = (k >= -4) & (k < 0)
+    cls = np.where(fixed, k, np.where(lead, 16 + (k < -1), 18))
+    split = np.r_[np.arange(16), -1, -1, 0]
+    point = np.array([ord(".")] * 17 + [ord("0"), ord(".")])
+    # Per class and fraction length L (digits 1..L of the 17, the last nonzero
+    # one at L): the masks of the core's bytes j that the digits D (digit i at
+    # byte i) keep, j <= s, and that D shifted by one byte keeps, s + 2 <= j
+    # <= L + 1; the byte at s + 1 where some fraction digit or a lead follows
+    # it; and repr's '.0' at s + 1 where no fraction digit is left of a fixed
+    # class.  Digits 1..L come from the 16 fraction digits, so L <= 16.
+    j = np.arange(24)
+    s = split[:, None, None]
+    length = np.arange(_LENGTHS)[None, :, None]
+    keep = np.where((j >= s + 2) & (j <= length + 1), 0xFF, 0)
+    dot = np.where((j == s + 1) & (length > s), point[:, None, None], 0)
+    point_zero = np.where(j == s + 1, ord("."), np.where(j == s + 2, ord("0"), 0))
+    dot_zero = np.where((length <= s) & (np.arange(19) < 16)[:, None, None], point_zero, dot)
+
+    def words(masks):       # bytes j of each row as 3 words, one row per word
+        return masks.astype(np.uint8).view(_U).reshape(-1, 3).T
+
+    fraction = (np.vstack([words(keep), words(dot)]), np.vstack([words(keep), words(dot_zero)]))
+    integer = words(np.where(j <= split[:, None], 0xFF, 0))[:2]
+    # Per sign and k: the prefix word, '-' and the lead less its last byte
+    prefix = np.zeros((2, len(k)), dtype=_U)
+    prefix[1] = _U(ord("-") << 56)
+    for v in range(-4, 0):
+        head = b"0.000"[:-v]
+        prefix[:, v - _K_LO] = [int.from_bytes(t.rjust(8, b"\0"), "little")
+                                for t in (head, b"-" + head)]
+    # per k: the exponent e+XX or e-XXX of scientific notation, in bytes 26-30
+    size = np.abs(k).astype(_U)
+    tail = np.where(size < 100, (size // 10 | size % 10 << 8) + _U(0x3030),
+                    (size // 100 | size // 10 % 10 << 8 | size % 10 << 16) + _U(0x303030))
+    exp = (_U(ord("e")) | np.where(k < 0, _U(ord("-")), _U(ord("+"))) << 8 | tail << 16) << 16
+    exp[fixed | lead] = 0
+    return (pow10, quads, prefix.ravel(), integer[:, cls], exp, cls * _LENGTHS, fraction)
 
 
 def _cpython(values: np.ndarray, conversion: str) -> np.ndarray:
-    """CPython's text of each value, left-aligned in the rows of a uint8 matrix."""
-    text = np.array([conversion % v for v in values.tolist()], dtype="S")
+    """CPython's text of each value, left-aligned in the rows of a uint8 matrix:
+    conversion % v, or for 'json' repr(v) with inf, -inf and nan quoted."""
+    if conversion == "json":
+        texts = [repr(v) if math.isfinite(v) else f'"{v!r}"' for v in values.tolist()]
+    else:
+        texts = [conversion % v for v in values.tolist()]
+    text = np.array(texts, dtype="S")
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
@@ -183,10 +207,30 @@ def _shortest(ax, r, off, err, k, scale) -> np.ndarray:
     return decided
 
 
-def _float_text(x: np.ndarray, style: str) -> np.ndarray:
+class Text:
+    """A column's text, for an (n, width) uint8 slot of a block's row matrix.
+
+    `text` holds each value's bytes in a row, NULs in between; the rows `bad`
+    take CPython's text, the rows of `fallback`, in their place.  put(slot)
+    writes them: dropping the NULs of slot row i leaves the text of value i.
+    """
+
+    def __init__(self, text: np.ndarray, bad=None, fallback=None):
+        self._text, self._bad, self._fallback = text, bad, fallback
+        self.width = max(text.shape[1], 0 if fallback is None else fallback.shape[1])
+
+    def put(self, slot: np.ndarray) -> None:
+        used = self._text.shape[1]
+        slot[:, :used] = self._text
+        slot[:, used:] = 0
+        if self._bad is not None:       # the kernel left their bytes NUL
+            slot[self._bad, :self._fallback.shape[1]] = self._fallback
+
+
+def _float_text(x: np.ndarray, style: str) -> Text:
     if not _KERNEL or len(x) < _SMALL:
-        return _cpython(x, style)
-    pow10, divisor, multiplier, quads, layout, exp, tail = _tables()
+        return Text(_cpython(x, style))
+    pow10, quads, prefix, integer, exp, classes, fraction = _tables()
     n = len(x)
     ax = np.abs(x)
     with np.errstate(all="ignore"):
@@ -202,7 +246,8 @@ def _float_text(x: np.ndarray, style: str) -> np.ndarray:
     err = r * _REL_ERR
     # R in [1e16 + 1, 1e17 - 1], so k is exact
     ok = (r - np.int64(10 ** 16 + 1)).view(_U) <= _U(9 * 10 ** 16 - 2)
-    if style == "%r":
+    shortest = style != "%.17g"
+    if shortest:
         ok &= _shortest(ax, r, off, err, k, scale)
     else:
         # decidable, and not k = 16, whose 17 integer digits the layout has
@@ -210,52 +255,63 @@ def _float_text(x: np.ndarray, style: str) -> np.ndarray:
         ok &= np.abs(off) + err < 0.5
         ok &= k != 16 - _K_LO
     ok |= ax == 0
-    # The slots as 8-byte words, one row of `words` per word: two of
-    # integer digits, two of fraction digits, the sign, the '.' and the
-    # exponent (the text takes them in the order of _ORDER).  R is split into
-    # I * 10**(16 - split) + F, F scaled to 16 digits, and each into 4-digit
-    # groups, whose text comes from a table.
+    # R's 17 digits: the first, then 16 in four 4-digit groups whose text
+    # comes from a table, by constant divisors only
+    high = r // 10 ** 8
+    first = high // 10 ** 8
+    eights = np.empty((2, n), dtype=np.int64)
+    np.subtract(high, first * 10 ** 8, out=eights[0])
+    np.subtract(r, high * 10 ** 8, out=eights[1])
+    groups = np.empty((2, 2, n), dtype=np.int64)          # (first four, last four), word
+    np.floor_divide(eights, 10 ** 4, out=groups[0])
+    np.subtract(eights, groups[0] * 10 ** 4, out=groups[1])
+    tail = quads.take(groups, mode="wrap")
+    tail[1] <<= 32
+    tail = np.bitwise_or(tail[0], tail[1], out=tail[0])     # digits 1-8, 9-16
+    # L, the last nonzero digit of the 16: its byte, found by the exponent of
+    # the digit words' nonzero bytes
+    at = np.frexp((tail ^ _DIGITS0).astype(np.float64))[1]
+    length = np.where(at[1] > 0, at[1] + 64, at[0])
+    length += 7
+    length >>= 3
+    # The words in text order, one row per word.  D holds the 17 digits at
+    # bytes 0-16; the core is D on the integer digits, D shifted by one byte
+    # on the fraction digits up to L, and the '.' or '0' in between.
     words = np.empty((_WORDS, n), dtype=_U)
-    parts = np.empty((2, n), dtype=np.int64)
-    np.divmod(r, divisor[k], out=(parts[0], parts[1]))
-    parts[1] *= multiplier[k]
-    groups = np.empty((2, 2, n, 2), dtype=np.int64)         # field, word, value, group
-    eights = parts // 10 ** 8
-    for word, eight in enumerate((eights, parts - eights * 10 ** 8)):
-        fours = np.floor_divide(eight, 10 ** 4, out=groups[:, word, :, 0])
-        np.subtract(eight, fours * 10 ** 4, out=groups[:, word, :, 1])
-    quads.take(groups, mode="wrap", out=words[:4].view(np.uint32).reshape(groups.shape))
-    # the bytes of each fraction word up to its last nonzero digit
-    counts = np.frexp((words[2:4] ^ _DIGITS0).astype(np.float64))[1]
-    counts += 7
-    counts >>= 3
-    at = counts[0] * 9 + counts[1]
-    for w, table, index in ((0, layout[0], k), (1, layout[1], k), (2, tail[0], at),
-                            (3, tail[1], at)):
-        words[w] &= table[index]
-    words[0] |= layout[2][k]
-    words[1] |= layout[3][k]
-    np.multiply(np.signbit(x), _U(ord("-")), out=words[4])
-    has_fraction = tail[2][at]
-    np.bitwise_and(layout[4][k], has_fraction, out=words[5])
-    if style == "%r":           # '.0' in fixed notation without a fraction digit
-        words[5] |= layout[5][k] & ~has_fraction
-    words[6] = exp[k]
+    digits = np.empty((3, n), dtype=_U)
+    np.left_shift(tail, 8, out=digits[:2])
+    digits[0] |= (first + ord("0")).view(_U)
+    digits[1] |= tail[0] >> 56
+    np.right_shift(tail[1], 56, out=digits[2])
+    core = words[1:]
+    np.left_shift(digits, 8, out=core)
+    core[1:] |= digits[:2] >> 56
+    masks = fraction[shortest].take(classes[k] + length, axis=1)
+    core &= masks[:3]
+    core |= masks[3:]
+    digits[:2] &= integer.take(k, axis=1)
+    core[:2] |= digits[:2]
+    core[2] |= exp[k]
+    prefix.take(k + len(exp) * np.signbit(x), out=words[0])
+    bad = None
+    fallback = None
     if not ok.all():
-        # CPython's text, at most 24 bytes, in the last three words of the text
         bad = np.flatnonzero(~ok)
-        cpython = _cpython(x[bad], style)
-        text = np.zeros((len(bad), 24), dtype=np.uint8)
-        text[:, :cpython.shape[1]] = cpython
-        replace = np.zeros((_WORDS, len(bad)), dtype=_U)
-        replace[_ORDER[-3:]] = text.view(_U).reshape(-1, 3).T
-        words[:, bad] = replace
-    # the bytes that some value uses, in text order; byte j of word w of
-    # value i is at i*8 + w*8n + j
-    used = np.bitwise_or.reduce(words, axis=1).view(np.uint8).reshape(_WORDS, 8)[_ORDER]
-    word, byte = np.nonzero(used)
-    slots = np.lib.stride_tricks.as_strided(words.view(np.uint8), (n, _WORDS, 8), (8, 8 * n, 1))
-    return slots[:, _ORDER[word], byte]
+        words[:, bad] = 0
+        fallback = _cpython(x[bad], style)
+    # the bytes from the first that some value uses to the last
+    used = np.flatnonzero(np.bitwise_or.reduce(words, axis=1).view(np.uint8))
+    slots = np.ascontiguousarray(words.T).view(np.uint8)
+    return Text(slots[:, used[0]:used[-1] + 1] if len(used) else slots[:, :0], bad, fallback)
+
+
+def text(column: np.ndarray, style: str = "%.17g") -> Text:
+    """A column's text: each value's text as text_matrix writes it."""
+    if column.dtype.kind in "iu":
+        if len(column) and -2 ** 53 < int(column.min()) and int(column.max()) < 2 ** 53:
+            return _float_text(column.astype(np.float64), "%.17g")
+        return Text(_cpython(column, "%d"))
+    return _float_text(column.astype(np.float64, copy=False), style)
 
 
 def text_matrix(column: np.ndarray, style: str = "%.17g") -> np.ndarray:
@@ -265,10 +321,9 @@ def text_matrix(column: np.ndarray, style: str = "%.17g") -> np.ndarray:
     written as str(v) in either style: by the float kernel's '%.17g' on their
     float64 values when every |v| < 2**53, where the two texts agree, else by
     '%d'.  Every other column is written as style % float(v), with style
-    '%.17g' or '%r'.
+    '%.17g' or '%r', or 'json': '%r', with "inf", "-inf" and "nan" quoted.
     """
-    if column.dtype.kind in "iu":
-        if len(column) and -2 ** 53 < int(column.min()) and int(column.max()) < 2 ** 53:
-            return _float_text(column.astype(np.float64), "%.17g")
-        return _cpython(column, "%d")
-    return _float_text(column.astype(np.float64, copy=False), style)
+    column_text = text(column, style)
+    matrix = np.empty((len(column), column_text.width), dtype=np.uint8)
+    column_text.put(matrix)
+    return matrix

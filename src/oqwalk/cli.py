@@ -34,12 +34,14 @@ for one label, written in pieces of 4096 nodes, when N is larger.  Numbers
 are formatted a block at a time by a numpy kernel (oqwalk._numtext) that
 gives the bytes of format(v, ".17g") (CSV), repr(v) (JSON) and str(v),
 leaving the roundings it cannot decide (about 1%), inf, nan, integers beyond
-2**53 and arrays of fewer than 256 values to CPython; the rows are assembled
-from those texts and constant pieces (CSV commas, JSON braces and member
-names).  --dump-distributions replays the chain after the series is
-written, through the series' band generator at its exact floor: O(N)
-memory, not O(steps * N).  A steady-state omega range checks every omega
-first, then computes pi a block at a time.  approx-entropy computes its
+2**53 and arrays of fewer than 256 values to CPython.  Each column's text and
+each constant piece (CSV commas, JSON separators, braces and member
+names) is copied once into its slot of the block's uint8 row matrix, and
+the block's NUL bytes are dropped at once.  --dump-distributions replays the
+chain after the series is written, through the series' band generator at
+its exact floor: O(N) memory, not O(steps * N).  An omega range is checked
+whole before any work, its first omega outside (0, 1) refused; steady-state
+then computes pi a block at a time.  approx-entropy computes its
 series one block of t at a time as it writes, so its memory does not grow
 with --steps.  `table` takes the window's integer steps [ceil(t_start),
 floor(t_end)] from the library's one rounding of it, as its header's range
@@ -77,7 +79,6 @@ import os
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -85,7 +86,7 @@ import numpy as np
 from . import _trajectory as tr
 from . import equilibrium as eq
 from . import linear as lin
-from ._numtext import text_matrix
+from ._numtext import text, text_matrix
 from .equilibrium import EnsemblePoint
 from .linear import LinearWalkSpec
 
@@ -112,15 +113,23 @@ class CliError(Exception):
 _BLOCK_ROWS = 4096
 
 
-def _rows(pieces: list[np.ndarray], columns: list[np.ndarray]) -> str:
-    """Rows from each column's text matrix (see _numtext.text_matrix), with
-    the byte arrays pieces[i] before column i and pieces[-1] after the last."""
-    parts = [*chain.from_iterable(zip(pieces, columns)), pieces[-1]]
-    rows = np.empty((len(columns[0]), sum(p.shape[-1] for p in parts)), dtype=np.uint8)
+def _rows(n: int, pieces: list[np.ndarray], cells: list) -> np.ndarray:
+    """n rows from the texts `cells` (each with a width and put(slot), as
+    _numtext.Text), with the byte arrays pieces[i] before cell i and
+    pieces[-1] after the last, each in its slot of one uint8 row matrix."""
+    rows = np.empty((n, sum(map(len, pieces)) + sum(c.width for c in cells)), dtype=np.uint8)
     end = 0
-    for part in parts:
-        rows[:, end:end + part.shape[-1]] = part
-        end += part.shape[-1]
+    for piece, cell in zip(pieces, [*cells, None]):
+        rows[:, end:end + len(piece)] = piece
+        end += len(piece)
+        if cell is not None:
+            cell.put(rows[:, end:end + cell.width])
+            end += cell.width
+    return rows
+
+
+def _text(rows: np.ndarray) -> str:
+    """A row matrix's text: its bytes with the NULs dropped, at once."""
     return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -140,32 +149,38 @@ class _Grid(NamedTuple):
     blocks: Callable[[int], Iterator[np.ndarray]]
 
 
-def _json_text(column: np.ndarray) -> np.ndarray:
-    """A column's JSON text: repr(float), str(int), and the strings
-    "inf"/"-inf"/"nan", since strict JSON has no such literals."""
-    text = text_matrix(column, "%r")
-    if column.dtype.kind == "f" and not np.isfinite(column).all():
-        quoted = np.zeros((len(text), text.shape[1] + 2), dtype=np.uint8)
-        quoted[:, 1:-1] = text
-        quoted[~np.isfinite(column), ::quoted.shape[1] - 1] = ord('"')
-        return quoted
-    return text
+class _Spread(NamedTuple):
+    """A text matrix spread over a grid block's (labels, nodes) rows: `text`
+    is (labels, 1, width) for the labels, (1, nodes, width) for the nodes."""
+
+    text: np.ndarray
+    shape: tuple[int, int, int]
+
+    @property
+    def width(self) -> int:
+        return self.shape[2]
+
+    def put(self, slot: np.ndarray) -> None:
+        np.copyto(slot.reshape(self.shape), self.text)
 
 
-def _grid_text(column_text, grid: _Grid) -> Iterator[list[np.ndarray]]:
-    """The text columns (label, m, value) of a _Grid in writer blocks: whole
+def _grid_cells(style: str, grid: _Grid) -> Iterator[tuple[int, list]]:
+    """The texts (label, m, value) of a _Grid in writer blocks of rows: whole
     labels when N <= _BLOCK_ROWS, else pieces of _BLOCK_ROWS nodes.  The node
     labels are formatted once per table, and each block's labels once."""
     n = grid.n_nodes
-    nodes = [(lo, column_text(np.arange(lo, min(lo + _BLOCK_ROWS, n))))
+    nodes = [(lo, text_matrix(np.arange(lo, min(lo + _BLOCK_ROWS, n)), style))
              for lo in range(0, n, _BLOCK_ROWS)]
     start = 0
     for block in grid.blocks(max(1, _BLOCK_ROWS // n)):
-        labels = column_text(np.asarray(grid.labels[start:start + len(block)]))
+        labels = text_matrix(np.asarray(grid.labels[start:start + len(block)]), style)
         start += len(block)
-        for lo, text in nodes:
-            yield [np.repeat(labels, len(text), axis=0), np.tile(text, (len(block), 1)),
-                   column_text(block[:, lo:lo + len(text)].ravel())]
+        for lo, node_text in nodes:
+            shape = (len(block), len(node_text))
+            yield shape[0] * shape[1], [
+                _Spread(labels[:, None], (*shape, labels.shape[1])),
+                _Spread(node_text[None], (*shape, node_text.shape[1])),
+                text(block[:, lo:lo + shape[1]].ravel(), style)]
 
 
 def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
@@ -176,37 +191,38 @@ def _write_table(fh, fields: list[str], chunks, fmt: str) -> None:
     integers) and json.dumps(records, indent=2) plus a newline for JSON, with
     non-finite floats as "inf"/"-inf"/"nan".
 
-    One loop serves both formats: column chunks are cut into blocks of
-    _BLOCK_ROWS rows by _column_blocks, and _grid_text asks a _Grid for as
-    many whole labels as fill a block.  Each column of a block becomes a text
-    matrix of the _numtext kernel, '%.17g' for CSV and repr for JSON, and
-    _rows puts a format's constant pieces between them: ','s and a newline
-    for CSV, a record's braces and member names for JSON.  Each JSON record
-    ends in ",\n", which the writer drops after the last one.
+    One loop serves both formats: column chunks are cut into blocks of at
+    most _BLOCK_ROWS rows, and _grid_cells asks a _Grid for as many whole
+    labels as fill a block.  Each column of a block is formatted by the
+    _numtext kernel, '%.17g' for CSV and repr for JSON, and _rows puts a
+    format's constant pieces between the columns: ','s and a newline for CSV,
+    a record's separator, braces and member names for JSON.  Each JSON record
+    starts with the ",\n" that separates it from the one before; the first
+    record's ',' becomes the opening '['.
     """
     if fmt == "csv":
         fh.write(",".join(fields) + "\n")
         pieces = ["", *[","] * (len(fields) - 1), "\n"]
-        lead = sep = ""
-        column_text = text_matrix
+        style, lead = "%.17g", b""
     else:
         names = [json.dumps(f) for f in fields]
-        pieces = [f"  {{\n    {names[0]}: ", *[f",\n    {name}: " for name in names[1:]],
-                  "\n  },\n"]
-        lead, sep = "[\n", ",\n"
-        column_text = _json_text
+        pieces = [f",\n  {{\n    {names[0]}: ", *[f",\n    {name}: " for name in names[1:]],
+                  "\n  }"]
+        style, lead = "json", b"["
     pieces = [np.frombuffer(p.encode("ascii"), dtype=np.uint8) for p in pieces]
     for chunk in chunks:
         if isinstance(chunk, _Grid):
-            blocks = _grid_text(column_text, chunk)
+            blocks = _grid_cells(style, chunk)
         else:
-            blocks = ([column_text(c) for c in block] for block in _column_blocks(chunk))
-        for columns in blocks:
-            text = _rows(pieces, columns)
-            fh.write(lead + text[:len(text) - len(sep)])
-            lead = sep
+            blocks = ((len(block[0]), [text(c, style) for c in block])
+                      for block in _column_blocks(chunk))
+        for n, cells in blocks:
+            rows = _rows(n, pieces, cells)
+            rows[0, :len(lead)] = np.frombuffer(lead, dtype=np.uint8)
+            lead = b""
+            fh.write(_text(rows))
     if fmt == "json":
-        fh.write("\n]\n" if lead == sep else "[]\n")
+        fh.write("[]\n" if lead else "\n]\n")
 
 
 def _emit(path: str | None, fields: list[str], chunks, fmt: str) -> None:
@@ -258,6 +274,14 @@ def _parse_omegas(text: str) -> list[float]:
     return values[:count].tolist()
 
 
+def _check_omegas(omegas: list[float]) -> None:
+    """Refuse the first omega outside (0, 1), by eq._check_omega, in one pass."""
+    w = np.asarray(omegas)
+    inside = (w > 0.0) & (w < 1.0)
+    if not inside.all():
+        eq._check_omega(omegas[int(np.argmin(inside))])
+
+
 def _single_omega(args) -> float:
     omegas = _parse_omegas(args.omega)
     if len(omegas) != 1:
@@ -296,8 +320,7 @@ def cmd_steady_state(args):
     n, omegas = args.n_nodes, _parse_omegas(args.omega)
     # N and every omega are checked once, in order, before anything is written
     eq._check_n_nodes(n)
-    for omega in omegas:
-        eq._check_omega(omega)
+    _check_omegas(omegas)
     if len(omegas) == 1:        # a single omega's table has no omega column
         yield args.out, ["m", "pi"], [(np.arange(n), lin._steady_states(n, omegas)[0])]
     else:
@@ -310,8 +333,7 @@ def cmd_steady_state(args):
 
 def cmd_equilibrium(args):
     omegas = _parse_omegas(args.omega)
-    for omega in omegas:
-        eq._check_omega(omega)
+    _check_omegas(omegas)
     # a beta out of the double range is refused by thermo_points, not warned of here
     with np.errstate(over="ignore"):
         betas = -np.fromiter(map(eq._log_odds, omegas), float, len(omegas)) / args.epsilon

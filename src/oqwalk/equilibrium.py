@@ -216,21 +216,27 @@ def _forms(n: int, x):
     With s = |x|, where N s < 2 the 1/z poles cancel analytically (exact at s = 0):
       log Z = log N - (N-1)s/2 + l(Ns) - l(s),  <E> = (N-1)/2 + h(s) - N h(Ns),
       Var = (N^2-1)/12 + g(s) - N^2 g(Ns);  elsewhere the closed forms in e^(-s).
-    S = log Z + s <E> is even in x; log Z and <E> are mirrored for x < 0.
+    The series is evaluated on its points only.  S = log Z + s <E> is even in
+    x; log Z and <E> are mirrored for x < 0.
     """
-    s = np.abs(x)
+    x = np.asarray(x, dtype=float)
+    s = np.abs(x).ravel()
     z = np.stack([s, n * s])
-    with np.errstate(all="ignore"):  # each branch is evaluated on the other's points too
-        l, h, g = _remainders(z * z)
+    with np.errstate(all="ignore"):  # the closed forms are evaluated on the series' points too
         ez, em = np.exp(-z), -np.expm1(-z)
         log_em = np.where(z < math.log(2.0), np.log(em), np.log1p(-ez))
         q = ez / em
-        series = n * s < 2.0
-        logz = np.where(series, math.log(n) - (n - 1) * s / 2 + (l[1] - l[0]),
-                        log_em[1] - log_em[0])
-        e = np.where(series, (n - 1) / 2 + (h[0] * z[0] - n * (h[1] * z[1])), q[0] - n * q[1])
-        var = np.where(series, (n * n - 1) / 12 + (g[0] - n * n * g[1]),
-                       q[0] / em[0] - n * n * (q[1] / em[1]))
+        logz = log_em[1] - log_em[0]
+        e = q[0] - n * q[1]
+        var = q[0] / em[0] - n * n * (q[1] / em[1])
+    series = n * s < 2.0
+    if series.any():
+        z = z[:, series]
+        l, h, g = _remainders(z * z)
+        logz[series] = math.log(n) - (n - 1) * z[0] / 2 + (l[1] - l[0])
+        e[series] = (n - 1) / 2 + (h[0] * z[0] - n * (h[1] * z[1]))
+        var[series] = (n * n - 1) / 12 + (g[0] - n * n * g[1])
+    logz, e, var, s = (v.reshape(x.shape) for v in (logz, e, var, s))
     neg = x < 0
     return (np.where(neg, logz + (n - 1) * s, logz), np.where(neg, (n - 1) - e, e), var,
             logz + s * e)

@@ -1384,6 +1384,21 @@ def test_steady_state_memory_does_not_grow_with_the_omega_count(tmp_path):
     assert peaks[1] < 1.25 * peaks[0]
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "steady-state"])
+@pytest.mark.parametrize("grid", ["0.5:1.5:0.25", "0.25:1.25:0.125", "-0.5:0.5:0.25",
+                                  "0.75:2:0.25"])
+def test_omega_range_refuses_its_first_bad_omega(command, grid, tmp_path, capsys):
+    # the whole grid is checked at once, and the first omega outside (0, 1)
+    # is refused with the message a check of each omega in turn gives
+    omegas = cli._parse_omegas(grid)
+    first = next(w for w in omegas if not 0.0 < w < 1.0)
+    out = tmp_path / "out.csv"
+    assert main([command, "--n-nodes", "10", f"--omega={grid}", "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"oqwalk: error: omega must lie strictly inside (0, 1), got {first}\n")
+    assert not out.exists()
+
+
 def test_steady_state_range_with_a_bad_omega_writes_nothing(tmp_path, capsys):
     out = tmp_path / "pi.csv"
     assert main(["steady-state", "--n-nodes", "10", "--omega", "0.5:1.5:0.25",

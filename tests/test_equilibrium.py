@@ -507,6 +507,24 @@ def test_thermo_points_equal_the_scalar_evaluators(n, epsilon):
         assert getattr(tp, "T")[i] == point.T
 
 
+@pytest.mark.parametrize("epsilon", [0.37, 1.0, 3.0])
+def test_series_seam_sweep_equals_the_per_point_thermo_point(epsilon):
+    # _forms evaluates the series on the points with N|beta eps| < 2 alone: a
+    # sweep across that seam, at beta = 2/(N eps) and one ulp either side, on
+    # both signs, gives every point's 0-d thermo_point bit for bit
+    for n in [2, 3, 10, 100, 10**3, 10**4, 10**5, 10**6]:
+        seam = 2.0 / (n * epsilon)
+        near = [seam, np.nextafter(seam, 0.0), np.nextafter(seam, np.inf),
+                1e-3 * seam, 0.5 * seam, 1.5 * seam, 40.0 / epsilon]
+        betas = np.array([0.0] + [sign * b for b in near for sign in (1.0, -1.0)])
+        tp = eq.thermo_points(n, betas, epsilon)
+        for i, beta in enumerate(betas.tolist()):
+            point = eq.thermo_point(EnsemblePoint.from_beta(n, beta, epsilon))
+            for name, value in vars(point).items():
+                assert getattr(tp, name)[i].tobytes() == np.float64(value).tobytes(), \
+                    (n, beta, name)
+
+
 @pytest.mark.parametrize("epsilon", [1e-300, 1e-155, 1e-3, 2.5, 1e3])
 def test_heat_capacity_at_any_level_spacing_against_mpmath(epsilon):
     # C_V = x^2 Var with x = beta*eps: beta^2 (eps^2 Var) was nan (0 * inf)

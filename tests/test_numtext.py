@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oqwalk import _numtext
-from oqwalk.cli import _rows
+from oqwalk.cli import _rows, _text
 
 DBL_MAX = 1.7976931348623157e308
 
@@ -26,8 +26,8 @@ def kernel_for_any_length():
 def lines(values, style="%.17g") -> str:
     """The text of each value, one per line, as the writer puts it."""
     with kernel_for_any_length():
-        return _rows([np.zeros(0, np.uint8), np.frombuffer(b"\n", np.uint8)],
-                     [_numtext.text_matrix(np.asarray(values), style)])
+        return _text(_rows(len(values), [np.zeros(0, np.uint8), np.frombuffer(b"\n", np.uint8)],
+                           [_numtext.text(np.asarray(values), style)]))
 
 
 def expected(values) -> str:
