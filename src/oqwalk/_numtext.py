@@ -18,16 +18,21 @@ rint(D) = R17 is in [1e16 + 1, 1e17 - 1], k is exact and R17 has 17 digits.
 half-integer: then R17 is the exact value rounded to 17 significant digits.
 
 '%r' takes the first of R15 = round(D/100)*100, R16 = round(D/10)*10 and R17
-that lies within half an ulp of x, scaled to D's units by 10**(16 - k) (in
-long double: that scale overflows a double for k < -292).  The rounding
-interval of x is narrower than the 15-digit grid, so it holds at most one
-point with 15 or fewer digits, R15, and R15 with its trailing zeros stripped
-is the shortest text when it is inside.  Up to three 16-digit points can be
-inside, and repr takes the nearest, R16; R17 is always inside.  A value is
-decided only when D is more than 2 * err from every rounding boundary and
-interval boundary that the choice depends on.  Powers of two, whose interval
-is asymmetric, and subnormals are left undecided.  A carry to 10**17 is
-written as 1 at k + 1.
+that lies within half an ulp of x, scaled to D's units by 10**(16 - k).  That
+half ulp is 10**(16 - k) * 2**(e - 54) for x = m * 2**e, 1/2 <= m < 1: the
+table entry split once into a double mantissa and a binary exponent, so it is
+one ldexp in double, a normal double between 1/64 and 256 for every x, equal
+to the long double product rounded to double (10**(16 - k) alone overflows a
+double for k < -292).  R15 and R16 and their distances to D are taken in
+float64 from R17's last two digits and the offset D - R17, all exact but the
+one rounding of each distance.  The rounding interval of x is narrower than
+the 15-digit grid, so it holds at most one point with 15 or fewer digits,
+R15, and R15 with its trailing zeros stripped is the shortest text when it is
+inside.  Up to three 16-digit points can be inside, and repr takes the
+nearest, R16; R17 is always inside.  A value is decided only when D is more
+than 2 * err from every rounding boundary and interval boundary that the
+choice depends on.  Powers of two, whose interval is asymmetric, and
+subnormals are left undecided.  A carry to 10**17 is written as 1 at k + 1.
 
 R's 17 digits come from constant divisors, the first and then four groups of
 four whose text is a table's.  Each value's text is built in four words of
@@ -163,7 +168,12 @@ def _tables():
                     (size // 100 | size // 10 % 10 << 8 | size % 10 << 16) + _U(0x303030))
     exp = (_U(ord("e")) | np.where(k < 0, _U(ord("-")), _U(ord("+"))) << 8 | tail << 16) << 16
     exp[fixed | lead] = 0
-    return (pow10, quads, prefix.ravel(), integer[:, cls], exp, cls * _LENGTHS, fraction)
+    # half an ulp of a double x = m * 2**e, 1/2 <= m < 1, in D's units is
+    # 10**q * 2**(e - 54): 10**q split into a double mantissa and a binary
+    # exponent, so that ldexp(half[0], half[1] + e) rounds once, to a normal double
+    mant, shift = np.frexp(pow10)
+    half = (mant.astype(np.float64), shift.astype(np.int32) - 54)
+    return (pow10, half, quads, prefix.ravel(), integer[:, cls], exp, cls * _LENGTHS, fraction)
 
 
 def _cpython(values: np.ndarray, conversion: str) -> np.ndarray:
@@ -177,30 +187,38 @@ def _cpython(values: np.ndarray, conversion: str) -> np.ndarray:
     return text.view(np.uint8).reshape(len(text), text.itemsize)
 
 
-def _shortest(ax, r, off, err, k, scale) -> np.ndarray:
+def _shortest(ax, r, off, err, k, row, half) -> np.ndarray:
     """repr's digits: R15, R16 or R17, padded to 17 digits, in place of r.
 
-    R15 and R16 come from int64 divmod(R17, 100 | 10) plus the offset
-    D - R17.  A carry to 10**17 becomes 10**16 at k + 1.  Returns where the
-    choice is decided (see the module docstring).
+    R15 = r - r % 100 and R16 = r - r % 10, each rounded up by one unit where
+    D - R (the remainder plus the offset off = D - R17, in float64) exceeds
+    half a unit; r % 10 is taken from r % 100 in float64, where both are
+    exact.  Half an ulp of x in D's units is ldexp of row `row` of the split
+    `half` (see _tables), all in double.  A carry to 10**17 becomes 10**16 at
+    k + 1.  Returns where the choice is decided (see the module docstring).
     """
     m, e = np.frexp(ax)
-    # half an ulp of x, in D's units
-    half_ulp = np.ldexp(scale, e - 54).astype(np.float64)
+    mant, shift = half
+    half_ulp = np.ldexp(mant.take(row), shift.take(row) + e)
     margin = 2 * err
+    rem100 = r - r // 100 * 100
+    f100 = rem100 + off                     # D - R15 before its round up
+    rem10 = rem100.astype(np.float64)
+    rem10 -= np.floor(rem10 * 0.1) * 10
+    f10 = rem10 + off                       # D - R16 before its round up
+    up100 = f100 > 50
+    up10 = f10 > 5
+    dist100 = np.abs(f100 - 100 * up100)
+    dist10 = np.abs(f10 - 10 * up10)
+    take100 = dist100 < half_ulp
+    take10 = dist10 < half_ulp
     decided = (m != 0.5) & (ax >= _DBL_MIN)
-    taken = np.zeros(len(r), dtype=bool)
-    for unit in (100, 10):
-        q, rem = np.divmod(r, unit)
-        f = rem + off                       # D - q*unit
-        up = f > unit / 2
-        dist = np.abs(f - unit * up)
-        decided &= taken | ((np.abs(dist - half_ulp) > margin)
-                            & (np.abs(f - unit / 2) > margin))
-        take = ~taken & (dist < half_ulp)
-        np.copyto(r, (q + up) * unit, where=take)
-        taken |= take
-    decided &= taken | (np.abs(off) < 0.5 - margin)
+    decided &= np.abs(dist100 - half_ulp) > margin
+    decided &= np.abs(f100 - 50) > margin
+    decided &= take100 | ((np.abs(dist10 - half_ulp) > margin) & (np.abs(f10 - 5) > margin))
+    decided &= take100 | take10 | (np.abs(off) < 0.5 - margin)
+    r[:] = np.where(take100, r - rem100 + 100 * up100,
+                    np.where(take10, r - rem10.astype(np.int64) + 10 * up10, r))
     carry = r == 10 ** 17
     r[carry] = 10 ** 16
     k[carry] += 1
@@ -230,7 +248,7 @@ class Text:
 def _float_text(x: np.ndarray, style: str) -> Text:
     if not _KERNEL or len(x) < _SMALL:
         return Text(_cpython(x, style))
-    pow10, quads, prefix, integer, exp, classes, fraction = _tables()
+    pow10, half, quads, prefix, integer, exp, classes, fraction = _tables()
     n = len(x)
     ax = np.abs(x)
     with np.errstate(all="ignore"):
@@ -238,8 +256,8 @@ def _float_text(x: np.ndarray, style: str) -> Text:
         # of k = 0 writes as '0', and D = inf or nan fails the tests below
         k = np.floor(np.log10(np.where((ax > 0) & (ax < np.inf), ax, 1.0))).astype(np.intp)
         k -= _K_LO
-        scale = pow10[_K_HI - _K_LO - k]
-        d = ax.astype(_LD) * scale
+        row = _K_HI - _K_LO - k
+        d = ax.astype(_LD) * pow10[row]
         r = np.rint(d)
         off = (d - r).astype(np.float64)
         r = r.astype(np.int64)
@@ -248,7 +266,7 @@ def _float_text(x: np.ndarray, style: str) -> Text:
     ok = (r - np.int64(10 ** 16 + 1)).view(_U) <= _U(9 * 10 ** 16 - 2)
     shortest = style != "%.17g"
     if shortest:
-        ok &= _shortest(ax, r, off, err, k, scale)
+        ok &= _shortest(ax, r, off, err, k, row, half)
     else:
         # decidable, and not k = 16, whose 17 integer digits the layout has
         # no room for

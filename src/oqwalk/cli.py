@@ -34,19 +34,19 @@ for one label, written in pieces of 4096 nodes, when N is larger.  Numbers
 are formatted a block at a time by a numpy kernel (oqwalk._numtext) that
 gives the bytes of format(v, ".17g") (CSV), repr(v) (JSON) and str(v),
 leaving the roundings it cannot decide (about 1%), inf, nan, integers beyond
-2**53 and arrays of fewer than 256 values to CPython.  Each column's text and
-each constant piece (CSV commas, JSON separators, braces and member
-names) is copied once into its slot of the block's uint8 row matrix, and
-the block's NUL bytes are dropped at once.  --dump-distributions replays the
-chain after the series is written, through the series' band generator at
-its exact floor: O(N) memory, not O(steps * N).  An omega range is checked
-whole before any work, its first omega outside (0, 1) refused; steady-state
-then computes pi a block at a time.  approx-entropy computes its
-series one block of t at a time as it writes, so its memory does not grow
-with --steps.  `table` takes the window's integer steps [ceil(t_start),
-floor(t_end)] from the library's one rounding of it, as its header's range
-and its chain's length; it refuses a split with no tail before it runs its
-chain.
+2**53 and arrays of fewer than 256 values to CPython.  The constant pieces
+(CSV commas, JSON separators, braces and member names) form one template row,
+broadcast to every row of the block's uint8 row matrix; each column's text is
+copied once into its slot, and the block's NUL bytes are dropped at once.
+--dump-distributions replays the chain after the series is written, through
+the series' band generator at its exact floor: O(N) memory, not O(steps * N).
+An omega range is checked whole before any work, its first omega outside
+(0, 1) refused; steady-state then computes pi a block at a time.
+approx-entropy computes its series one block of t at a time as it writes, so
+its memory does not grow with --steps.  `table` takes the window's integer
+steps [ceil(t_start), floor(t_end)] from the library's one rounding of it, as
+its header's range and its chain's length; it refuses a split with no tail
+before it runs its chain.
 
 Both exact series go through oqwalk._trajectory._reduce_chain, which sums
 p log max(p, 5e-324) of each block's band over full rows (-0.0 where p = 0
@@ -56,11 +56,13 @@ step (no mass) and derives T_est and S_gen as simulate_trajectory does.
 `table` reads S on the window's steps alone: its chain runs to the window's
 last step and reduces no row before it.
 
-A run loads only what its subcommand calls.  This module loads the exact
-chain's series (oqwalk._trajectory), which `trajectory` and `table` run;
-`window`, `approx-entropy`, `table` and `dqc` import oqwalk.thermalization
-when they start, so `steady-state`, `equilibrium` and `trajectory` never
-load it, and no subcommand loads the Kraus engine (oqwalk.channel).
+A run loads only what its subcommand calls, and its parser adds the flags of
+that subcommand alone (all seven are still registered, so usage lines and
+errors read the same).  This module loads the exact chain's series
+(oqwalk._trajectory), which `trajectory` and `table` run; `window`,
+`approx-entropy`, `table` and `dqc` import oqwalk.thermalization when they
+start, so `steady-state`, `equilibrium` and `trajectory` never load it, and
+no subcommand loads the Kraus engine (oqwalk.channel).
 
 A config file (--config, `key = value` lines, # comments) can supply any long
 flag, each value read with that flag's type; explicit command-line flags win.
@@ -116,15 +118,20 @@ _BLOCK_ROWS = 4096
 def _rows(n: int, pieces: list[np.ndarray], cells: list) -> np.ndarray:
     """n rows from the texts `cells` (each with a width and put(slot), as
     _numtext.Text), with the byte arrays pieces[i] before cell i and
-    pieces[-1] after the last, each in its slot of one uint8 row matrix."""
-    rows = np.empty((n, sum(map(len, pieces)) + sum(c.width for c in cells)), dtype=np.uint8)
-    end = 0
-    for piece, cell in zip(pieces, [*cells, None]):
-        rows[:, end:end + len(piece)] = piece
-        end += len(piece)
-        if cell is not None:
-            cell.put(rows[:, end:end + cell.width])
-            end += cell.width
+    pieces[-1] after the last, in one uint8 row matrix.  One template row, the
+    pieces with NULs in the cells' slots, is broadcast to every row; then
+    each cell is put in its slot."""
+    template, slots, at = [], [], 0
+    for piece, cell in zip(pieces, cells):
+        template += [piece, np.zeros(cell.width, dtype=np.uint8)]
+        slots.append(at + len(piece))
+        at = slots[-1] + cell.width
+    template.append(pieces[-1])
+    template = np.concatenate(template)
+    rows = np.empty((n, len(template)), dtype=np.uint8)
+    rows[:] = template
+    for at, cell in zip(slots, cells):
+        cell.put(rows[:, at:at + cell.width])
     return rows
 
 
@@ -336,7 +343,7 @@ def cmd_equilibrium(args):
     _check_omegas(omegas)
     # a beta out of the double range is refused by thermo_points, not warned of here
     with np.errstate(over="ignore"):
-        betas = -np.fromiter(map(eq._log_odds, omegas), float, len(omegas)) / args.epsilon
+        betas = -eq._log_odds(omegas) / args.epsilon
     tp = eq.thermo_points(args.n_nodes, betas, args.epsilon)
     columns = (omegas, betas, tp.T, tp.Z, tp.mean_E, tp.var_E, tp.S, tp.F, tp.C_V)
     yield args.out, ["omega", "beta", "T", "Z", "E", "varE", "S", "F", "Cv"], [columns]
@@ -493,24 +500,36 @@ class _Parser(argparse.ArgumentParser):
         file.flush()
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the flags of the one argv runs.
+
+    All seven subcommands are registered, so that usage lines and the choice
+    error read the same for every argv.  A subcommand's flags are added only
+    when argv names it, or when argv (None included) names none: argparse
+    runs the subcommand its first positional argument names, and no top-level
+    option takes a value, so that is the first item of argv that is a
+    subcommand's name; where that argument names none, argparse refuses it
+    before any flag is read.
+    """
     parser = _Parser(
         prog="oqwalk",
         description="Linear open-quantum-walk simulations and thermodynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     extras = {flag for command in _COMMANDS.values() for flag in command.extras}
+    named = next((a for a in argv or () if a in _COMMANDS), None)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for flag, settings in _FLAGS.items():
-            if flag in command.extras or flag not in extras:
-                p.add_argument(f"--{flag}", **settings)
+        if named in (None, name):
+            for flag, settings in _FLAGS.items():
+                if flag in command.extras or flag not in extras:
+                    p.add_argument(f"--{flag}", **settings)
         p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(sys.argv[1:] if argv is None else argv)
     try:
         try:
             args = parser.parse_args(argv)

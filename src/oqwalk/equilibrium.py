@@ -21,6 +21,8 @@ onto |beta| by the mirror symmetry, so both signs are equally accurate.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,16 +106,23 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must be finite, got {beta}")
 
 
-def _log_odds(omega: float) -> float:
-    """log a = log(omega/(1-omega)) = -beta*epsilon of one unchecked omega."""
-    return math.log(omega) - math.log1p(-omega)
+def _log_odds(omegas: Sequence[float]) -> np.ndarray:
+    """log a = log(omega/(1-omega)) = -beta*epsilon of each unchecked omega.
+
+    math.log and math.log1p of each omega and one float64 subtraction, the
+    bits of math.log(omega) - math.log1p(-omega): np.log rounds a few percent
+    of them differently.
+    """
+    n = len(omegas)
+    return (np.fromiter(map(math.log, omegas), float, n)
+            - np.fromiter(map(math.log1p, map(operator.neg, omegas)), float, n))
 
 
 def beta_from_omega(omega: float, epsilon: float = 1.0) -> float:
     """Inverse temperature of the steady state at hop weight omega, refused unless finite."""
     _check_omega(omega)
     _check_epsilon(epsilon)
-    beta = -_log_odds(omega) / epsilon
+    beta = -float(_log_odds((omega,))[0]) / epsilon
     _check_beta(beta)
     return beta
 

@@ -228,9 +228,8 @@ def steady_states(n_nodes: int, omegas) -> np.ndarray:
 
 
 def _steady_states(n: int, omegas) -> np.ndarray:
-    # math.log and log1p per omega: np.log rounds a few percent of them differently
     omegas = np.asarray(omegas, dtype=float)
-    log_a = np.fromiter(map(_log_odds, omegas.tolist()), float, len(omegas))[:, None]
+    log_a = _log_odds(omegas.tolist())[:, None]
     # Anchor the exponents at the dominant node so the heavy terms carry full
     # precision: for a > 1, m*log(a) alone reaches ~1e7 at N = 1e6, where
     # doubles only resolve ~2e-9 absolutely.

@@ -582,6 +582,31 @@ def test_each_subcommand_lists_its_flags_in_order(capsys):
     assert sum(map(len, SUBCOMMAND_FLAGS.values())) == 43
 
 
+# argv whose bytes come from argparse alone: help, an unknown flag, a bad
+# choice, a flag without its value, no subcommand and an unknown one
+PARSER_ARGVS = [[], ["--help"], ["bogus"]] + [
+    [command, *tail] for command in SUBCOMMAND_FLAGS
+    for tail in (["--help"], ["--jobs", "3"], ["--format", "xml"], ["--n-nodes"])]
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_parser_of_the_named_subcommand_writes_the_full_parsers_bytes(argv, capsys,
+                                                                     monkeypatch):
+    code = main(argv)
+    out = capsys.readouterr()
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv=None: full())
+    assert (main(argv), *capsys.readouterr()) == (code, *out)
+
+
+def test_parser_adds_flags_to_the_named_subcommand_only(capsys):
+    parser = cli._build_parser(["equilibrium", "--n-nodes", "5"])
+    assert parser.parse_args(["equilibrium", "--n-nodes", "5"]).n_nodes == 5
+    with pytest.raises(SystemExit):
+        parser.parse_args(["trajectory", "--n-nodes", "5"])
+    assert "unrecognized arguments: --n-nodes 5" in capsys.readouterr().err
+
+
 def _base_argv(command, skip):
     """The subcommand with its required flags, and --steps for trajectory, but `skip`."""
     needed = ["n-nodes", "omega"] + (["steps"] if command == "trajectory" else [])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oqwalk import cli
 from oqwalk import equilibrium as eq
 from oqwalk.equilibrium import EnsemblePoint
 from oqwalk.linear import LinearWalkSpec, steady_state
@@ -525,6 +526,20 @@ def test_series_seam_sweep_equals_the_per_point_thermo_point(epsilon):
                     (n, beta, name)
 
 
+@pytest.mark.parametrize("grid", ["0.0001:0.9999:0.00005", "0.00001:0.99999:0.00001", "random"])
+def test_log_odds_of_a_sequence_has_each_omegas_bits(grid):
+    # eq-sweep's grid, steady-state's 99,999-omega grid and random omegas; the
+    # sign of the zero at omega = 1/2 counts
+    if grid == "random":
+        rng = np.random.default_rng(33)
+        omegas = [*rng.random(10 ** 5).tolist(), 0.5, 5e-324, 1e-300, 1 - 2 ** -53]
+    else:
+        omegas = cli._parse_omegas(grid)
+    assert 0.5 in omegas and all(0.0 < w < 1.0 for w in omegas)
+    want = np.array([math.log(w) - math.log1p(-w) for w in omegas])
+    assert np.array_equal(eq._log_odds(omegas).view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("epsilon", [1e-300, 1e-155, 1e-3, 2.5, 1e3])
 def test_heat_capacity_at_any_level_spacing_against_mpmath(epsilon):
     # C_V = x^2 Var with x = beta*eps: beta^2 (eps^2 Var) was nan (0 * inf)
@@ -534,7 +549,7 @@ def test_heat_capacity_at_any_level_spacing_against_mpmath(epsilon):
     mp = pytest.importorskip("mpmath")
     n = 30
     omegas = [0.1, 0.2, 0.3, 0.45, 0.55, 0.9]
-    betas = -np.array([eq._log_odds(w) for w in omegas]) / epsilon
+    betas = -eq._log_odds(omegas) / epsilon
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cv = eq.thermo_points(n, betas, epsilon).C_V

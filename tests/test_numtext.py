@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oqwalk import _numtext
+from oqwalk import _numtext, cli
 from oqwalk.cli import _rows, _text
+
+import numtext_reference
 
 DBL_MAX = 1.7976931348623157e308
 
@@ -134,6 +136,77 @@ def test_power_of_ten_table_is_correctly_rounded():
             e -= 1
         ulp = Fraction(2) ** (e - bits + 1)
         assert abs(Fraction(num, den) - Fraction(10) ** q) <= ulp / 2, q
+
+
+@pytest.mark.skipif(not _numtext._KERNEL, reason="long double is no wider than double here")
+def test_half_ulp_split_rounds_like_the_long_double_product():
+    # every table row against every frexp exponent of a nonzero double: the
+    # split's one rounding equals the long double product's cast wherever that
+    # is a normal double (a subnormal one is rounded twice), and every half
+    # ulp the kernel takes, the rows of k - 1..k + 1 at the exponents of the
+    # doubles in those decades, is such a normal double
+    pow10, (mant, shift) = _numtext._tables()[:2]
+    e = np.arange(-1073, 1025, dtype=np.int32)
+    with np.errstate(over="ignore"):
+        split = np.ldexp(mant[:, None], shift[:, None] + e)
+        product = np.ldexp(pow10[:, None], e - 54).astype(np.float64)
+    normal = ~(np.abs(product) < np.finfo(np.float64).smallest_normal)
+    k = _numtext._K_HI - np.arange(len(pow10))[:, None]
+    used = ((e >= np.floor((k - 1) * math.log2(10)))
+            & (e <= np.floor((k + 2) * math.log2(10)) + 2))
+    assert normal.sum() > 10 ** 6 and not (used & ~normal).any()
+    assert np.array_equal(split.view(np.uint64)[normal], product.view(np.uint64)[normal])
+    assert ((product[used] > 2.0 ** -6) & (product[used] < 2.0 ** 8)).all()
+
+
+def shortest_oracle_values():
+    """Over 2M doubles, each set with the log10 of the kernel's front:
+    eq-sweep's nine columns, random magnitudes and bit patterns, powers of two
+    and their neighbours, subnormals, and the doubles around each power of
+    ten, also under a log10 one ulp low, where R15 carries to 10**17 (see
+    test_repr_carry_to_the_next_power_of_ten)."""
+    args = cli._build_parser().parse_args(
+        ["equilibrium", "--n-nodes", "50", "--omega", "0.0001:0.9999:0.00005"])
+    (_, _, [columns]), = cli.cmd_equilibrium(args)
+    rng = np.random.default_rng(33)
+    twos = 2.0 ** np.arange(-1074, 1024)
+    tens = np.array([float(f"1e{q}") for q in range(-323, 309)]).view(np.uint64)
+    tens = (tens[:, None] + np.arange(-300, 301, dtype=np.int64).view(np.uint64)).ravel()
+    values = np.concatenate([
+        *map(np.asarray, columns),
+        rng.choice([-1.0, 1.0], 10 ** 6) * rng.random(10 ** 6)
+        * 10.0 ** rng.integers(-320, 309, 10 ** 6),
+        rng.integers(0, 2 ** 64, 6 * 10 ** 5, dtype=np.uint64).view(np.float64),
+        twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf),
+        rng.integers(1, 2 ** 52, 10 ** 5, dtype=np.uint64).view(np.float64),
+        tens.view(np.float64)])
+    low = tens.view(np.float64)
+    return [(values, np.log10), (-values[::7], np.log10),
+            (low, lambda a: np.nextafter(np.log10(a), -np.inf))]
+
+
+@pytest.mark.skipif(not _numtext._KERNEL, reason="long double is no wider than double here")
+def test_shortest_decides_as_the_long_double_reference():
+    # the double-precision choice against the long double one on the kernel's
+    # own front: the same decided mask, digits and k, so no value is newly
+    # decided and no byte can move
+    sets = shortest_oracle_values()
+    assert sum(len(values) for values, _ in sets) >= 2 * 10 ** 6
+    pow10, half = _numtext._tables()[:2]
+    carries = 0
+    for values, log10 in sets:
+        for start in range(0, len(values), 2 ** 16):
+            ax, r, off, err, k, row = numtext_reference.front(values[start:start + 2 ** 16],
+                                                              log10)
+            r_new, k_new = r.copy(), k.copy()
+            decided = _numtext._shortest(ax, r_new, off, err, k_new, row, half)
+            with np.errstate(all="ignore"):
+                want = numtext_reference.shortest(ax, r, off, err, k, pow10[row])
+            assert np.array_equal(decided, want)
+            assert np.array_equal(r_new, r)
+            assert np.array_equal(k_new, k)
+            carries += int((k != _numtext._K_HI - _numtext._K_LO - row).sum())
+    assert carries > 100
 
 
 def test_long_double_no_wider_than_double_leaves_every_value_to_cpython():
